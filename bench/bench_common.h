@@ -141,31 +141,6 @@ inline std::vector<double> TakeDoubleListFlag(
   return out;
 }
 
-/// Extracts a comma-separated list of string tokens (`--backend map,hash`),
-/// with a default.  Exits on an empty list; token validation is the
-/// caller's job (it knows the vocabulary).
-inline std::vector<std::string> TakeStringListFlag(
-    int& argc, char** argv, const char* name,
-    const std::vector<std::string>& fallback) {
-  auto v = TakeFlagValue(argc, argv, name);
-  if (!v.has_value()) return fallback;
-  std::vector<std::string> out;
-  std::string token;
-  for (const char c : *v + ",") {
-    if (c == ',') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-    } else {
-      token.push_back(c);
-    }
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "empty list for %s\n", name);
-    std::exit(2);
-  }
-  return out;
-}
-
 /// Extracts a boolean `--name` flag (present = true).
 inline bool TakeBoolFlag(int& argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i) {

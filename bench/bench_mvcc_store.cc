@@ -1,5 +1,4 @@
-// Multiversion-store performance, swept over every selected version-store
-// backend (the storage SPI's competition bench).  Per backend:
+// Multiversion-store performance:
 //
 //   churn_retain_all   N update txns over K hot items, commit via the
 //                      write-set fast path, never pruning — chains grow
@@ -7,32 +6,25 @@
 //   churn_watermark    same workload, GarbageCollect(now) every G commits
 //                      — version count and max chain length stay bounded
 //   read_long_chain    visibility read against a chain of length L
-//   read_point         point reads over a wide keyspace of short chains —
-//                      the Read-dominated probe row the hash backend's
-//                      cache-line index exists for
+//   read_point         point reads over a wide keyspace of short chains
 //   latest_ts_probes   LatestCommitTs over the same keyspace (the
 //                      First-Committer-Wins probe, the other read-heavy
 //                      hot path)
 //   engine_si_gc       the wired-in path: a Snapshot Isolation Database
-//                      in kWatermark mode on this backend driving the
-//                      churn through real transactions
+//                      in kWatermark mode driving the churn through real
+//                      transactions
 //
-//   bench_mvcc_store [--backend map,hash] [--txns 20000] [--items 64]
-//                    [--gc-every 64] [--chain 1024] [--reads 200000]
-//                    [--point-items 4096] [--json PATH] [--quiet]
+//   bench_mvcc_store [--txns 20000] [--items 64] [--gc-every 64]
+//                    [--chain 1024] [--reads 200000] [--point-items 4096]
+//                    [--json PATH] [--quiet]
 //
 // A plain binary (no google-benchmark dependency): the JSON it emits is a
-// committed baseline (BENCH_mvcc.json) that scripts/bench_gate.py
-// compares against on every CI run.  When both the map and hash backends
-// are in the sweep, the binary additionally enforces the SPI's reason to
-// exist: the hash backend must not lose to the reference backend on the
-// read-heavy probe rows (checked only on real-sized runs — tiny smoke
-// workloads are pure timer noise).
+// committed micro-bench floor (BENCH_mvcc.json) that scripts/bench_gate.py
+// compares against on every CI run.  The binary itself fails when GC does
+// not keep the version count bounded.
 
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,13 +32,12 @@
 #include "bench_common.h"
 #include "critique/common/json_writer.h"
 #include "critique/db/database.h"
-#include "critique/storage/version_store.h"
+#include "critique/storage/mv_store.h"
 
 namespace critique {
 namespace {
 
 struct Config {
-  std::vector<StorageBackend> backends;
   int64_t txns = 20000;
   int64_t items = 64;
   int64_t gc_every = 64;
@@ -63,8 +54,8 @@ struct ChurnResult {
   uint64_t gc_dropped = 0;
 };
 
-/// One backend's full row set.
-struct BackendResults {
+/// The full row set.
+struct Results {
   ChurnResult retain_all;
   ChurnResult watermark;
   double read_long_chain_ops_per_sec = 0;
@@ -84,48 +75,47 @@ double PerSec(int64_t n, std::chrono::steady_clock::duration d) {
 }
 
 // Update churn straight against the store: each "transaction" writes one
-// item and commits with the write-set hint, mimicking what the SI engine
+// item and commits with its write set, mimicking what the SI engine
 // does per commit.  `gc_every == 0` disables pruning.
-ChurnResult RunChurn(const Config& cfg, StorageBackend backend,
-                     int64_t gc_every) {
-  std::unique_ptr<VersionStore> store = MakeVersionStore(backend);
+ChurnResult RunChurn(const Config& cfg, int64_t gc_every) {
+  MultiVersionStore store;
   Timestamp ts = 1;
   for (int64_t k = 0; k < cfg.items; ++k) {
-    store->Bootstrap(Key(k), Row::Scalar(Value(int64_t{0})), ts);
+    store.Bootstrap(Key(k), Row::Scalar(Value(int64_t{0})), ts);
   }
   ChurnResult out;
   const auto t0 = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < cfg.txns; ++i) {
     const TxnId txn = static_cast<TxnId>(i + 2);
     const ItemId id = Key(i % cfg.items);
-    store->Write(id, Row::Scalar(Value(i)), txn);
+    store.Write(id, Row::Scalar(Value(i)), txn);
     std::set<ItemId> write_set{id};
-    store->CommitTxn(txn, ++ts, write_set);
+    store.CommitTxn(txn, ++ts, write_set);
     if (gc_every > 0 && (i + 1) % gc_every == 0) {
       // No open snapshots in this driver: the watermark is "now".
-      out.gc_dropped += store->GarbageCollect(ts);
+      out.gc_dropped += store.GarbageCollect(ts);
     }
   }
   out.txns_per_sec = PerSec(cfg.txns, std::chrono::steady_clock::now() - t0);
-  out.version_count = store->VersionCount();
-  out.max_chain_length = store->MaxChainLength();
+  out.version_count = store.VersionCount();
+  out.max_chain_length = store.MaxChainLength();
   return out;
 }
 
 // Visibility read near the tail of a long chain — the per-read cost an
 // unbounded chain inflicts and GC removes.
-double RunReadLongChain(const Config& cfg, StorageBackend backend) {
-  std::unique_ptr<VersionStore> store = MakeVersionStore(backend);
-  store->Bootstrap("x", Row::Scalar(Value(int64_t{0})), 1);
+double RunReadLongChain(const Config& cfg) {
+  MultiVersionStore store;
+  store.Bootstrap("x", Row::Scalar(Value(int64_t{0})), 1);
   Timestamp ts = 1;
   for (int64_t v = 0; v < cfg.chain; ++v) {
     const TxnId txn = static_cast<TxnId>(v + 2);
-    store->Write("x", Row::Scalar(Value(v)), txn);
-    store->CommitTxn(txn, ++ts, std::set<ItemId>{"x"});
+    store.Write("x", Row::Scalar(Value(v)), txn);
+    store.CommitTxn(txn, ++ts, std::set<ItemId>{"x"});
   }
   const auto t0 = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < cfg.reads; ++i) {
-    auto r = store->Read("x", ts, 999999);
+    auto r = store.Read("x", ts, 999999);
     (void)r;
   }
   return PerSec(cfg.reads, std::chrono::steady_clock::now() - t0);
@@ -133,22 +123,20 @@ double RunReadLongChain(const Config& cfg, StorageBackend backend) {
 
 // The read-heavy probe rows: a wide keyspace of short (post-GC-shaped)
 // chains, hammered with point reads and FCW timestamp probes.  This is
-// where the index structure — one hashed cache-line probe vs an ordered
-// tree descent — is the entire cost.
-void RunReadProbes(const Config& cfg, StorageBackend backend,
-                   BackendResults& out) {
-  std::unique_ptr<VersionStore> store = MakeVersionStore(backend);
+// where the index lookup is the entire cost.
+void RunReadProbes(const Config& cfg, Results& out) {
+  MultiVersionStore store;
   Timestamp ts = 1;
   for (int64_t k = 0; k < cfg.point_items; ++k) {
-    store->Bootstrap(Key(k), Row::Scalar(Value(int64_t{0})), ts);
+    store.Bootstrap(Key(k), Row::Scalar(Value(int64_t{0})), ts);
   }
   // Two committed updates per item: chain length 3, the steady state a
   // watermark epoch leaves behind.
   for (int round = 0; round < 2; ++round) {
     for (int64_t k = 0; k < cfg.point_items; ++k) {
       const TxnId txn = static_cast<TxnId>(2 + round * cfg.point_items + k);
-      store->Write(Key(k), Row::Scalar(Value(k + round)), txn);
-      store->CommitTxn(txn, ++ts, std::set<ItemId>{Key(k)});
+      store.Write(Key(k), Row::Scalar(Value(k + round)), txn);
+      store.CommitTxn(txn, ++ts, std::set<ItemId>{Key(k)});
     }
   }
   // Fisher–Yates-free pseudo-random probe order (Knuth multiplicative):
@@ -161,14 +149,14 @@ void RunReadProbes(const Config& cfg, StorageBackend backend,
   };
   const auto t0 = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < cfg.reads; ++i) {
-    auto r = store->Read(probe_key(i), ts, 999999);
+    auto r = store.Read(probe_key(i), ts, 999999);
     (void)r;
   }
   out.read_point_ops_per_sec =
       PerSec(cfg.reads, std::chrono::steady_clock::now() - t0);
   const auto t1 = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < cfg.reads; ++i) {
-    Timestamp t = store->LatestCommitTs(probe_key(i));
+    Timestamp t = store.LatestCommitTs(probe_key(i));
     (void)t;
   }
   out.latest_ts_probes_per_sec =
@@ -176,14 +164,12 @@ void RunReadProbes(const Config& cfg, StorageBackend backend,
 }
 
 // The wired-in path: kWatermark GC inside a real SI engine behind the
-// session facade, on the selected backend.
-void RunEngineSiGc(const Config& cfg, StorageBackend backend,
-                   BackendResults& out) {
+// session facade.
+void RunEngineSiGc(const Config& cfg, Results& out) {
   DbOptions opts(IsolationLevel::kSnapshotIsolation);
   opts.version_gc = VersionGcMode::kWatermark;
   opts.version_gc_interval = static_cast<uint32_t>(
       cfg.gc_every > 0 ? cfg.gc_every : 64);
-  opts.storage_backend = backend;
   Database db(opts);
   for (int64_t k = 0; k < cfg.items; ++k) {
     (void)db.Load(Key(k), Value(int64_t{0}));
@@ -200,56 +186,48 @@ void RunEngineSiGc(const Config& cfg, StorageBackend backend,
   out.engine_si_gc_max_chain = db.engine().MaxVersionChainLength();
 }
 
-BackendResults RunBackend(const Config& cfg, StorageBackend backend) {
-  BackendResults r;
-  r.retain_all = RunChurn(cfg, backend, /*gc_every=*/0);
-  r.watermark = RunChurn(cfg, backend, cfg.gc_every);
-  r.read_long_chain_ops_per_sec = RunReadLongChain(cfg, backend);
-  RunReadProbes(cfg, backend, r);
-  RunEngineSiGc(cfg, backend, r);
+Results RunAll(const Config& cfg) {
+  Results r;
+  r.retain_all = RunChurn(cfg, /*gc_every=*/0);
+  r.watermark = RunChurn(cfg, cfg.gc_every);
+  r.read_long_chain_ops_per_sec = RunReadLongChain(cfg);
+  RunReadProbes(cfg, r);
+  RunEngineSiGc(cfg, r);
   return r;
 }
 
-void PrintHuman(const Config& cfg,
-                const std::map<StorageBackend, BackendResults>& all) {
+void PrintHuman(const Config& cfg, const Results& r) {
   std::printf("==== MVCC store bench: %lld txns over %lld items, gc every "
               "%lld, %lld probe items ====\n",
               static_cast<long long>(cfg.txns),
               static_cast<long long>(cfg.items),
               static_cast<long long>(cfg.gc_every),
               static_cast<long long>(cfg.point_items));
-  for (const auto& [backend, r] : all) {
-    std::printf("\n-- backend: %s --\n", StorageBackendName(backend));
-    std::printf("%-18s %12s %10s %10s %10s\n", "section", "txn|op /s",
-                "versions", "max chain", "dropped");
-    auto row = [](const char* name, double rate, uint64_t vc, uint64_t mc,
-                  uint64_t dropped) {
-      std::printf("%-18s %12.0f %10llu %10llu %10llu\n", name, rate,
-                  static_cast<unsigned long long>(vc),
-                  static_cast<unsigned long long>(mc),
-                  static_cast<unsigned long long>(dropped));
-    };
-    row("churn_retain_all", r.retain_all.txns_per_sec,
-        r.retain_all.version_count, r.retain_all.max_chain_length, 0);
-    row("churn_watermark", r.watermark.txns_per_sec,
-        r.watermark.version_count, r.watermark.max_chain_length,
-        r.watermark.gc_dropped);
-    row("read_long_chain", r.read_long_chain_ops_per_sec, 0, 0, 0);
-    row("read_point", r.read_point_ops_per_sec, 0, 0, 0);
-    row("latest_ts_probes", r.latest_ts_probes_per_sec, 0, 0, 0);
-    row("engine_si_gc", r.engine_si_gc_txns_per_sec,
-        r.engine_si_gc_version_count, r.engine_si_gc_max_chain, 0);
-  }
+  std::printf("%-18s %12s %10s %10s %10s\n", "section", "txn|op /s",
+              "versions", "max chain", "dropped");
+  auto row = [](const char* name, double rate, uint64_t vc, uint64_t mc,
+                uint64_t dropped) {
+    std::printf("%-18s %12.0f %10llu %10llu %10llu\n", name, rate,
+                static_cast<unsigned long long>(vc),
+                static_cast<unsigned long long>(mc),
+                static_cast<unsigned long long>(dropped));
+  };
+  row("churn_retain_all", r.retain_all.txns_per_sec,
+      r.retain_all.version_count, r.retain_all.max_chain_length, 0);
+  row("churn_watermark", r.watermark.txns_per_sec, r.watermark.version_count,
+      r.watermark.max_chain_length, r.watermark.gc_dropped);
+  row("read_long_chain", r.read_long_chain_ops_per_sec, 0, 0, 0);
+  row("read_point", r.read_point_ops_per_sec, 0, 0, 0);
+  row("latest_ts_probes", r.latest_ts_probes_per_sec, 0, 0, 0);
+  row("engine_si_gc", r.engine_si_gc_txns_per_sec,
+      r.engine_si_gc_version_count, r.engine_si_gc_max_chain, 0);
   std::printf(
       "\nExpected shape (Section 4.2's \"snapshot data can be maintained\"\n"
       "proviso, measured): retain_all grows versions linearly with txns;\n"
-      "watermark holds them near the item count; the hash backend wins the\n"
-      "read-heavy probe rows (read_point, latest_ts_probes) — one hashed\n"
-      "cache-line probe vs an ordered tree descent.\n");
+      "watermark holds them near the item count.\n");
 }
 
-std::string ToJson(const Config& cfg,
-                   const std::map<StorageBackend, BackendResults>& all) {
+std::string ToJson(const Config& cfg, const Results& r) {
   JsonWriter w;
   w.BeginObject();
   w.Key("bench"); w.String("mvcc_store");
@@ -259,36 +237,28 @@ std::string ToJson(const Config& cfg,
   w.Key("chain"); w.Int(cfg.chain);
   w.Key("reads"); w.Int(cfg.reads);
   w.Key("point_items"); w.Int(cfg.point_items);
-  w.Key("backends");
+  auto churn = [&w](const char* key, const ChurnResult& c) {
+    w.Key(key);
+    w.BeginObject();
+    w.Key("txns_per_sec"); w.Double(c.txns_per_sec);
+    w.Key("version_count"); w.UInt(c.version_count);
+    w.Key("max_chain_length"); w.UInt(c.max_chain_length);
+    w.Key("gc_dropped"); w.UInt(c.gc_dropped);
+    w.EndObject();
+  };
+  churn("churn_retain_all", r.retain_all);
+  churn("churn_watermark", r.watermark);
+  w.Key("read_long_chain_ops_per_sec");
+  w.Double(r.read_long_chain_ops_per_sec);
+  w.Key("read_point_ops_per_sec");
+  w.Double(r.read_point_ops_per_sec);
+  w.Key("latest_ts_probes_per_sec");
+  w.Double(r.latest_ts_probes_per_sec);
+  w.Key("engine_si_gc");
   w.BeginObject();
-  for (const auto& [backend, r] : all) {
-    w.Key(StorageBackendName(backend));
-    w.BeginObject();
-    auto churn = [&w](const char* key, const ChurnResult& c) {
-      w.Key(key);
-      w.BeginObject();
-      w.Key("txns_per_sec"); w.Double(c.txns_per_sec);
-      w.Key("version_count"); w.UInt(c.version_count);
-      w.Key("max_chain_length"); w.UInt(c.max_chain_length);
-      w.Key("gc_dropped"); w.UInt(c.gc_dropped);
-      w.EndObject();
-    };
-    churn("churn_retain_all", r.retain_all);
-    churn("churn_watermark", r.watermark);
-    w.Key("read_long_chain_ops_per_sec");
-    w.Double(r.read_long_chain_ops_per_sec);
-    w.Key("read_point_ops_per_sec");
-    w.Double(r.read_point_ops_per_sec);
-    w.Key("latest_ts_probes_per_sec");
-    w.Double(r.latest_ts_probes_per_sec);
-    w.Key("engine_si_gc");
-    w.BeginObject();
-    w.Key("txns_per_sec"); w.Double(r.engine_si_gc_txns_per_sec);
-    w.Key("version_count"); w.UInt(r.engine_si_gc_version_count);
-    w.Key("max_chain_length"); w.UInt(r.engine_si_gc_max_chain);
-    w.EndObject();
-    w.EndObject();
-  }
+  w.Key("txns_per_sec"); w.Double(r.engine_si_gc_txns_per_sec);
+  w.Key("version_count"); w.UInt(r.engine_si_gc_version_count);
+  w.Key("max_chain_length"); w.UInt(r.engine_si_gc_max_chain);
   w.EndObject();
   w.EndObject();
   return w.str();
@@ -303,8 +273,6 @@ int main(int argc, char** argv) {
 
   Config cfg;
   auto json_path = TakeJsonFlag(argc, argv);
-  const std::vector<std::string> backend_tokens =
-      TakeStringListFlag(argc, argv, "--backend", {"map", "hash"});
   cfg.txns = TakeIntFlag(argc, argv, "--txns", 20000);
   cfg.items = TakeIntFlag(argc, argv, "--items", 64);
   cfg.gc_every = TakeIntFlag(argc, argv, "--gc-every", 64);
@@ -320,64 +288,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--items and --point-items must be >= 1\n");
     return 2;
   }
-  for (const std::string& token : backend_tokens) {
-    std::optional<StorageBackend> b = ParseStorageBackend(token);
-    if (!b.has_value()) {
-      std::fprintf(stderr, "unknown --backend token: '%s'\n", token.c_str());
-      return 2;
-    }
-    cfg.backends.push_back(*b);
-  }
-
-  std::map<StorageBackend, BackendResults> all;
-  for (StorageBackend backend : cfg.backends) {
-    all[backend] = RunBackend(cfg, backend);
-  }
-
-  if (!cfg.quiet) PrintHuman(cfg, all);
+  const Results r = RunAll(cfg);
+  if (!cfg.quiet) PrintHuman(cfg, r);
   if (json_path.has_value()) {
-    WriteJsonFile(*json_path, ToJson(cfg, all));
+    WriteJsonFile(*json_path, ToJson(cfg, r));
   }
 
-  int rc = 0;
-  for (const auto& [backend, r] : all) {
-    // Correctness gate: with GC on, storage must stay bounded.  Generous
-    // bound — the point is "not linear in txns".
-    const uint64_t bound =
-        static_cast<uint64_t>(cfg.items) +
-        static_cast<uint64_t>(cfg.gc_every > 0 ? cfg.gc_every : cfg.txns) + 16;
-    if (r.watermark.version_count > bound ||
-        r.engine_si_gc_version_count > bound) {
-      std::fprintf(
-          stderr,
-          "GC failed to bound versions (%s): watermark=%llu engine=%llu "
-          "bound=%llu\n",
-          StorageBackendName(backend),
-          static_cast<unsigned long long>(r.watermark.version_count),
-          static_cast<unsigned long long>(r.engine_si_gc_version_count),
-          static_cast<unsigned long long>(bound));
-      rc = 1;
-    }
+  // Correctness gate: with GC on, storage must stay bounded.  Generous
+  // bound — the point is "not linear in txns".
+  const uint64_t bound =
+      static_cast<uint64_t>(cfg.items) +
+      static_cast<uint64_t>(cfg.gc_every > 0 ? cfg.gc_every : cfg.txns) + 16;
+  if (r.watermark.version_count > bound ||
+      r.engine_si_gc_version_count > bound) {
+    std::fprintf(stderr,
+                 "GC failed to bound versions: watermark=%llu engine=%llu "
+                 "bound=%llu\n",
+                 static_cast<unsigned long long>(r.watermark.version_count),
+                 static_cast<unsigned long long>(r.engine_si_gc_version_count),
+                 static_cast<unsigned long long>(bound));
+    return 1;
   }
-
-  // The SPI's reason to exist: on the read-heavy probe rows the hash
-  // backend must not lose to the reference backend.  Only checked on
-  // real-sized runs — a smoke run's probe loops finish inside timer
-  // jitter and would gate on noise.
-  const auto map_it = all.find(StorageBackend::kMap);
-  const auto hash_it = all.find(StorageBackend::kHash);
-  if (map_it != all.end() && hash_it != all.end() && cfg.reads >= 50000) {
-    const BackendResults& m = map_it->second;
-    const BackendResults& h = hash_it->second;
-    if (h.read_point_ops_per_sec < m.read_point_ops_per_sec ||
-        h.latest_ts_probes_per_sec < m.latest_ts_probes_per_sec) {
-      std::fprintf(stderr,
-                   "hash backend lost a read-heavy probe row to map: "
-                   "read_point %.0f vs %.0f, latest_ts %.0f vs %.0f\n",
-                   h.read_point_ops_per_sec, m.read_point_ops_per_sec,
-                   h.latest_ts_probes_per_sec, m.latest_ts_probes_per_sec);
-      rc = 1;
-    }
-  }
-  return rc;
+  return 0;
 }

@@ -28,7 +28,6 @@ void ConfigureEngine(Engine& engine, const DbOptions& options) {
   c.lock_wait_timeout = options.lock_wait_timeout;
   c.deadlock_check_interval = options.deadlock_check_interval;
   c.lock_stripes = options.lock_stripes;
-  c.storage_backend = options.storage_backend;
   engine.SetConcurrency(c);
   engine.SetVersionGc({options.version_gc, options.version_gc_interval});
 }

@@ -100,14 +100,6 @@ struct DbOptions {
   /// kWatermark only: commits between automatic GC passes.
   uint32_t version_gc_interval = 64;
 
-  /// Which `VersionStore` backend multiversion engines run on: `kMap`
-  /// (the ordered reference backend, the default) or `kHash` (the
-  /// cache-conscious open-addressing backend).  Observable behavior is
-  /// identical — the conformance battery holds every backend to the
-  /// reference answers; only the cost profile changes.  Single-version
-  /// engines (the locking levels) ignore it.
-  StorageBackend storage_backend = StorageBackend::kMap;
-
   // --- durability ----------------------------------------------------------
 
   /// Write-ahead-log file.  Empty (the default) runs the engine purely in

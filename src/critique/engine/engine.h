@@ -21,7 +21,6 @@
 #include "critique/model/row.h"
 #include "critique/obs/metrics.h"
 #include "critique/obs/txn_trace.h"
-#include "critique/storage/version_store.h"
 #include "critique/wal/wal_sink.h"
 
 namespace critique {
@@ -82,14 +81,6 @@ struct EngineConcurrency {
   /// hash-partitioned into (lock-based engines only; 1 = the old global
   /// table).  Applied when `SetConcurrency` runs, i.e. before any session.
   size_t lock_stripes = LockManager::kDefaultStripes;
-
-  /// Which `VersionStore` backend multiversion engines run on (see
-  /// `StorageBackend`).  Applied when `SetConcurrency` runs, i.e. before
-  /// any session — switching backends later is refused by the engines
-  /// (the swap would discard loaded data); re-announcing the same backend
-  /// is a no-op, so hooks that re-run `SetConcurrency` stay safe.
-  /// Single-version engines (the locking levels) accept and ignore it.
-  StorageBackend storage_backend = StorageBackend::kMap;
 
   /// Cooperative mode only: release-notification hook for lock-based
   /// engines (`LockManager::SetWakeupHook`).  When set, every operation

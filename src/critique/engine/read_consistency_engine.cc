@@ -12,14 +12,9 @@ std::optional<Value> HistoryValue(const std::optional<Row>& row) {
 
 }  // namespace
 
-ReadConsistencyEngine::ReadConsistencyEngine()
-    : store_(MakeVersionStore(StorageBackend::kMap)) {
-  store_->DiscourageUnhinted();
-}
-
 Status ReadConsistencyEngine::Load(const ItemId& id, Row row) {
   std::unique_lock<std::shared_mutex> sl(store_mu_);
-  store_->Bootstrap(id, std::move(row), clock_.Tick());
+  store_.Bootstrap(id, std::move(row), clock_.Tick());
   return Status::OK();
 }
 
@@ -56,16 +51,6 @@ void ReadConsistencyEngine::RegisterMetrics(obs::MetricsRegistry& reg,
                         &lock_manager_.wait_histogram());
   reg.RegisterHistogram(prefix + "lock.park_wakeup_us",
                         &lock_manager_.park_wakeup_histogram());
-  // Hint-free (full-store-scan) commit/abort counters: nonzero means some
-  // call site regressed to the slow path the write-set hints exist to avoid.
-  reg.RegisterGauge(prefix + "storage.unhinted_commits", [this] {
-    std::shared_lock<std::shared_mutex> sl(store_mu_);
-    return store_->unhinted_commits();
-  });
-  reg.RegisterGauge(prefix + "storage.unhinted_aborts", [this] {
-    std::shared_lock<std::shared_mutex> sl(store_mu_);
-    return store_->unhinted_aborts();
-  });
 }
 
 std::string ReadConsistencyEngine::DebugDump() const {
@@ -101,10 +86,10 @@ void ReadConsistencyEngine::Rollback(TxnId txn) {
   st.active = false;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    store_->AbortTxn(txn, st.write_set);
+    store_.AbortTxn(txn, st.write_set);
     recorder_.Record(Action::Abort(txn));  // under the latch, see DoRead
   }
-  st.write_set.clear();  // the hint is dead once the versions are gone
+  st.write_set.clear();  // dead once the versions are gone
   st.redo.clear();
   lock_manager_.ReleaseAll(txn);
 }
@@ -114,7 +99,7 @@ Result<LockHandle> ReadConsistencyEngine::AcquireWriteLock(
   std::optional<Row> before;
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    before = store_->Read(id, clock_.Now(), txn);
+    before = store_.Read(id, clock_.Now(), txn);
   }
   LockSpec spec = LockSpec::WriteItem(txn, id, std::move(before),
                                       std::move(after));
@@ -136,7 +121,7 @@ Result<std::optional<Row>> ReadConsistencyEngine::DoRead(TxnId txn,
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     std::optional<Version> version =
-        store_->ReadVersionInfo(id, clock_.Now(), txn);
+        store_.ReadVersionInfo(id, clock_.Now(), txn);
     Action a = type == Action::Type::kCursorRead ? Action::CursorRead(txn, id)
                                                  : Action::Read(txn, id);
     if (version.has_value()) {
@@ -183,7 +168,7 @@ ReadConsistencyEngine::ReadPredicate(TxnId txn, const std::string& name,
   std::vector<std::pair<ItemId, Row>> rows;
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    rows = store_->Scan(pred, clock_.Now(), txn);
+    rows = store_.Scan(pred, clock_.Now(), txn);
     Action a = Action::PredicateRead(txn, name, pred);
     for (const auto& [id, row] : rows) {
       (void)row;
@@ -211,7 +196,7 @@ Status ReadConsistencyEngine::DoWrite(TableLock& lk, TxnId txn,
     std::optional<Row> committed;
     {
       std::shared_lock<std::shared_mutex> sl(store_mu_);
-      committed = store_->Read(id, clock_.Now(), txn);
+      committed = store_.Read(id, clock_.Now(), txn);
     }
     if (is_insert && committed.has_value()) {
       lock_manager_.Release(h);
@@ -227,11 +212,11 @@ Status ReadConsistencyEngine::DoWrite(TableLock& lk, TxnId txn,
   // (see DoRead).
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    std::optional<Row> before = store_->Read(id, clock_.Now(), txn);
+    std::optional<Row> before = store_.Read(id, clock_.Now(), txn);
     if (new_row.has_value()) {
-      store_->Write(id, *new_row, txn);
+      store_.Write(id, *new_row, txn);
     } else {
-      store_->Delete(id, txn);
+      store_.Delete(id, txn);
     }
     Action a = type == Action::Type::kCursorWrite
                    ? Action::CursorWrite(txn, id, HistoryValue(new_row))
@@ -262,7 +247,7 @@ Status ReadConsistencyEngine::Insert(TxnId txn, const ItemId& id, Row row) {
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    if (store_->Read(id, clock_.Now(), txn).has_value()) {
+    if (store_.Read(id, clock_.Now(), txn).has_value()) {
       return Status::FailedPrecondition("insert: item '" + id + "' exists");
     }
   }
@@ -275,7 +260,7 @@ Status ReadConsistencyEngine::Delete(TxnId txn, const ItemId& id) {
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    if (!store_->Read(id, clock_.Now(), txn).has_value()) {
+    if (!store_.Read(id, clock_.Now(), txn).has_value()) {
       return Status::NotFound("delete: item '" + id + "' absent");
     }
   }
@@ -331,14 +316,14 @@ Status ReadConsistencyEngine::Commit(TxnId txn) {
       // log order, which recovery's sequential replay relies on.
       std::unique_lock<std::shared_mutex> sl(store_mu_);
       const Timestamp commit_ts = clock_.Tick();
-      store_->CommitTxn(txn, commit_ts, st.write_set);
+      store_.CommitTxn(txn, commit_ts, st.write_set);
       if (wal_ != nullptr && !st.redo.empty()) {
         wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
         wal_lsn = wal_->Append(WalRecord::Commit(txn, commit_ts));
       }
       recorder_.Record(Action::Commit(txn), &EngineStats::commits);
     }
-    st.write_set.clear();  // the hint is dead once the versions are stamped
+    st.write_set.clear();  // dead once the versions are stamped
     st.redo.clear();
     lock_manager_.ReleaseAll(txn);
     gc_due = GcTick();
@@ -391,14 +376,14 @@ Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
       const Timestamp commit_ts = clock_.Tick();
-      store_->CommitTxn(txn, commit_ts, st.write_set);
+      store_.CommitTxn(txn, commit_ts, st.write_set);
       // Slim commit: the write set is already durable from Prepare.
       if (wal_ != nullptr) {
         wal_lsn = wal_->Append(WalRecord::Commit(txn, commit_ts));
       }
       recorder_.Record(Action::Commit(txn), &EngineStats::commits);
     }
-    st.write_set.clear();  // the hint is dead once the versions are stamped
+    st.write_set.clear();  // dead once the versions are stamped
     lock_manager_.ReleaseAll(txn);
     gc_due = GcTick();
   }
@@ -447,7 +432,7 @@ size_t ReadConsistencyEngine::RunGcPass() {
     // snapshot ever looks below "now" — the watermark is the clock itself.
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
-      dropped = store_->GarbageCollect(clock_.Now());
+      dropped = store_.GarbageCollect(clock_.Now());
     }
     if (gc_policy_.mode == VersionGcMode::kWatermark) {
       // Retire finished transaction states.  Duplicate-id detection no
@@ -481,12 +466,12 @@ size_t ReadConsistencyEngine::GarbageCollectVersions() {
 
 size_t ReadConsistencyEngine::VersionCount() const {
   std::shared_lock<std::shared_mutex> sl(store_mu_);
-  return store_->VersionCount();
+  return store_.VersionCount();
 }
 
 size_t ReadConsistencyEngine::MaxVersionChainLength() const {
   std::shared_lock<std::shared_mutex> sl(store_mu_);
-  return store_->MaxChainLength();
+  return store_.MaxChainLength();
 }
 
 VersionGcStats ReadConsistencyEngine::version_gc_stats() const {

@@ -11,7 +11,7 @@
 #include "critique/common/clock.h"
 #include "critique/engine/engine.h"
 #include "critique/lock/lock_manager.h"
-#include "critique/storage/version_store.h"
+#include "critique/storage/mv_store.h"
 
 namespace critique {
 
@@ -39,26 +39,16 @@ namespace critique {
 /// latch dropped so concurrent sessions keep progressing.
 class ReadConsistencyEngine : public Engine {
  public:
-  ReadConsistencyEngine();
-
   IsolationLevel level() const override {
     return IsolationLevel::kOracleReadConsistency;
   }
 
-  /// Also applies `c.lock_stripes` to the engine's lock table and
-  /// `c.storage_backend` to the version store (legal here: SetConcurrency
-  /// runs before any session starts, so both are idle).  Re-announcing
-  /// the backend already in force is a no-op on the store, so hooks that
-  /// re-run SetConcurrency never clobber loaded data.
+  /// Also applies `c.lock_stripes` to the engine's lock table (legal
+  /// here: SetConcurrency runs before any session starts, so it is idle).
   void SetConcurrency(EngineConcurrency c) override {
     Engine::SetConcurrency(c);
     (void)lock_manager_.SetStripeCount(c.lock_stripes);
     lock_manager_.SetWakeupHook(concurrency().lock_wakeup);
-    std::unique_lock<std::shared_mutex> sl(store_mu_);
-    if (store_->backend() != c.storage_backend) {
-      store_ = MakeVersionStore(c.storage_backend);
-      store_->DiscourageUnhinted();
-    }
   }
 
   Status Load(const ItemId& id, Row row) override;
@@ -162,7 +152,7 @@ class ReadConsistencyEngine : public Engine {
   /// GC epoch counter + stats (leaf latch).
   mutable std::mutex gc_mu_;
   LogicalClock clock_;
-  std::unique_ptr<VersionStore> store_;  ///< store_mu_
+  MultiVersionStore store_;  ///< store_mu_
   LockManager lock_manager_;
   std::map<TxnId, TxnState> txns_;
   uint32_t commits_since_gc_ = 0;  ///< gc_mu_

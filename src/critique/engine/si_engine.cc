@@ -14,21 +14,11 @@ std::optional<Value> HistoryValue(const std::optional<Row>& row) {
 
 SnapshotIsolationEngine::SnapshotIsolationEngine(
     SnapshotIsolationOptions options)
-    : options_(options), store_(MakeVersionStore(StorageBackend::kMap)) {
-  store_->DiscourageUnhinted();
-}
-
-void SnapshotIsolationEngine::SetConcurrency(EngineConcurrency c) {
-  Engine::SetConcurrency(c);
-  std::unique_lock<std::shared_mutex> sl(store_mu_);
-  if (store_->backend() == c.storage_backend) return;  // idempotent re-set
-  store_ = MakeVersionStore(c.storage_backend);
-  store_->DiscourageUnhinted();
-}
+    : options_(options) {}
 
 Status SnapshotIsolationEngine::Load(const ItemId& id, Row row) {
   std::unique_lock<std::shared_mutex> sl(store_mu_);
-  store_->Bootstrap(id, std::move(row), clock_.Tick());
+  store_.Bootstrap(id, std::move(row), clock_.Tick());
   return Status::OK();
 }
 
@@ -121,7 +111,7 @@ Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
   TxnState& st = txns_.find(txn)->second;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    store_->AbortTxn(txn, st.write_set);
+    store_.AbortTxn(txn, st.write_set);
     recorder_.Record(Action::Abort(txn), counter);  // under the latch
   }
   // Breakdown by the paper's taxonomy: only serialization aborts split
@@ -310,7 +300,7 @@ Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
   std::optional<Row> row;
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    std::optional<Version> version = store_->ReadVersionInfo(id, ReadTs(st), txn);
+    std::optional<Version> version = store_.ReadVersionInfo(id, ReadTs(st), txn);
     Action a = type == Action::Type::kCursorRead ? Action::CursorRead(txn, id)
                                                  : Action::Read(txn, id);
     if (version.has_value()) {
@@ -359,7 +349,7 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
   std::vector<std::pair<ItemId, Row>> rows;
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    rows = store_->Scan(pred, ReadTs(st), txn);
+    rows = store_.Scan(pred, ReadTs(st), txn);
     Action a = Action::PredicateRead(txn, name, pred);
     for (const auto& [id, row] : rows) {
       (void)row;
@@ -386,7 +376,7 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
         if (u == txn || ust.aborted || !Concurrent(st, ust)) continue;
         for (const ItemId& wid : ust.write_set) {
           std::optional<Version> vi =
-              store_->ReadVersionInfo(wid, ~Timestamp{0}, u);
+              store_.ReadVersionInfo(wid, ~Timestamp{0}, u);
           if (vi.has_value() && !vi->tombstone && pred.Covers(wid, vi->row)) {
             AddRwEdge(txn, u);
           }
@@ -411,14 +401,14 @@ Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
     // writers and to readers appending their own records (see DoRead).
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     if (options_.eager_write_conflicts &&
-        store_->HasConcurrentPendingWrite(id, txn)) {
+        store_.HasConcurrentPendingWrite(id, txn)) {
       eager_conflict = true;
     } else {
-      before = store_->Read(id, ReadTs(st), txn);
+      before = store_.Read(id, ReadTs(st), txn);
       if (new_row.has_value()) {
-        store_->Write(id, *new_row, txn);
+        store_.Write(id, *new_row, txn);
       } else {
-        store_->Delete(id, txn);
+        store_.Delete(id, txn);
       }
       Action a = type == Action::Type::kCursorWrite
                      ? Action::CursorWrite(txn, id, HistoryValue(new_row))
@@ -459,7 +449,7 @@ Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
   const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    if (store_->Read(id, read_ts, txn).has_value()) {
+    if (store_.Read(id, read_ts, txn).has_value()) {
       return Status::FailedPrecondition("insert: item '" + id +
                                         "' visible in snapshot");
     }
@@ -474,7 +464,7 @@ Status SnapshotIsolationEngine::Delete(TxnId txn, const ItemId& id) {
   const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    if (!store_->Read(id, read_ts, txn).has_value()) {
+    if (!store_.Read(id, read_ts, txn).has_value()) {
       return Status::NotFound("delete: item '" + id + "' not visible");
     }
   }
@@ -492,13 +482,13 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
   std::vector<Row> nexts;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    rows = store_->Scan(pred, ReadTs(st), txn);
+    rows = store_.Scan(pred, ReadTs(st), txn);
     nexts.reserve(rows.size());
     Action a = Action::PredicateWrite(txn, name, pred);
     a.version = txn;
     for (const auto& [id, row] : rows) {
       Row next = transform(row);
-      store_->Write(id, next, txn);
+      store_.Write(id, next, txn);
       nexts.push_back(std::move(next));
       a.read_set.push_back(id);
     }
@@ -530,12 +520,12 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
   std::vector<std::pair<ItemId, Row>> rows;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    rows = store_->Scan(pred, ReadTs(st), txn);
+    rows = store_.Scan(pred, ReadTs(st), txn);
     Action a = Action::PredicateWrite(txn, name, pred);
     a.version = txn;
     for (const auto& [id, row] : rows) {
       (void)row;
-      store_->Delete(id, txn);
+      store_.Delete(id, txn);
       a.read_set.push_back(id);
     }
     // Appended under the store latch (see DoRead).
@@ -598,7 +588,7 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
   if (st.level != IsolationLevel::kReadCommitted) {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     for (const ItemId& id : st.write_set) {
-      if (store_->LatestCommitTs(id) > st.start_ts) {
+      if (store_.LatestCommitTs(id) > st.start_ts) {
         fcw_conflict = id;
         break;
       }
@@ -676,7 +666,7 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
       st.commit_ts = clock_.Tick();
-      store_->CommitTxn(txn, st.commit_ts, st.write_set);
+      store_.CommitTxn(txn, st.commit_ts, st.write_set);
       recorder_.Record(Action::Commit(txn), &EngineStats::commits);
       if (wal_ != nullptr && (decision || !st.write_set.empty())) {
         // Inside the publication section, behind commit_mu_: log order is
@@ -846,7 +836,7 @@ size_t SnapshotIsolationEngine::RunGcPass() {
     }
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
-      dropped = store_->GarbageCollect(watermark);
+      dropped = store_.GarbageCollect(watermark);
     }
     if (watermark > gc_floor_.load(std::memory_order_relaxed)) {
       gc_floor_.store(watermark, std::memory_order_release);
@@ -944,16 +934,6 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
   });
   reg.RegisterHistogram(prefix + "pipeline.validate_us", &stage1_hist_);
   reg.RegisterHistogram(prefix + "pipeline.publish_us", &stage2_hist_);
-  // Hint-free (full-store-scan) commit/abort counters: nonzero means some
-  // call site regressed to the slow path the write-set hints exist to avoid.
-  reg.RegisterGauge(prefix + "storage.unhinted_commits", [this] {
-    std::shared_lock<std::shared_mutex> sl(store_mu_);
-    return store_->unhinted_commits();
-  });
-  reg.RegisterGauge(prefix + "storage.unhinted_aborts", [this] {
-    std::shared_lock<std::shared_mutex> sl(store_mu_);
-    return store_->unhinted_aborts();
-  });
 }
 
 size_t SnapshotIsolationEngine::GarbageCollectVersions() {

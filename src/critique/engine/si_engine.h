@@ -14,7 +14,7 @@
 
 #include "critique/common/clock.h"
 #include "critique/engine/engine.h"
-#include "critique/storage/version_store.h"
+#include "critique/storage/mv_store.h"
 
 namespace critique {
 
@@ -203,21 +203,14 @@ class SnapshotIsolationEngine : public Engine {
   /// Stored version count (GC observability).
   size_t VersionCount() const override {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    return store_->VersionCount();
+    return store_.VersionCount();
   }
 
   /// Longest version chain (GC boundedness metric).
   size_t MaxVersionChainLength() const override {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
-    return store_->MaxChainLength();
+    return store_.MaxChainLength();
   }
-
-  /// Adopts `c.storage_backend` alongside the base behavior: the version
-  /// store is swapped for a fresh store of the selected backend.  Only
-  /// legal before any data is loaded — re-announcing the backend already
-  /// in force (as `Database::SetLockWakeupHook` does when it re-runs
-  /// SetConcurrency) is a no-op that never touches the store.
-  void SetConcurrency(EngineConcurrency c) override;
 
   VersionGcStats version_gc_stats() const override {
     std::lock_guard<std::mutex> lk(gc_stats_mu_);
@@ -413,7 +406,7 @@ class SnapshotIsolationEngine : public Engine {
   mutable std::mutex gc_stats_mu_;
 
   LogicalClock clock_;
-  std::unique_ptr<VersionStore> store_;     ///< store_mu_
+  MultiVersionStore store_;                 ///< store_mu_
   std::map<TxnId, TxnState> txns_;          ///< table_mu_ (+ ssi_mu_ rules)
   // SSI SIREAD bookkeeping: item readers and predicate readers (ssi_mu_).
   std::map<ItemId, std::set<TxnId>> readers_;

@@ -200,7 +200,6 @@ HistexResult RunSingle(const HistexConfig& cfg) {
   opts.seed = cfg.seed;
   opts.online_check = true;
   opts.online_check_prune_interval = cfg.checker_prune_interval;
-  opts.storage_backend = cfg.backend;
   Database db(opts);
   // Preload the even half of the keyspace so inserts and erases both have
   // live and absent targets.
@@ -234,7 +233,6 @@ HistexResult RunSharded(const HistexConfig& cfg) {
   sopts.seed = cfg.seed;
   sopts.shard_options.online_check = true;
   sopts.shard_options.online_check_prune_interval = cfg.checker_prune_interval;
-  sopts.shard_options.storage_backend = cfg.backend;
   ShardedDatabase db(sopts);
   for (int i = 0; i < cfg.items; i += 2) {
     (void)db.Load(ItemName(static_cast<uint64_t>(i)), Value(0));
@@ -270,7 +268,7 @@ std::string HistexConfig::ToString() const {
   }
   os << " shards=" << shards << " sessions=" << sessions << " txns=" << txns
      << " items=" << items << " ops=" << max_ops << " prune="
-     << checker_prune_interval << " store=" << StorageBackendName(backend);
+     << checker_prune_interval;
   return os.str();
 }
 
@@ -365,10 +363,6 @@ std::optional<HistexConfig> ParseHistexConfig(const std::string& spec) {
       } else if (key == "prune") {
         cfg.checker_prune_interval =
             static_cast<uint32_t>(std::stoul(val));
-      } else if (key == "store") {
-        std::optional<StorageBackend> b = ParseStorageBackend(val);
-        if (!b.has_value()) return std::nullopt;
-        cfg.backend = *b;
       } else {
         return std::nullopt;
       }

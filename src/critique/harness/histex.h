@@ -50,12 +50,7 @@ struct HistexConfig {
   /// `DbOptions::online_check_prune_interval` for the run.
   uint32_t checker_prune_interval = 64;
 
-  /// Version-store backend the run's engines are built on
-  /// (`DbOptions::storage_backend`) — the fuzz matrix's storage
-  /// dimension.  Ignored by single-version engines.
-  StorageBackend backend = StorageBackend::kMap;
-
-  /// "seed=7 engine=ser mix=rc,si shards=2 ... store=hash" — parseable by
+  /// "seed=7 engine=ser mix=rc,si shards=2 ... prune=64" — parseable by
   /// `ParseHistexConfig`.
   std::string ToString() const;
 };

@@ -29,15 +29,13 @@ struct ShardedDbOptions {
 
   /// The per-shard engine configuration every shard is built from
   /// (isolation level or engine factory, concurrency mode, lock-wait
-  /// timeout, deadlock-check interval, version-store backend).
+  /// timeout, deadlock-check interval).
   DbOptions shard_options;
 
   /// Heterogeneous shards: when non-empty (size must equal `num_shards`),
   /// shard `i` is built from `per_shard[i]` instead of `shard_options` —
   /// the mixed-isolation setting of Bouajjani et al., where different
-  /// partitions of one logical database honor different levels.  The
-  /// same mechanism mixes `storage_backend`s: each shard's multiversion
-  /// engine runs on the backend its own DbOptions selects.
+  /// partitions of one logical database honor different levels.
   std::vector<DbOptions> per_shard;
 
   /// Facade-level `Execute` retry protocol; null selects

@@ -4,7 +4,7 @@
 
 namespace critique {
 
-void MapVersionStore::Bootstrap(const ItemId& id, Row row, Timestamp ts) {
+void MultiVersionStore::Bootstrap(const ItemId& id, Row row, Timestamp ts) {
   Version v;
   v.row = std::move(row);
   v.creator = kInitialTxn;
@@ -12,11 +12,8 @@ void MapVersionStore::Bootstrap(const ItemId& id, Row row, Timestamp ts) {
   chains_[id].push_back(std::move(v));
 }
 
-const Version* MapVersionStore::Visible(const ItemId& id, Timestamp ts,
-                                          TxnId txn) const {
-  auto it = chains_.find(id);
-  if (it == chains_.end()) return nullptr;
-  const auto& chain = it->second;
+const Version* MultiVersionStore::Visible(const VersionChain& chain,
+                                          Timestamp ts, TxnId txn) {
   // Own pending version wins ("the transaction's writes will be reflected
   // in this snapshot").
   for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
@@ -31,14 +28,20 @@ const Version* MapVersionStore::Visible(const ItemId& id, Timestamp ts,
   return best;
 }
 
-std::optional<Row> MapVersionStore::Read(const ItemId& id, Timestamp ts,
+const Version* MultiVersionStore::Visible(const ItemId& id, Timestamp ts,
+                                          TxnId txn) const {
+  auto it = chains_.find(id);
+  return it == chains_.end() ? nullptr : Visible(it->second, ts, txn);
+}
+
+std::optional<Row> MultiVersionStore::Read(const ItemId& id, Timestamp ts,
                                            TxnId txn) const {
   const Version* v = Visible(id, ts, txn);
   if (!v || v->tombstone) return std::nullopt;
   return v->row;
 }
 
-std::optional<Version> MapVersionStore::ReadVersionInfo(const ItemId& id,
+std::optional<Version> MultiVersionStore::ReadVersionInfo(const ItemId& id,
                                                           Timestamp ts,
                                                           TxnId txn) const {
   const Version* v = Visible(id, ts, txn);
@@ -46,7 +49,7 @@ std::optional<Version> MapVersionStore::ReadVersionInfo(const ItemId& id,
   return *v;
 }
 
-void MapVersionStore::Write(const ItemId& id, Row row, TxnId txn) {
+void MultiVersionStore::Write(const ItemId& id, Row row, TxnId txn) {
   auto& chain = chains_[id];
   for (auto& v : chain) {
     if (!v.committed() && v.creator == txn) {
@@ -61,7 +64,7 @@ void MapVersionStore::Write(const ItemId& id, Row row, TxnId txn) {
   chain.push_back(std::move(v));
 }
 
-void MapVersionStore::Delete(const ItemId& id, TxnId txn) {
+void MultiVersionStore::Delete(const ItemId& id, TxnId txn) {
   auto& chain = chains_[id];
   for (auto& v : chain) {
     if (!v.committed() && v.creator == txn) {
@@ -75,7 +78,7 @@ void MapVersionStore::Delete(const ItemId& id, TxnId txn) {
   chain.push_back(std::move(v));
 }
 
-bool MapVersionStore::HasPendingWrite(const ItemId& id, TxnId txn) const {
+bool MultiVersionStore::HasPendingWrite(const ItemId& id, TxnId txn) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return false;
   for (const auto& v : it->second) {
@@ -84,7 +87,7 @@ bool MapVersionStore::HasPendingWrite(const ItemId& id, TxnId txn) const {
   return false;
 }
 
-bool MapVersionStore::HasConcurrentPendingWrite(const ItemId& id,
+bool MultiVersionStore::HasConcurrentPendingWrite(const ItemId& id,
                                                   TxnId txn) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return false;
@@ -94,7 +97,7 @@ bool MapVersionStore::HasConcurrentPendingWrite(const ItemId& id,
   return false;
 }
 
-Timestamp MapVersionStore::LatestCommitTs(const ItemId& id) const {
+Timestamp MultiVersionStore::LatestCommitTs(const ItemId& id) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return kInvalidTimestamp;
   Timestamp best = kInvalidTimestamp;
@@ -104,16 +107,7 @@ Timestamp MapVersionStore::LatestCommitTs(const ItemId& id) const {
   return best;
 }
 
-void MapVersionStore::CommitTxnScan(TxnId txn, Timestamp commit_ts) {
-  for (auto& [id, chain] : chains_) {
-    (void)id;
-    for (auto& v : chain) {
-      if (!v.committed() && v.creator == txn) v.commit_ts = commit_ts;
-    }
-  }
-}
-
-void MapVersionStore::CommitTxn(TxnId txn, Timestamp commit_ts,
+void MultiVersionStore::CommitTxn(TxnId txn, Timestamp commit_ts,
                                   const std::set<ItemId>& items) {
   for (const ItemId& id : items) {
     auto it = chains_.find(id);
@@ -124,18 +118,7 @@ void MapVersionStore::CommitTxn(TxnId txn, Timestamp commit_ts,
   }
 }
 
-void MapVersionStore::AbortTxnScan(TxnId txn) {
-  for (auto& [id, chain] : chains_) {
-    (void)id;
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [&](const Version& v) {
-                                 return !v.committed() && v.creator == txn;
-                               }),
-                chain.end());
-  }
-}
-
-void MapVersionStore::AbortTxn(TxnId txn, const std::set<ItemId>& items) {
+void MultiVersionStore::AbortTxn(TxnId txn, const std::set<ItemId>& items) {
   for (const ItemId& id : items) {
     auto it = chains_.find(id);
     if (it == chains_.end()) continue;
@@ -149,19 +132,18 @@ void MapVersionStore::AbortTxn(TxnId txn, const std::set<ItemId>& items) {
   }
 }
 
-std::vector<std::pair<ItemId, Row>> MapVersionStore::Scan(
+std::vector<std::pair<ItemId, Row>> MultiVersionStore::Scan(
     const Predicate& pred, Timestamp ts, TxnId txn) const {
   std::vector<std::pair<ItemId, Row>> out;
   for (const auto& [id, chain] : chains_) {
-    (void)chain;
-    const Version* v = Visible(id, ts, txn);
+    const Version* v = Visible(chain, ts, txn);
     if (!v || v->tombstone) continue;
     if (pred.Covers(id, v->row)) out.emplace_back(id, v->row);
   }
   return out;
 }
 
-size_t MapVersionStore::GarbageCollect(Timestamp watermark) {
+size_t MultiVersionStore::GarbageCollect(Timestamp watermark) {
   size_t dropped = 0;
   for (auto it = chains_.begin(); it != chains_.end();) {
     auto& chain = it->second;
@@ -192,7 +174,7 @@ size_t MapVersionStore::GarbageCollect(Timestamp watermark) {
   return dropped;
 }
 
-size_t MapVersionStore::VersionCount() const {
+size_t MultiVersionStore::VersionCount() const {
   size_t n = 0;
   for (const auto& [id, chain] : chains_) {
     (void)id;
@@ -201,7 +183,7 @@ size_t MapVersionStore::VersionCount() const {
   return n;
 }
 
-size_t MapVersionStore::MaxChainLength() const {
+size_t MultiVersionStore::MaxChainLength() const {
   size_t n = 0;
   for (const auto& [id, chain] : chains_) {
     (void)id;
@@ -210,7 +192,7 @@ size_t MapVersionStore::MaxChainLength() const {
   return n;
 }
 
-std::vector<Version> MapVersionStore::Chain(const ItemId& id) const {
+std::vector<Version> MultiVersionStore::Chain(const ItemId& id) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return {};
   return it->second;

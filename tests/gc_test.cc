@@ -54,19 +54,6 @@ TEST(MVStoreGcTest, DropsTombstoneOnlyChains) {
   EXPECT_FALSE(store.Read("x", 30, 99).has_value());
 }
 
-TEST(MVStoreGcTest, HintedCommitMatchesFullScan) {
-  MultiVersionStore a, b;
-  a.Bootstrap("x", Row::Scalar(Value(int64_t{0})), 1);
-  b.Bootstrap("x", Row::Scalar(Value(int64_t{0})), 1);
-  a.Write("x", Row::Scalar(Value(int64_t{7})), 2);
-  b.Write("x", Row::Scalar(Value(int64_t{7})), 2);
-  a.CommitTxn(2, 5);
-  b.CommitTxn(2, 5, std::set<ItemId>{"x"});
-  EXPECT_TRUE(a.Read("x", 9, 99)->scalar().Equals(
-      b.Read("x", 9, 99)->scalar()));
-  EXPECT_EQ(a.VersionCount(), b.VersionCount());
-}
-
 // --- engine-level watermark + floor -----------------------------------------
 
 TEST(SiGcTest, OpenSnapshotPinsWatermark) {

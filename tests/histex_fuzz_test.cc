@@ -66,14 +66,13 @@ void CheckRun(HistexConfig cfg) {
 }
 
 void Sweep(IsolationLevel engine, std::vector<IsolationLevel> mix,
-           int shards, StorageBackend backend = StorageBackend::kMap) {
+           int shards) {
   for (int s = 0; s < SeedsPerConfig(); ++s) {
     HistexConfig cfg;
     cfg.seed = 1 + static_cast<uint64_t>(s);
     cfg.engine = engine;
     cfg.txn_levels = mix;
     cfg.shards = shards;
-    cfg.backend = backend;
     CheckRun(cfg);
   }
 }
@@ -116,50 +115,8 @@ TEST(HistexFuzz, SerializableSIFullMix) {
         1);
 }
 
-// --- the storage-backend dimension: the hash backend under the same
-// adversarial coverage that found the PR 9 SI bug --------------------------
-
-TEST(HistexFuzz, SnapshotIsolationHashBackend) {
-  Sweep(IsolationLevel::kSnapshotIsolation, {}, 1, StorageBackend::kHash);
-}
-
-TEST(HistexFuzz, SerializableSIFullMixHashBackend) {
-  Sweep(IsolationLevel::kSerializableSI,
-        {IsolationLevel::kReadCommitted, IsolationLevel::kSnapshotIsolation,
-         IsolationLevel::kSerializableSI},
-        1, StorageBackend::kHash);
-}
-
-TEST(HistexFuzz, OracleReadConsistencyHashBackend) {
-  Sweep(IsolationLevel::kOracleReadConsistency, {}, 1, StorageBackend::kHash);
-}
-
-TEST(HistexFuzz, ShardedSerializableSIHashBackend) {
-  Sweep(IsolationLevel::kSerializableSI,
-        {IsolationLevel::kSnapshotIsolation, IsolationLevel::kSerializableSI},
-        3, StorageBackend::kHash);
-}
-
-TEST(HistexFuzz, BackendsAgreeOnSeededRuns) {
-  // The two backends must drive bit-identical histories: same commit and
-  // abort counts, same certification totals, seed by seed.
-  for (int s = 0; s < SeedsPerConfig(); ++s) {
-    HistexConfig cfg;
-    cfg.seed = 11 + static_cast<uint64_t>(s);
-    cfg.engine = IsolationLevel::kSnapshotIsolation;
-    cfg.txns = TxnsPerRun();
-    cfg.backend = StorageBackend::kMap;
-    HistexResult map_run = RunHistex(cfg);
-    cfg.backend = StorageBackend::kHash;
-    HistexResult hash_run = RunHistex(cfg);
-    EXPECT_EQ(map_run.committed, hash_run.committed) << cfg.ToString();
-    EXPECT_EQ(map_run.aborted, hash_run.aborted) << cfg.ToString();
-    EXPECT_EQ(map_run.report.commits_certified,
-              hash_run.report.commits_certified)
-        << cfg.ToString();
-    EXPECT_EQ(map_run.report.violations, hash_run.report.violations)
-        << cfg.ToString();
-  }
+TEST(HistexFuzz, OracleReadConsistency) {
+  Sweep(IsolationLevel::kOracleReadConsistency, {}, 1);
 }
 
 TEST(HistexFuzz, ShardedLockingSerializable) {
@@ -202,7 +159,6 @@ TEST(HistexFuzz, ConfigRoundTrip) {
   cfg.items = 9;
   cfg.max_ops = 5;
   cfg.checker_prune_interval = 16;
-  cfg.backend = StorageBackend::kHash;
   auto parsed = ParseHistexConfig(cfg.ToString());
   ASSERT_TRUE(parsed.has_value()) << cfg.ToString();
   EXPECT_EQ(parsed->ToString(), cfg.ToString());
@@ -215,13 +171,6 @@ TEST(HistexFuzz, ConfigRoundTrip) {
 
   EXPECT_FALSE(ParseHistexConfig("seed=1 bogus=2").has_value());
   EXPECT_FALSE(ParseHistexConfig("engine=nope").has_value());
-  EXPECT_FALSE(ParseHistexConfig("store=btree").has_value());
-
-  // The store token defaults to the reference backend when absent (old
-  // replay lines stay replayable).
-  auto legacy = ParseHistexConfig("seed=3 engine=si");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->backend, StorageBackend::kMap);
 }
 
 TEST(HistexFuzz, UnhonorableMixFailsFast) {
