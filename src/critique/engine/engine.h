@@ -441,6 +441,18 @@ class Engine {
   // locks or versions leak).  Coordinators must treat such a refusal as a
   // participant abort, not a protocol error (see shard/TxnCoordinator).
   //
+  // Durability (engines with a WAL attached): `Prepare` answers OK only
+  // once its vote — the write set and `kPrepare` — is durable (the
+  // durable-vote rule).  `CommitPrepared` appends its slim `kCommit`
+  // inside the publication section, like a plain commit, but does NOT
+  // wait for it: the coordinator's durable commit decision is the commit
+  // point.  A crash that loses the record restores the participant in
+  // doubt, and recovery rolls it forward from the still-open decision.
+  // The record reaches the device with that log's next sync (the next
+  // prepare, single-shard commit or shutdown); the coordinator closes the
+  // decision only after that.  `AbortPrepared` buffers its `kAbort`
+  // (presumed abort re-aborts a participant whose record was lost).
+  //
   // The base-class defaults implement the *trivial participant* for
   // engines whose `Commit` cannot fail (pure lock schedulers): `Prepare`
   // validates nothing and leaves the transaction active, the decision

@@ -470,7 +470,6 @@ Status LockingEngine::Prepare(TxnId txn) {
 }
 
 Status LockingEngine::CommitPrepared(TxnId txn) {
-  std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
     CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
@@ -479,15 +478,16 @@ Status LockingEngine::CommitPrepared(TxnId txn) {
     st.active = false;
     st.undo.clear();
     st.cursors.clear();
-    // Slim commit: the write set is already durable from Prepare.
+    // Slim commit: the write set is already durable from Prepare.  The
+    // record is buffered, not awaited — the coordinator's durable decision
+    // is the commit point (see WalSink).
     if (wal_ != nullptr) {
-      wal_lsn = wal_->Append(WalRecord::Commit(txn, kInvalidTimestamp));
+      wal_->Append(WalRecord::Commit(txn, kInvalidTimestamp));
     }
     recorder_.Record(Action::Commit(txn), &EngineStats::commits);
     lock_manager_.ReleaseAll(txn);
   }
   Trace(txn, obs::TraceEventType::kCommit);
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
   return Status::OK();
 }
 

@@ -366,7 +366,6 @@ Status ReadConsistencyEngine::Prepare(TxnId txn) {
 
 Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {
   bool gc_due = false;
-  std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
     CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
@@ -378,9 +377,8 @@ Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {
       const Timestamp commit_ts = clock_.Tick();
       store_.CommitTxn(txn, commit_ts, st.write_set);
       // Slim commit: the write set is already durable from Prepare.
-      if (wal_ != nullptr) {
-        wal_lsn = wal_->Append(WalRecord::Commit(txn, commit_ts));
-      }
+      // Buffered, not awaited: the durable decision is the commit point.
+      if (wal_ != nullptr) wal_->Append(WalRecord::Commit(txn, commit_ts));
       recorder_.Record(Action::Commit(txn), &EngineStats::commits);
     }
     st.write_set.clear();  // dead once the versions are stamped
@@ -389,7 +387,6 @@ Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {
   }
   Trace(txn, obs::TraceEventType::kCommit);
   if (gc_due) (void)RunGcPass();
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
   return Status::OK();
 }
 

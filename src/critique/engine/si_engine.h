@@ -324,8 +324,9 @@ class SnapshotIsolationEngine : public Engine {
   /// plain Commit window re-validation.  Same latch contract as stage 1.
   /// When a WAL is attached, the publication section appends the redo +
   /// commit records and stores the commit LSN in `*wal_lsn` (untouched
-  /// when nothing was logged); the caller waits on it *after* releasing
-  /// every latch.
+  /// when nothing was logged); a plain Commit waits on it *after*
+  /// releasing every latch, a CommitPrepared does not wait at all (the
+  /// durable 2PC decision is its commit point).
   Status RevalidateAndPublish(TxnId txn, bool decision,
                               std::optional<uint64_t>* wal_lsn);
 

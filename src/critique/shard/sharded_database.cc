@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "critique/wal/recovery.h"
@@ -101,6 +102,19 @@ ShardedDatabase::ShardedDatabase(ShardedDbOptions options)
   }
 }
 
+ShardedDatabase::~ShardedDatabase() {
+  // Clean shutdown closes every decision: the shard logs sync the
+  // participants' buffered commit records, the sweep appends the ends
+  // they now cover, and only then does the coordinator log flush (its
+  // member destructor runs before the shards').  A dead shard log keeps
+  // its decisions open, exactly as a crash would.
+  if (coord_log_ == nullptr) return;
+  for (auto& shard : shards_) {
+    if (shard->wal() != nullptr) (void)shard->wal()->SyncAll();
+  }
+  coordinator_.CloseCoveredDecisions();
+}
+
 Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
     ShardedDbOptions options) {
   if (options.wal_dir.empty()) {
@@ -131,9 +145,26 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
                             WalReader::ReadFile(coord_path));
   std::map<TxnId, bool> decisions =
       ExtractCoordinatorDecisions(coord_wal.records);
-  for (const auto& [gid, commit] : decisions) {
-    (void)commit;
-    if (gid + 1 > id_floor) id_floor = gid + 1;
+  std::set<TxnId> in_doubt;
+  for (const auto& shard : db->shards_) {
+    for (TxnId gid : shard->engine().InDoubtTransactions()) {
+      in_doubt.insert(gid);
+    }
+  }
+  // An open decision no shard holds a participant in doubt for is applied
+  // everywhere — every participant's commit replayed from its own log —
+  // so it is closed now instead of lingering across restarts.  (A crash
+  // between a participant log's sync and the sweep that would have
+  // appended the end leaves exactly this.)
+  std::vector<TxnId> applied;
+  for (auto it = decisions.begin(); it != decisions.end();) {
+    if (it->first + 1 > id_floor) id_floor = it->first + 1;
+    if (in_doubt.count(it->first) != 0) {
+      ++it;
+      continue;
+    }
+    applied.push_back(it->first);
+    it = decisions.erase(it);
   }
   db->coordinator_.RestoreDecisions(std::move(decisions));
   CRITIQUE_ASSIGN_OR_RETURN(
@@ -141,6 +172,9 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
       WalWriter::OpenForAppend(coord_path, coord_wal.valid_bytes,
                                options.shard_options.fsync_mode));
   db->AttachCoordinatorLog(std::move(coord_writer), options);
+  for (TxnId gid : applied) {
+    (void)db->coord_log_->Append(WalRecord::DecisionEnd(gid));
+  }
 
   db->next_gid_.store(id_floor, std::memory_order_relaxed);
   db->recovered_ = true;
@@ -188,8 +222,10 @@ ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
   // gid -> (decision, participants resolved) so the coordinator's log can
   // be cleaned up and its recovery counters updated per global txn.
   std::map<TxnId, std::pair<bool, uint64_t>> resolved;
+  std::vector<CommitLog*> rolled_forward;  // shard logs holding new commits
   for (auto& shard : shards_) {
     Engine& engine = shard->engine();
+    bool shard_rolled_forward = false;
     for (TxnId gid : engine.InDoubtTransactions()) {
       // Presumed abort: only an explicitly logged commit decision rolls an
       // in-doubt participant forward.
@@ -210,6 +246,7 @@ ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
       if (!s.ok()) continue;  // raced with another resolver; nothing leaked
       if (commit) {
         ++rep.committed;
+        shard_rolled_forward = true;
       } else {
         ++rep.aborted;
       }
@@ -217,10 +254,19 @@ ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
       entry.first = commit;
       ++entry.second;
     }
+    if (shard_rolled_forward && shard->wal() != nullptr) {
+      rolled_forward.push_back(shard->wal());
+    }
   }
+  // CommitPrepared only buffers the participants' commit records, and no
+  // kDecisionEnd may become durable before them: sync every shard that
+  // rolled something forward before closing a decision.  A failed sync
+  // keeps every decision open for the next recovery to re-resolve.
+  bool synced = true;
+  for (CommitLog* wal : rolled_forward) synced = wal->SyncAll().ok() && synced;
   for (const auto& [gid, outcome] : resolved) {
     coordinator_.CountRecovery(outcome.first, outcome.second);
-    if (outcome.first) coordinator_.ForgetDecision(gid);
+    if (outcome.first && synced) coordinator_.ForgetDecision(gid);
   }
   return rep;
 }

@@ -98,14 +98,22 @@ class ShardedDatabase {
   ShardedDatabase(const ShardedDatabase&) = delete;
   ShardedDatabase& operator=(const ShardedDatabase&) = delete;
 
+  /// Clean shutdown: syncs every shard log, closes the decisions whose
+  /// participant commit records that made durable, then flushes the
+  /// coordinator log — so a cleanly stopped facade leaves no open
+  /// decision behind.
+  ~ShardedDatabase();
+
   /// Rebuilds the facade from the WALs under `options.wal_dir` after a
   /// crash: every shard replays its redo log (`Database::Recover`), the
   /// coordinator's decision table is reseeded from the still-open entries
-  /// of its persistent log, and the global-id allocator advances past
-  /// every recovered id.  Participants a crashed coordinator left
-  /// prepared come back *in doubt*; call `RecoverInDoubt()` on the
-  /// returned facade to resolve them against the restored decisions
-  /// (logged commit → roll forward, no decision → presumed abort).
+  /// of its persistent log (an open entry no shard holds a participant in
+  /// doubt for is already applied, and is closed instead), and the
+  /// global-id allocator advances past every recovered id.  Participants
+  /// a crashed coordinator left prepared come back *in doubt*; call
+  /// `RecoverInDoubt()` on the returned facade to resolve them against
+  /// the restored decisions (logged commit → roll forward, no decision →
+  /// presumed abort).
   /// The same `options` used to build the crashed instance must be passed
   /// (engine configuration is not persisted).
   static Result<std::unique_ptr<ShardedDatabase>> Recover(
@@ -198,7 +206,8 @@ class ShardedDatabase {
   /// coordinator's decision log: a logged commit rolls the participant
   /// forward; no logged decision means the coordinator never decided, and
   /// presumed abort rolls it back — releasing its locks and pending
-  /// versions.  Idempotent; safe on a quiescent facade.
+  /// versions.  The logs of shards it rolled forward are synced before
+  /// their decisions are closed.  Idempotent; safe on a quiescent facade.
   RecoveryReport RecoverInDoubt();
 
   /// Sum of every shard's engine counters (consistent per shard; the sum

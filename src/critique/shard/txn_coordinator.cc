@@ -1,6 +1,10 @@
 #include "critique/shard/txn_coordinator.h"
 
+#include <algorithm>
 #include <ostream>
+
+#include "critique/db/database.h"
+#include "critique/wal/commit_log.h"
 
 namespace critique {
 
@@ -100,13 +104,20 @@ Status TxnCoordinator::Commit(TxnId gid,
   // with the same log — and the retryable refusal surfaces to the session
   // layer afterwards.  Anything but a serialization refusal is a protocol
   // bug worth surfacing loudly.
+  //
+  // No participant syncs here: the durable decision is the commit point.
+  // Each participant log's appended LSN, read after its CommitPrepared,
+  // bounds the commit record the decision's end must wait for.
   Status refusal = Status::OK();
   uint64_t refused = 0;
   uint64_t committed_parts = 0;
+  std::vector<LogMark> marks;
   {
     obs::ScopedTimer t(decision_hist_);
     for (Transaction* p : parts) {
+      const CommitLog* plog = p->database().wal();
       Status s = p->CommitPrepared();
+      if (plog != nullptr) marks.push_back({plog, plog->appended_lsn()});
       if (s.ok()) {
         ++committed_parts;
         continue;
@@ -120,11 +131,15 @@ Status TxnCoordinator::Commit(TxnId gid,
     }
   }
 
-  // All participants are terminal: close the durable entry (buffered — a
-  // lost kDecisionEnd only leaves a stale decision recovery ignores).
-  if (log_ != nullptr) (void)log_->Append(WalRecord::DecisionEnd(gid));
+  // All participants are terminal.  The durable entry closes only once
+  // every participant's commit record is durable too: park it, and sweep
+  // every parked entry the prepares of this round may have covered.
   std::lock_guard<std::mutex> lk(mu_);
   decisions_.erase(gid);  // all participants terminal; nothing left to recover
+  if (log_ != nullptr) {
+    pending_ends_.push_back({gid, std::move(marks)});
+    CloseCoveredLocked();
+  }
   if (!refusal.ok()) {
     stats_.decision_aborts += refused;
     ++stats_.aborted;
@@ -161,6 +176,34 @@ void TxnCoordinator::ForgetDecision(TxnId gid) {
   if (log_ != nullptr) (void)log_->Append(WalRecord::DecisionEnd(gid));
   std::lock_guard<std::mutex> lk(mu_);
   decisions_.erase(gid);
+}
+
+void TxnCoordinator::CloseCoveredDecisions() {
+  std::lock_guard<std::mutex> lk(mu_);
+  CloseCoveredLocked();
+}
+
+void TxnCoordinator::CloseCoveredLocked() {
+  if (log_ == nullptr) return;
+  auto covered = [](const PendingEnd& e) {
+    return std::all_of(e.marks.begin(), e.marks.end(), [](const LogMark& m) {
+      return m.log->durable_lsn() >= m.lsn;
+    });
+  };
+  for (auto it = pending_ends_.begin(); it != pending_ends_.end();) {
+    if (!covered(*it)) {
+      ++it;
+      continue;
+    }
+    // Buffered, not synced: it reaches the device with the next decision.
+    (void)log_->Append(WalRecord::DecisionEnd(it->gid));
+    it = pending_ends_.erase(it);
+  }
+}
+
+size_t TxnCoordinator::pending_ends() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return pending_ends_.size();
 }
 
 void TxnCoordinator::AttachLog(WalSink* log) {
@@ -207,6 +250,9 @@ void TxnCoordinator::RegisterMetrics(obs::MetricsRegistry& reg,
                     [this] { return stats().prepare_failures; });
   reg.RegisterGauge(prefix + "decision_aborts",
                     [this] { return stats().decision_aborts; });
+  reg.RegisterGauge(prefix + "pending_ends", [this] {
+    return static_cast<uint64_t>(pending_ends());
+  });
   reg.RegisterHistogram(prefix + "prepare_us", &prepare_hist_);
   reg.RegisterHistogram(prefix + "decision_us", &decision_hist_);
 }

@@ -18,6 +18,8 @@
 
 namespace critique {
 
+class CommitLog;
+
 /// Injectable coordinator "crash" points for the in-doubt recovery tests:
 /// the coordinator stops mid-protocol, returns `kInternal`, and leaves its
 /// prepared participants in doubt for `ShardedDatabase::RecoverInDoubt` to
@@ -98,15 +100,35 @@ std::ostream& operator<<(std::ostream& os, const CoordinatorStats& stats);
 /// decision was never made: the coordinator counts a crash and answers
 /// `kInternal` with every participant still in doubt, and restart
 /// recovery presumes abort — exactly what a real coordinator losing its
-/// log volume mid-decision must do.  `kDecisionEnd` closes an entry once
-/// every participant acknowledged; it is buffered, not synced — losing it
-/// merely leaves a stale (harmless, idempotently re-ignorable) decision
-/// in the recovered log.
+/// log volume mid-decision must do.
 ///
-/// Thread-safe: the decision log and counters are mutex-guarded; the
-/// participant calls themselves run on the caller's thread (one global
-/// transaction is one session driven by one thread, the same contract as
-/// everywhere else).
+/// The durable `kDecision` is the global transaction's **commit point**.
+/// Phase 2 publishes on every participant, whose slim `kCommit` is
+/// buffered but not awaited (engine.h, 2PC durability notes), so the
+/// caller is acknowledged without any further device sync: a crash that
+/// loses a participant's `kCommit` restores it in doubt, and
+/// `RecoverInDoubt` rolls it forward from the still-open decision.
+///
+/// `kDecisionEnd` closes an entry under one invariant: **no
+/// `kDecisionEnd` becomes durable before every participant's `kCommit`
+/// for that gid is durable** — otherwise a crash could show recovery a
+/// closed decision next to a prepared participant, and presumed abort
+/// would roll that participant back.  A finished round therefore records
+/// each participant log's `appended_lsn` (read after its
+/// `CommitPrepared`, a conservative bound on the commit record) and parks
+/// the gid on a small pending list; every cross-shard commit, and
+/// `CloseCoveredDecisions`, sweeps the list and appends the end of each
+/// gid whose participant logs' `durable_lsn` covers those marks (a
+/// shard's next prepare or single-shard commit syncs its log).  The end
+/// itself is buffered, not synced — losing it merely leaves a stale open
+/// decision whose participants recovery finds already committed.
+///
+/// Thread-safe: the decision log, the pending ends and the counters are
+/// mutex-guarded; the participant calls themselves run on the caller's
+/// thread (one global transaction is one session driven by one thread,
+/// the same contract as everywhere else).  Lock order: `mu_` →
+/// `CommitLog::mu_` (a sweep reads participant logs and appends ends
+/// under `mu_`); a `CommitLog` never calls back into the coordinator.
 class TxnCoordinator {
  public:
   /// Runs 2PC over `parts` (the per-shard sessions of global transaction
@@ -119,10 +141,27 @@ class TxnCoordinator {
   std::optional<bool> DecisionFor(TxnId gid) const;
 
   /// Drops `gid`'s log entry once every in-doubt participant is resolved.
+  /// Appends `kDecisionEnd` at once, so the caller must first make every
+  /// participant's commit record durable (`RecoverInDoubt` syncs the
+  /// shard logs it rolled forward).
   void ForgetDecision(TxnId gid);
+
+  /// Appends `kDecisionEnd` for every pending decision whose participant
+  /// logs have synced past its commit records.  Every cross-shard commit
+  /// runs this sweep; call it after syncing the shard logs (clean
+  /// shutdown) to close what is left.
+  void CloseCoveredDecisions();
+
+  /// Decisions finished in memory but still waiting for their
+  /// participants' commit records to become durable before their
+  /// `kDecisionEnd` may be appended.  Always 0 without a persistent log.
+  size_t pending_ends() const;
 
   /// Attaches the persistent decision log (not owned; must outlive the
   /// coordinator).  Install before any commit starts; nullptr detaches.
+  /// With a log attached, a pending end points at its participants'
+  /// `CommitLog`s, so their databases must outlive every later sweep
+  /// (`ShardedDatabase` owns the shards and the coordinator together).
   void AttachLog(WalSink* log);
 
   /// Seeds the in-memory decision table from a recovered log — called by
@@ -157,14 +196,31 @@ class TxnCoordinator {
   /// Phase-2 (decision delivery) wall time per 2PC round, microseconds.
   const obs::Histogram& decision_histogram() const { return decision_hist_; }
 
-  /// Registers phase histograms plus `CoordinatorStats` gauges with `reg`
-  /// under `prefix` ("coord." by convention).  The coordinator must
-  /// outlive the registry entries.
+  /// Registers phase histograms plus `CoordinatorStats` gauges (and the
+  /// `pending_ends` gauge) with `reg` under `prefix` ("coord." by
+  /// convention).  The coordinator must outlive the registry entries.
   void RegisterMetrics(obs::MetricsRegistry& reg, const std::string& prefix);
 
  private:
+  /// A participant log and the LSN its commit record must reach.
+  struct LogMark {
+    const CommitLog* log;
+    uint64_t lsn;
+  };
+
+  /// A committed gid whose `kDecisionEnd` waits for participant
+  /// durability.
+  struct PendingEnd {
+    TxnId gid;
+    std::vector<LogMark> marks;
+  };
+
+  /// The sweep behind `CloseCoveredDecisions`.  Requires `mu_`.
+  void CloseCoveredLocked();
+
   mutable std::mutex mu_;
   std::map<TxnId, bool> decisions_;
+  std::vector<PendingEnd> pending_ends_;
   WalSink* log_ = nullptr;  ///< persistent decision log; not owned
   CoordinatorFailpoint failpoint_ = CoordinatorFailpoint::kNone;
   std::function<void(TxnId)> in_doubt_hook_;  ///< test failpoint

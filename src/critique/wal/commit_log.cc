@@ -150,6 +150,19 @@ Status CommitLog::SyncAll() {
   return s;
 }
 
+uint64_t CommitLog::appended_lsn() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return writer_.appended_lsn();
+}
+
+uint64_t CommitLog::durable_lsn() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (dead_.ok() && options_.fsync_mode == FsyncMode::kNone) {
+    return writer_.appended_lsn();
+  }
+  return durable_lsn_;
+}
+
 void CommitLog::set_failpoint(WalFailpoint f) {
   std::lock_guard<std::mutex> lk(mu_);
   failpoint_ = f;

@@ -92,6 +92,18 @@ class CommitLog : public WalSink {
   /// Stages and syncs everything buffered (clean shutdown, tests).
   Status SyncAll();
 
+  /// Highest LSN appended so far, durable or not (0 before any append).
+  /// Read after an `Append` returns, it bounds that record's LSN from
+  /// above — a valid conservative target for `durable_lsn`.
+  uint64_t appended_lsn() const;
+
+  /// Highest LSN the log device covers: every record at or below it
+  /// survives a crash.  Never blocks and never syncs.  Under
+  /// `FsyncMode::kNone` it equals `appended_lsn`, the same answer
+  /// `WaitDurable` gives there (ack-before-durable by configuration).
+  /// A dead log stops at the last LSN it synced.
+  uint64_t durable_lsn() const;
+
   /// Installs (or clears, with kNone) a crash point.  A tripped
   /// failpoint is terminal — see `WalFailpoint`.
   void set_failpoint(WalFailpoint f);

@@ -50,9 +50,9 @@ struct WalRecoveryStats {
 Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal);
 
 /// Rebuilds a coordinator's decision map from its decision log:
-/// `kDecision` opens an entry, `kDecisionEnd` closes it (all
-/// participants acknowledged — nothing left to recover).  Other record
-/// types are ignored.
+/// `kDecision` opens an entry, `kDecisionEnd` closes it (every
+/// participant's commit record was durable — nothing left to recover).
+/// Other record types are ignored.
 std::map<TxnId, bool> ExtractCoordinatorDecisions(
     const std::vector<WalRecord>& records);
 

@@ -20,6 +20,13 @@ namespace critique {
 ///     called *after* every engine latch is released, so the fsync wait
 ///     never serializes other sessions' commits.
 ///
+/// One commit skips step 2: a prepared 2PC participant's slim `kCommit`
+/// (`Engine::CommitPrepared`) is appended but never awaited, because the
+/// coordinator's durable `kDecision` is the commit point — a lost
+/// participant record is re-derived from the decision by recovery.  The
+/// coordinator in turn appends `kDecisionEnd` only once every
+/// participant's log has synced past that `kCommit`.
+///
 /// `Append` returning 0 means the log has died (a crash failpoint); the
 /// matching `WaitDurable(0)` reports the failure.  Thread-safe.
 class WalSink {
@@ -33,7 +40,7 @@ class WalSink {
   /// (a dead-log append) answers the log's terminal status.
   virtual Status WaitDurable(uint64_t lsn) = 0;
 
-  /// Append + WaitDurable in one call (coordinator decisions, prepares).
+  /// Append + WaitDurable in one call (coordinator decisions).
   Status AppendDurable(const WalRecord& rec) {
     return WaitDurable(Append(rec));
   }

@@ -13,9 +13,13 @@
 //    must sum back to the aggregate it breaks down.
 //  * Database::DebugDump: a session wedged on a lock conflict must name
 //    its blocker and the waits-for edge, deterministically.
+//  * TxnCoordinator gauges: `coord.pending_ends` counts the committed
+//    decisions still waiting for their participants' commit records to
+//    become durable, and drops to 0 once the shard logs sync.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "critique/db/database.h"
 #include "critique/obs/metrics.h"
 #include "critique/obs/txn_trace.h"
+#include "critique/shard/sharded_database.h"
 
 namespace critique {
 namespace {
@@ -296,6 +301,66 @@ TEST(ObsDatabaseTest, DebugDumpNamesBlockerAndWaitsForEdge) {
   const std::string after = db.DebugDump();
   EXPECT_NE(after.find("open transactions: 0"), std::string::npos) << after;
   EXPECT_NE(after.find("waits-for edges (0)"), std::string::npos) << after;
+}
+
+// ---------------------------------------------------------------------------
+// 2PC coordinator gauges
+// ---------------------------------------------------------------------------
+
+TEST(ObsCoordinatorTest, PendingEndsGaugeCountsDecisionsAwaitingDurability) {
+  const std::string dir = testing::TempDir() + "critique_obs_pending_ends";
+  std::filesystem::remove_all(dir);
+  ShardedDbOptions opt(2, IsolationLevel::kSerializable);
+  opt.wal_dir = dir;
+  ShardedDatabase db(opt);
+  obs::MetricsRegistry reg;
+  db.coordinator().RegisterMetrics(reg, "coord.");
+  EXPECT_NE(reg.ToJson().find("\"coord.pending_ends\":0"), std::string::npos);
+
+  ItemId x, y;
+  for (int i = 0; x.empty() || y.empty(); ++i) {
+    const ItemId id = "k" + std::to_string(i);
+    if (db.ShardOf(id) == 0 && x.empty()) x = id;
+    if (db.ShardOf(id) == 1 && y.empty()) y = id;
+  }
+  ASSERT_TRUE(db.Load(x, Value(int64_t{1})).ok());
+  ASSERT_TRUE(db.Load(y, Value(int64_t{1})).ok());
+  ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
+                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(int64_t{2})));
+                  return t.Put(y, Value(int64_t{2}));
+                }).ok());
+
+  // Committed and acked, but neither participant's commit record has
+  // synced: the decision waits for its kDecisionEnd.
+  std::string json = reg.ToJson();
+  EXPECT_NE(json.find("\"coord.pending_ends\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"coord.committed\":1"), std::string::npos) << json;
+
+  for (int s = 0; s < db.num_shards(); ++s) {
+    ASSERT_TRUE(db.shard(s).wal()->SyncAll().ok());
+  }
+  db.coordinator().CloseCoveredDecisions();
+  json = reg.ToJson();
+  EXPECT_NE(json.find("\"coord.pending_ends\":0"), std::string::npos) << json;
+}
+
+TEST(ObsCoordinatorTest, PendingEndsGaugeStaysZeroWithoutADecisionLog) {
+  ShardedDatabase db(2, IsolationLevel::kSerializable);
+  obs::MetricsRegistry reg;
+  db.coordinator().RegisterMetrics(reg, "coord.");
+  ItemId x, y;
+  for (int i = 0; x.empty() || y.empty(); ++i) {
+    const ItemId id = "k" + std::to_string(i);
+    if (db.ShardOf(id) == 0 && x.empty()) x = id;
+    if (db.ShardOf(id) == 1 && y.empty()) y = id;
+  }
+  ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
+                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(int64_t{2})));
+                  return t.Put(y, Value(int64_t{2}));
+                }).ok());
+  const std::string json = reg.ToJson();
+  EXPECT_NE(json.find("\"coord.committed\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"coord.pending_ends\":0"), std::string::npos) << json;
 }
 
 }  // namespace
