@@ -211,7 +211,7 @@ void BenchReplay(const Config& cfg, Results* out) {
                  rec.status().ToString().c_str());
     std::exit(1);
   }
-  const WalRecoveryStats& stats = rec->wal_recovery();
+  const WalRecoveryStats& stats = (*rec)->wal_recovery();
   out->replay_records = stats.records;
   out->replay_committed = stats.committed_replayed;
   out->replay_records_per_sec = static_cast<double>(stats.records) / secs;

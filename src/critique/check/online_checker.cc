@@ -49,6 +49,22 @@ std::string CheckerReport::ToString() const {
   return os.str();
 }
 
+CheckerReport& CheckerReport::operator+=(const CheckerReport& o) {
+  commits_certified += o.commits_certified;
+  aborts_observed += o.aborts_observed;
+  violations += o.violations;
+  allowed_anomalies += o.allowed_anomalies;
+  dirty_reads_allowed += o.dirty_reads_allowed;
+  edges_added += o.edges_added;
+  cycle_checks += o.cycle_checks;
+  nodes_pruned += o.nodes_pruned;
+  live_nodes += o.live_nodes;
+  peak_live_nodes += o.peak_live_nodes;
+  first_violations.insert(first_violations.end(), o.first_violations.begin(),
+                          o.first_violations.end());
+  return *this;
+}
+
 OnlineChecker::OnlineChecker(CheckerOptions options)
     : options_(options) {}
 
@@ -57,11 +73,12 @@ void OnlineChecker::SetDefaultLevel(IsolationLevel level) {
   default_level_ = level;
 }
 
-void OnlineChecker::BeginTxn(TxnId txn, IsolationLevel level) {
-  if (txn == kInitialTxn) return;
+bool OnlineChecker::BeginTxn(TxnId txn, IsolationLevel level) {
+  if (txn == kInitialTxn) return false;
   std::lock_guard<std::mutex> lk(mu_);
-  Node& n = Touch(txn);
-  if (n.status == TxnStatus::kOpen) n.level = level;
+  if (nodes_.count(txn) != 0) return false;
+  Touch(txn).level = level;
+  return true;
 }
 
 void OnlineChecker::CancelTxn(TxnId txn) {

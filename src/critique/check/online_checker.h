@@ -63,6 +63,11 @@ struct CheckerReport {
 
   bool ok() const { return violations == 0; }
   std::string ToString() const;
+
+  /// Field-wise sum (the sharded facade's aggregate): every counter adds,
+  /// `peak_live_nodes` too (the facade-level memory bound), and the
+  /// violation samples concatenate.
+  CheckerReport& operator+=(const CheckerReport& o);
 };
 
 /// \brief Incremental online multiversion serialization-graph checker.
@@ -128,8 +133,10 @@ class OnlineChecker {
 
   /// Registers an open transaction and its declared level.  Must be
   /// called before the engine's Begin so the registration epoch lower-
-  /// bounds the snapshot (Database does this).  Idempotent per id.
-  void BeginTxn(TxnId txn, IsolationLevel level);
+  /// bounds the snapshot (Database does this).  Returns false, changing
+  /// nothing, when `txn` is already known — a reused id must not
+  /// re-declare (or, through `CancelTxn`, drop) the transaction holding it.
+  bool BeginTxn(TxnId txn, IsolationLevel level);
 
   /// Withdraws a registration that never produced actions (an engine
   /// Begin that was refused).  No-op if the transaction has activity.

@@ -1,5 +1,8 @@
 #include "critique/common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace critique {
 
 std::string_view StatusCodeName(StatusCode code) {
@@ -34,6 +37,13 @@ std::string Status::ToString() const {
     out += message_;
   }
   return out;
+}
+
+void CheckOrDie(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "critique contract violation: %s\n", what);
+    std::abort();
+  }
 }
 
 }  // namespace critique

@@ -106,6 +106,11 @@ class Status {
   std::string message_;
 };
 
+/// Fails fast on a violated API contract (a programming error, never a
+/// runtime outcome): prints `what` to stderr and aborts, in every build
+/// type (assert() vanishes under NDEBUG).
+void CheckOrDie(bool ok, const char* what);
+
 }  // namespace critique
 
 #endif  // CRITIQUE_COMMON_STATUS_H_

@@ -1,52 +1,38 @@
 #include "critique/db/database.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <thread>
 
 #include "critique/engine/engine_factory.h"
 
 namespace critique {
-namespace {
-
-// Contract violations on the facade are programming errors; fail fast with
-// a diagnostic in every build type (assert() vanishes under NDEBUG, which
-// is the default RelWithDebInfo configuration).
-void CheckOrDie(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "critique::Database contract violation: %s\n", what);
-    std::abort();
-  }
-}
-
-// Pre-session engine configuration shared by both constructors: the
-// conflict protocol + lock-table striping, then the version-GC policy.
-void ConfigureEngine(Engine& engine, const DbOptions& options) {
-  EngineConcurrency c;
-  c.blocking_locks = options.mode == ConcurrencyMode::kBlocking;
-  c.lock_wait_timeout = options.lock_wait_timeout;
-  c.deadlock_check_interval = options.deadlock_check_interval;
-  c.lock_stripes = options.lock_stripes;
-  engine.SetConcurrency(c);
-  engine.SetVersionGc({options.version_gc, options.version_gc_interval});
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Database
 // ---------------------------------------------------------------------------
 
+// `options` is copied, not moved, into the delegated constructor: argument
+// evaluation order is unspecified, and the factory call reads it.
 Database::Database(DbOptions options)
-    : engine_(options.engine_factory ? options.engine_factory()
-                                     : CreateEngine(options.isolation)),
+    : Database(options.engine_factory ? options.engine_factory()
+                                      : CreateEngine(options.isolation),
+               options) {}
+
+Database::Database(std::unique_ptr<Engine> engine, DbOptions options)
+    : engine_(std::move(engine)),
       retry_(options.retry_policy ? std::move(options.retry_policy)
                                   : DefaultRetryPolicy()),
       mode_(options.mode),
       rng_(options.seed) {
-  CheckOrDie(engine_ != nullptr, "engine factory produced no engine");
-  ConfigureEngine(*engine_, options);
+  CheckOrDie(engine_ != nullptr, "Database built without an engine");
+  // Pre-session engine configuration: the conflict protocol + lock-table
+  // striping, then the version-GC policy.
+  EngineConcurrency c;
+  c.blocking_locks = options.mode == ConcurrencyMode::kBlocking;
+  c.lock_wait_timeout = options.lock_wait_timeout;
+  c.deadlock_check_interval = options.deadlock_check_interval;
+  c.lock_stripes = options.lock_stripes;
+  engine_->SetConcurrency(c);
+  engine_->SetVersionGc({options.version_gc, options.version_gc_interval});
   WireObservability(options);
   track_snapshots_ = engine_->SnapshotTimestamp().has_value();
   if (!options.wal_path.empty()) {
@@ -59,29 +45,9 @@ Database::Database(DbOptions options)
   }
 }
 
-Database::Database(std::unique_ptr<Engine> engine, DbOptions options)
-    : engine_(std::move(engine)),
-      retry_(options.retry_policy ? std::move(options.retry_policy)
-                                  : DefaultRetryPolicy()),
-      mode_(options.mode),
-      rng_(options.seed) {
-  CheckOrDie(engine_ != nullptr, "null engine handed to Database");
-  ConfigureEngine(*engine_, options);
-  WireObservability(options);
-  track_snapshots_ = engine_->SnapshotTimestamp().has_value();
-  if (!options.wal_path.empty()) {
-    Result<WalWriter> w =
-        WalWriter::Create(options.wal_path, options.fsync_mode);
-    CheckOrDie(w.ok(), "could not create the WAL file");
-    AttachWal(std::move(w).value(), options);
-  }
-}
-
 void Database::WireObservability(const DbOptions& options) {
-  // Runs in both constructors, after the engine exists and before any
-  // session could begin.  The registry and tracer live on the heap so the
-  // raw pointers the engine (and any SessionExecutor) hold stay stable
-  // across facade moves — the same reason `wal_` does.
+  // Runs in the constructor, after the engine exists and before any
+  // session could begin.
   metrics_ = std::make_unique<obs::MetricsRegistry>();
   if (options.trace_events > 0) {
     tracer_ = std::make_unique<obs::TxnTracer>(options.trace_events);
@@ -113,7 +79,7 @@ void Database::AttachWal(WalWriter writer, const DbOptions& options) {
   wal_->RegisterMetrics(*metrics_, "wal.");
 }
 
-Result<Database> Database::Recover(DbOptions options) {
+Result<std::unique_ptr<Database>> Database::Recover(DbOptions options) {
   if (options.wal_path.empty()) {
     return Status::InvalidArgument("Recover requires DbOptions::wal_path");
   }
@@ -124,9 +90,9 @@ Result<Database> Database::Recover(DbOptions options) {
   // transactions through the normal engine API without re-logging them.
   DbOptions replay_options = options;
   replay_options.wal_path.clear();
-  Database db(std::move(replay_options));
+  auto db = std::make_unique<Database>(std::move(replay_options));
   CRITIQUE_ASSIGN_OR_RETURN(WalRecoveryStats stats,
-                            ReplayWal(*db.engine_, wal));
+                            ReplayWal(*db->engine_, wal));
 
   // Reopen for append behind the intact prefix (the torn tail — bytes a
   // crash left mid-record — is truncated away), then log onward into the
@@ -135,60 +101,16 @@ Result<Database> Database::Recover(DbOptions options) {
       WalWriter writer,
       WalWriter::OpenForAppend(options.wal_path, wal.valid_bytes,
                                options.fsync_mode));
-  db.AttachWal(std::move(writer), options);
-  db.wal_recovery_ = stats;
-  db.recovered_ = true;
+  db->AttachWal(std::move(writer), options);
+  db->wal_recovery_ = stats;
+  db->recovered_ = true;
 
   // The id allocator resumes past every id the log ever mentioned, so new
   // sessions can never collide with a replayed (or discarded) id.
   TxnId floor = stats.max_txn + 1;
-  TxnId cur = db.next_id_.load(std::memory_order_relaxed);
-  if (floor > cur) db.next_id_.store(floor, std::memory_order_relaxed);
+  TxnId cur = db->next_id_.load(std::memory_order_relaxed);
+  if (floor > cur) db->next_id_.store(floor, std::memory_order_relaxed);
   return db;
-}
-
-Database::Database(Database&& other) noexcept
-    : engine_(std::move(other.engine_)),
-      wal_(std::move(other.wal_)),
-      metrics_(std::move(other.metrics_)),
-      tracer_(std::move(other.tracer_)),
-      checker_(std::move(other.checker_)),
-      wal_recovery_(other.wal_recovery_),
-      recovered_(other.recovered_),
-      retry_(std::move(other.retry_)),
-      mode_(other.mode_),
-      rng_(other.rng_),
-      next_id_(other.next_id_.load()),
-      execute_retries_(other.execute_retries_.load()),
-      open_txns_(other.open_txns_.load()),
-      track_snapshots_(other.track_snapshots_) {
-  // Open Transaction handles hold a raw back-pointer to their database:
-  // moving it out from under them would dangle every one of them.  (The
-  // open-snapshot registry is therefore empty on both sides.)
-  CheckOrDie(open_txns_.load() == 0,
-             "Database moved while transactions are open");
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  CheckOrDie(open_txns_.load() == 0 && other.open_txns_.load() == 0,
-             "Database moved while transactions are open");
-  if (this != &other) {
-    engine_ = std::move(other.engine_);
-    wal_ = std::move(other.wal_);
-    metrics_ = std::move(other.metrics_);
-    tracer_ = std::move(other.tracer_);
-    checker_ = std::move(other.checker_);
-    wal_recovery_ = other.wal_recovery_;
-    recovered_ = other.recovered_;
-    retry_ = std::move(other.retry_);
-    mode_ = other.mode_;
-    rng_ = other.rng_;
-    next_id_.store(other.next_id_.load());
-    execute_retries_.store(other.execute_retries_.load());
-    open_txns_.store(other.open_txns_.load());
-    track_snapshots_ = other.track_snapshots_;
-  }
-  return *this;
 }
 
 Status Database::Load(const ItemId& id, Row row) {
@@ -200,44 +122,18 @@ Status Database::Load(const ItemId& id, Row row) {
 }
 
 Transaction Database::Begin() {
-  TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  // The registry entry goes in BEFORE the engine assigns the real start
-  // timestamp (with a bound captured before it could tick): the registry
-  // must never overstate how new an open snapshot is — not even during
-  // the begin window — or a watermark derived from `OldestOpenSnapshot`
-  // could pass a version the nascent snapshot still needs.
-  const std::optional<Timestamp> begin_bound =
-      track_snapshots_ ? engine_->SnapshotTimestamp() : std::nullopt;
-  if (begin_bound.has_value()) RegisterSnapshot(id, *begin_bound);
-  // Checker registration also precedes the engine begin: the checker's
-  // pruning watermark relies on a transaction's registration epoch lower-
-  // bounding its snapshot.
-  if (checker_ != nullptr) checker_->BeginTxn(id, engine_->level());
-  Status s = engine_->Begin(id);
+  const TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  Result<Transaction> txn =
+      StartSession(id, std::nullopt, std::nullopt, /*manual=*/false);
+  if (txn.ok()) return std::move(txn).value();
   // A fresh id never collides; a failure here means the engine refuses new
   // transactions entirely, and the inactive handle surfaces that on use.
-  if (!s.ok()) {
-    if (begin_bound.has_value()) ForgetSnapshot(id);
-    if (checker_ != nullptr) checker_->CancelTxn(id);
-  }
-  return Transaction(this, id, s.ok(), engine_->level());
+  return Transaction(this, id, false, engine_->level());
 }
 
 Result<Transaction> Database::Begin(const BeginOptions& opts) {
-  TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  const IsolationLevel effective = opts.level.value_or(engine_->level());
-  const std::optional<Timestamp> begin_bound =
-      track_snapshots_ ? engine_->SnapshotTimestamp() : std::nullopt;
-  if (begin_bound.has_value()) RegisterSnapshot(id, *begin_bound);
-  if (checker_ != nullptr) checker_->BeginTxn(id, effective);
-  Status s = opts.level.has_value() ? engine_->BeginWithLevel(id, *opts.level)
-                                    : engine_->Begin(id);
-  if (!s.ok()) {
-    if (begin_bound.has_value()) ForgetSnapshot(id);
-    if (checker_ != nullptr) checker_->CancelTxn(id);
-    return s;
-  }
-  return Transaction(this, id, true, effective);
+  return StartSession(next_id_.fetch_add(1, std::memory_order_relaxed),
+                      opts.level, std::nullopt, /*manual=*/false);
 }
 
 Result<Transaction> Database::BeginWithId(TxnId id) {
@@ -254,42 +150,52 @@ Result<Transaction> Database::BeginWithId(TxnId id, const BeginOptions& opts) {
          !next_id_.compare_exchange_weak(cur, id + 1,
                                          std::memory_order_relaxed)) {
   }
-  const IsolationLevel effective = opts.level.value_or(engine_->level());
-  // Register-before-begin, as in `Begin` (unregister on refusal).
-  const std::optional<Timestamp> begin_bound =
-      track_snapshots_ ? engine_->SnapshotTimestamp() : std::nullopt;
-  if (begin_bound.has_value()) RegisterSnapshot(id, *begin_bound);
-  if (checker_ != nullptr) checker_->BeginTxn(id, effective);
-  Status s = opts.level.has_value() ? engine_->BeginWithLevel(id, *opts.level)
-                                    : engine_->Begin(id);
-  if (!s.ok()) {
-    if (begin_bound.has_value()) ForgetSnapshot(id);
-    if (checker_ != nullptr) checker_->CancelTxn(id);
-    return s;
-  }
-  Transaction txn(this, id, true, effective);
-  txn.blocked_op_retry_ = false;  // manual sessions: the schedule decides
-  return txn;
+  return StartSession(id, opts.level, std::nullopt, /*manual=*/true);
 }
 
 Result<Transaction> Database::BeginAtTimestamp(Timestamp ts) {
-  TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  // Register-before-begin, as in `Begin` (unregister on refusal).  The
-  // requested ts IS the snapshot bound here.
-  if (track_snapshots_) RegisterSnapshot(id, ts);
-  if (checker_ != nullptr) checker_->BeginTxn(id, engine_->level());
-  Status s = engine_->BeginAt(id, ts);
-  if (!s.ok()) {
-    if (track_snapshots_) ForgetSnapshot(id);
-    if (checker_ != nullptr) checker_->CancelTxn(id);
-    return s;
-  }
-  return Transaction(this, id, true, engine_->level());
+  return StartSession(next_id_.fetch_add(1, std::memory_order_relaxed),
+                      std::nullopt, ts, /*manual=*/false);
 }
 
-void Database::RegisterSnapshot(TxnId id, Timestamp begin_ts) {
+Result<Transaction> Database::StartSession(TxnId id,
+                                           std::optional<IsolationLevel> level,
+                                           std::optional<Timestamp> at,
+                                           bool manual) {
+  const IsolationLevel effective = level.value_or(engine_->level());
+  // The registry entry goes in BEFORE the engine assigns the real start
+  // timestamp (with a bound captured before it could tick): the registry
+  // must never overstate how new an open snapshot is — not even during
+  // the begin window — or a watermark derived from `OldestOpenSnapshot`
+  // could pass a version the nascent snapshot still needs.  Time travel's
+  // requested ts IS the bound.
+  std::optional<Timestamp> bound;
+  if (track_snapshots_) {
+    bound = at.has_value() ? at : engine_->SnapshotTimestamp();
+  }
+  const bool registered = bound.has_value() && RegisterSnapshot(id, *bound);
+  // Checker registration also precedes the engine begin: the checker's
+  // pruning watermark relies on a transaction's registration epoch lower-
+  // bounding its snapshot.
+  const bool declared =
+      checker_ != nullptr && checker_->BeginTxn(id, effective);
+  Status s = at.has_value()      ? engine_->BeginAt(id, *at)
+             : level.has_value() ? engine_->BeginWithLevel(id, *level)
+                                 : engine_->Begin(id);
+  if (!s.ok()) {
+    if (registered) ForgetSnapshot(id);
+    if (declared) checker_->CancelTxn(id);
+    return s;
+  }
+  Transaction txn(this, id, true, effective);
+  // Manual sessions: the schedule, not the retry policy, decides.
+  txn.blocked_op_retry_ = !manual;
+  return txn;
+}
+
+bool Database::RegisterSnapshot(TxnId id, Timestamp begin_ts) {
   std::lock_guard<std::mutex> lk(snap_mu_);
-  open_snapshots_[id] = begin_ts;
+  return open_snapshots_.emplace(id, begin_ts).second;
 }
 
 void Database::ForgetSnapshot(TxnId id) {
@@ -351,43 +257,12 @@ std::string Database::DebugDump() const {
 
 Status Database::Execute(const BeginOptions& opts,
                          const std::function<Status(Transaction&)>& body) {
-  // The same retry protocol as the plain overload, except a begin refusal
-  // (the engine cannot honor the declared level) is terminal: retrying a
-  // contract the engine already rejected would loop forever.
-  for (int attempt = 1;; ++attempt) {
-    Result<Transaction> begun = Begin(opts);
-    if (!begun.ok()) return begun.status();
-    Transaction txn = std::move(begun).value();
-    Status s = body(txn);
-    if (s.ok() && txn.active()) s = txn.Commit();
-    if (txn.active()) (void)txn.Rollback();
-    if (s.ok()) return s;
-    if (!retry_->RetryTransaction(s, attempt)) return s;
-    execute_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto delay = retry_->RetryDelay(attempt);
-    if (delay > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(delay);
-    }
-  }
+  return RunWithRetries(
+      *retry_, execute_retries_, [&] { return Begin(opts); }, body);
 }
 
 Status Database::Execute(const std::function<Status(Transaction&)>& body) {
-  for (int attempt = 1;; ++attempt) {
-    Transaction txn = Begin();
-    Status s = body(txn);
-    // A body that ends its own transaction (Commit, Rollback, or an
-    // engine-side abort it chose to accept) is respected; otherwise commit
-    // on success, roll back on failure.
-    if (s.ok() && txn.active()) s = txn.Commit();
-    if (txn.active()) (void)txn.Rollback();
-    if (s.ok()) return s;
-    if (!retry_->RetryTransaction(s, attempt)) return s;
-    execute_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto delay = retry_->RetryDelay(attempt);
-    if (delay > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(delay);
-    }
-  }
+  return Execute(BeginOptions{}, body);
 }
 
 // ---------------------------------------------------------------------------

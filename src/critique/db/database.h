@@ -205,8 +205,8 @@ struct BeginOptions {
 ///  * `history()` / `stats()` are cheap reference views for quiescent
 ///    callers (no sessions in flight); while threads are mid-transaction
 ///    use `HistorySnapshot()` / `StatsSnapshot()`.
-///  * Construction, destruction, and moves are not thread-safe; finish
-///    all sessions first (moves assert no transaction is open).
+///  * Construction and destruction are not thread-safe; finish all
+///    sessions first.
 ///
 /// In the default `kCooperative` mode conflicting operations answer
 /// `kWouldBlock` for the caller to retry.  The classic driver is the
@@ -216,9 +216,10 @@ struct BeginOptions {
 /// threads, each handle still touched by exactly one thread at any
 /// moment.
 ///
-/// Movable (so factories can return one by value) but must not be moved
-/// while transactions are open — open `Transaction` handles point back at
-/// their database, so the move operations assert none exist; not copyable.
+/// Neither copyable nor movable: open `Transaction` handles, the engine's
+/// WAL sink, metrics and tracer hooks all point back into the facade.
+/// Factories return a prvalue (`return Database(options);`, elided in
+/// C++17); `Recover` hands out a `std::unique_ptr`.
 class Database {
  public:
   /// A serializable-by-default database.
@@ -243,10 +244,8 @@ class Database {
   /// onward into the same file.  Fails on a log the engine refuses to
   /// replay (corruption past the CRC layer) or on I/O errors; a missing
   /// file is an empty log (first boot), not an error.
-  static Result<Database> Recover(DbOptions options);
+  static Result<std::unique_ptr<Database>> Recover(DbOptions options);
 
-  Database(Database&& other) noexcept;
-  Database& operator=(Database&& other) noexcept;
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
@@ -305,11 +304,14 @@ class Database {
   /// lock timeout, deadlock victim, First-Committer-Wins / SSI refusal —
   /// rolls back and re-runs the body while the `RetryPolicy` allows.
   /// Returns the first non-retryable status, or the last failure when
-  /// retries are exhausted.
+  /// retries are exhausted.  The loop is `RunWithRetries`, shared with
+  /// `ShardedDatabase::Execute`.
   Status Execute(const std::function<Status(Transaction&)>& body);
 
   /// `Execute` under a per-transaction declaration: every attempt (and
-  /// retry) begins with `opts`.
+  /// retry) begins with `opts`.  A begin refusal (a level the engine
+  /// cannot honor) and any `FailedPrecondition` are terminal, whatever
+  /// the policy says.
   Status Execute(const BeginOptions& opts,
                  const std::function<Status(Transaction&)>& body);
 
@@ -432,8 +434,20 @@ class Database {
  private:
   friend class Transaction;
 
-  /// Open-snapshot registry upkeep (timestamped engines only).
-  void RegisterSnapshot(TxnId id, Timestamp begin_ts);
+  /// The one begin path behind every public begin: registers `id`'s
+  /// snapshot bound and declared level, then begins it on the engine —
+  /// at `at` (time travel) when set, else under `level` when set.  A
+  /// `manual` session surfaces `kWouldBlock` immediately (see
+  /// `BeginWithId`).  On refusal only the registrations this call made
+  /// are undone, so a refused duplicate id leaves the live transaction
+  /// holding it untouched.
+  Result<Transaction> StartSession(TxnId id,
+                                   std::optional<IsolationLevel> level,
+                                   std::optional<Timestamp> at, bool manual);
+
+  /// Open-snapshot registry upkeep (timestamped engines only).  Register
+  /// keeps an existing entry and returns false for it.
+  bool RegisterSnapshot(TxnId id, Timestamp begin_ts);
   void ForgetSnapshot(TxnId id);
 
   /// Attaches a freshly built commit log and points the engine at it.
@@ -444,17 +458,16 @@ class Database {
   void WireObservability(const DbOptions& options);
 
   std::unique_ptr<Engine> engine_;
-  /// Heap-allocated so the engine's raw `WalSink*` stays stable across
-  /// facade moves.  Destroyed (flushing cleanly) before the engine, which
-  /// is quiescent by then and never logs from its destructor.
+  /// The engine's raw `WalSink*` points here.  Destroyed (flushing
+  /// cleanly) before the engine, which is quiescent by then and never
+  /// logs from its destructor.
   std::unique_ptr<CommitLog> wal_;
-  /// Heap-allocated like `wal_`: the engine / commit log hold raw
-  /// pointers into these, which must survive facade moves.  The registry
-  /// always exists; the tracer only when `DbOptions::trace_events` > 0.
+  /// The engine and commit log hold raw pointers into these.  The
+  /// registry always exists; the tracer only when
+  /// `DbOptions::trace_events` > 0.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::TxnTracer> tracer_;
-  /// Heap-allocated for the same pointer-stability reason: the engine's
-  /// recorder observer captures the raw checker pointer.
+  /// The engine's recorder observer captures the raw checker pointer.
   std::unique_ptr<check::OnlineChecker> checker_;
   WalRecoveryStats wal_recovery_;
   bool recovered_ = false;

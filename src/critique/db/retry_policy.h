@@ -1,9 +1,13 @@
 #ifndef CRITIQUE_DB_RETRY_POLICY_H_
 #define CRITIQUE_DB_RETRY_POLICY_H_
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "critique/common/status.h"
 
@@ -52,7 +56,43 @@ class RetryPolicy {
     (void)attempt;
     return std::chrono::microseconds::zero();
   }
+
+  /// The restart decision every whole-transaction retry loop applies: a
+  /// `FailedPrecondition` (a declared contract the engine cannot honor)
+  /// is terminal whatever the policy says, since a re-run would be
+  /// refused again; otherwise `RetryTransaction` decides.
+  bool ShouldRestart(const Status& s, int attempt) const {
+    return !s.IsFailedPrecondition() && RetryTransaction(s, attempt);
+  }
 };
+
+/// The `Execute` loop both session facades (`Database`,
+/// `ShardedDatabase`) run.  `begin()` returns a `Result` holding a fresh
+/// transaction handle; a refusal is returned as is, never retried.  The
+/// body runs in that transaction, which is committed unless the body
+/// already finished it, and rolled back on failure.  A failure is re-run
+/// (after `RetryDelay`, counting one in `retries`) while `ShouldRestart`
+/// allows; otherwise the first terminal status, or the last failure once
+/// the policy gives up, is returned.
+template <typename BeginFn, typename BodyFn>
+Status RunWithRetries(const RetryPolicy& policy,
+                      std::atomic<uint64_t>& retries, BeginFn&& begin,
+                      BodyFn&& body) {
+  for (int attempt = 1;; ++attempt) {
+    auto begun = begin();
+    if (!begun.ok()) return begun.status();
+    auto txn = std::move(begun).value();
+    Status s = body(txn);
+    if (s.ok() && txn.active()) s = txn.Commit();
+    if (txn.active()) (void)txn.Rollback();
+    if (s.ok() || !policy.ShouldRestart(s, attempt)) return s;
+    retries.fetch_add(1, std::memory_order_relaxed);
+    const std::chrono::microseconds delay = policy.RetryDelay(attempt);
+    if (delay > std::chrono::microseconds::zero()) {
+      std::this_thread::sleep_for(delay);
+    }
+  }
+}
 
 /// Never retries anything: every status surfaces to the caller unchanged.
 /// The policy the step-wise `Runner` path relies on.

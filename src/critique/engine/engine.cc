@@ -18,6 +18,21 @@ std::string EngineStats::ToString() const {
          " blocked_ops=" + std::to_string(blocked_ops);
 }
 
+EngineStats& EngineStats::operator+=(const EngineStats& o) {
+  reads += o.reads;
+  predicate_reads += o.predicate_reads;
+  writes += o.writes;
+  commits += o.commits;
+  aborts += o.aborts;
+  deadlock_aborts += o.deadlock_aborts;
+  serialization_aborts += o.serialization_aborts;
+  blocked_ops += o.blocked_ops;
+  fcw_aborts += o.fcw_aborts;
+  ssi_aborts += o.ssi_aborts;
+  in_doubt_aborts += o.in_doubt_aborts;
+  return *this;
+}
+
 std::ostream& operator<<(std::ostream& os, const EngineStats& stats) {
   return os << stats.ToString();
 }

@@ -54,6 +54,11 @@ struct EngineStats {
   /// equal the number of finished transactions.
   uint64_t finished_txns() const { return commits + total_aborts(); }
 
+  /// Field-wise sum (the sharded facade's aggregate).  Every counter,
+  /// the taxonomy breakdown included, must be summed here — dropping one
+  /// breaks `fcw + ssi + in_doubt == serialization_aborts` in the sum.
+  EngineStats& operator+=(const EngineStats& o);
+
   /// One line: "reads=3 predicate_reads=0 writes=2 commits=1 ...".
   std::string ToString() const;
 };

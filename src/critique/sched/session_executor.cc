@@ -2,23 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 namespace critique {
-namespace {
-
-// Executor contract violations are programming errors; fail fast with a
-// diagnostic in every build type (assert() vanishes under NDEBUG).
-void CheckOrDie(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr,
-                 "critique::SessionExecutor contract violation: %s\n", what);
-    std::abort();
-  }
-}
-
-}  // namespace
 
 std::string SessionExecutorStats::ToString() const {
   char buf[320];
@@ -374,7 +360,7 @@ void SessionExecutor::HandleRetryableAbort(SessionTask* task, const Status& s,
   open_sessions_.fetch_sub(1, std::memory_order_relaxed);
   ++task->attempt;
   const RetryPolicy& policy = db_.retry_policy();
-  if (!policy.RetryTransaction(s, task->attempt)) {
+  if (!policy.ShouldRestart(s, task->attempt)) {
     FinishTask(task, s, /*committed=*/false);
     return;
   }

@@ -3,28 +3,14 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "critique/wal/recovery.h"
 #include "critique/wal/wal_writer.h"
 
 namespace critique {
 namespace {
-
-// Contract violations on the facade are programming errors; fail fast with
-// a diagnostic in every build type (same policy as `Database`).
-void CheckOrDie(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "critique::ShardedDatabase contract violation: %s\n",
-                 what);
-    std::abort();
-  }
-}
 
 std::string ShardWalPath(const std::string& dir, int shard) {
   return dir + "/shard-" + std::to_string(shard) + ".wal";
@@ -129,12 +115,12 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
   TxnId id_floor = 1;
   db->shards_.reserve(static_cast<size_t>(options.num_shards));
   for (int i = 0; i < options.num_shards; ++i) {
-    CRITIQUE_ASSIGN_OR_RETURN(Database shard,
+    CRITIQUE_ASSIGN_OR_RETURN(std::unique_ptr<Database> shard,
                               Database::Recover(ShardOptionsFor(options, i)));
-    if (shard.wal_recovery().max_txn + 1 > id_floor) {
-      id_floor = shard.wal_recovery().max_txn + 1;
+    if (shard->wal_recovery().max_txn + 1 > id_floor) {
+      id_floor = shard->wal_recovery().max_txn + 1;
     }
-    db->shards_.push_back(std::make_unique<Database>(std::move(shard)));
+    db->shards_.push_back(std::move(shard));
   }
 
   // The coordinator's decision table is rebuilt from the still-open
@@ -181,10 +167,7 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
   return db;
 }
 
-ShardedTransaction ShardedDatabase::Begin() {
-  TxnId gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
-  return ShardedTransaction(this, gid);
-}
+ShardedTransaction ShardedDatabase::Begin() { return Begin(BeginOptions{}); }
 
 ShardedTransaction ShardedDatabase::Begin(const BeginOptions& opts) {
   TxnId gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
@@ -199,22 +182,9 @@ Status ShardedDatabase::Execute(
 Status ShardedDatabase::Execute(
     const BeginOptions& opts,
     const std::function<Status(ShardedTransaction&)>& body) {
-  for (int attempt = 1;; ++attempt) {
-    ShardedTransaction txn = Begin(opts);
-    Status s = body(txn);
-    // A shard that refused the declared contract at first touch
-    // (FailedPrecondition) can never honor it on a re-run: terminal.
-    if (s.IsFailedPrecondition()) return s;
-    if (s.ok() && txn.active()) s = txn.Commit();
-    if (txn.active()) (void)txn.Rollback();
-    if (s.ok()) return s;
-    if (!retry_->RetryTransaction(s, attempt)) return s;
-    execute_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto delay = retry_->RetryDelay(attempt);
-    if (delay > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(delay);
-    }
-  }
+  return RunWithRetries(
+      *retry_, execute_retries_,
+      [&]() -> Result<ShardedTransaction> { return Begin(opts); }, body);
 }
 
 ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
@@ -273,45 +243,14 @@ ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
 
 EngineStats ShardedDatabase::StatsAggregate() const {
   EngineStats total;
-  for (const auto& shard : shards_) {
-    const EngineStats s = shard->StatsSnapshot();
-    total.reads += s.reads;
-    total.predicate_reads += s.predicate_reads;
-    total.writes += s.writes;
-    total.commits += s.commits;
-    total.aborts += s.aborts;
-    total.deadlock_aborts += s.deadlock_aborts;
-    total.serialization_aborts += s.serialization_aborts;
-    total.blocked_ops += s.blocked_ops;
-    // The taxonomy breakdown sums like its aggregate — dropping it here
-    // silently broke `fcw + ssi + in_doubt == serialization_aborts` at the
-    // facade level.
-    total.fcw_aborts += s.fcw_aborts;
-    total.ssi_aborts += s.ssi_aborts;
-    total.in_doubt_aborts += s.in_doubt_aborts;
-  }
+  for (const auto& shard : shards_) total += shard->StatsSnapshot();
   return total;
 }
 
 check::CheckerReport ShardedDatabase::CheckerReportAggregate() const {
   check::CheckerReport total;
   for (const auto& shard : shards_) {
-    const check::OnlineChecker* c = shard->checker();
-    if (c == nullptr) continue;
-    const check::CheckerReport r = c->Report();
-    total.commits_certified += r.commits_certified;
-    total.aborts_observed += r.aborts_observed;
-    total.violations += r.violations;
-    total.allowed_anomalies += r.allowed_anomalies;
-    total.dirty_reads_allowed += r.dirty_reads_allowed;
-    total.edges_added += r.edges_added;
-    total.cycle_checks += r.cycle_checks;
-    total.nodes_pruned += r.nodes_pruned;
-    total.live_nodes += r.live_nodes;
-    total.peak_live_nodes += r.peak_live_nodes;
-    total.first_violations.insert(total.first_violations.end(),
-                                  r.first_violations.begin(),
-                                  r.first_violations.end());
+    if (shard->checker() != nullptr) total += shard->checker()->Report();
   }
   return total;
 }
@@ -422,14 +361,22 @@ Status ShardedTransaction::ObservePartStatus(Status s) {
   return s;
 }
 
-Result<std::optional<Row>> ShardedTransaction::Get(const ItemId& id) {
+template <typename Op>
+Status ShardedTransaction::OnShardOf(const ItemId& id, Op&& op) {
   if (!active_) {
     return Status::TransactionAborted("sharded transaction finished");
   }
   CRITIQUE_ASSIGN_OR_RETURN(Transaction * part, Part(db_->ShardOf(id)));
-  auto r = part->Get(id);
-  if (!r.ok()) return ObservePartStatus(r.status());
-  return r;
+  return ObservePartStatus(op(*part));
+}
+
+Result<std::optional<Row>> ShardedTransaction::Get(const ItemId& id) {
+  std::optional<Row> out;
+  CRITIQUE_RETURN_NOT_OK(OnShardOf(id, [&](Transaction& part) {
+    CRITIQUE_ASSIGN_OR_RETURN(out, part.Get(id));
+    return Status::OK();
+  }));
+  return out;
 }
 
 Result<Value> ShardedTransaction::GetScalar(const ItemId& id) {
@@ -456,11 +403,8 @@ Result<std::vector<std::pair<ItemId, Row>>> ShardedTransaction::GetWhere(
 }
 
 Status ShardedTransaction::Put(const ItemId& id, Row row) {
-  if (!active_) {
-    return Status::TransactionAborted("sharded transaction finished");
-  }
-  CRITIQUE_ASSIGN_OR_RETURN(Transaction * part, Part(db_->ShardOf(id)));
-  return ObservePartStatus(part->Put(id, std::move(row)));
+  return OnShardOf(id,
+                   [&](Transaction& p) { return p.Put(id, std::move(row)); });
 }
 
 Status ShardedTransaction::Put(const ItemId& id, Value v) {
@@ -468,29 +412,18 @@ Status ShardedTransaction::Put(const ItemId& id, Value v) {
 }
 
 Status ShardedTransaction::Insert(const ItemId& id, Row row) {
-  if (!active_) {
-    return Status::TransactionAborted("sharded transaction finished");
-  }
-  CRITIQUE_ASSIGN_OR_RETURN(Transaction * part, Part(db_->ShardOf(id)));
-  return ObservePartStatus(part->Insert(id, std::move(row)));
+  return OnShardOf(
+      id, [&](Transaction& p) { return p.Insert(id, std::move(row)); });
 }
 
 Status ShardedTransaction::Erase(const ItemId& id) {
-  if (!active_) {
-    return Status::TransactionAborted("sharded transaction finished");
-  }
-  CRITIQUE_ASSIGN_OR_RETURN(Transaction * part, Part(db_->ShardOf(id)));
-  return ObservePartStatus(part->Erase(id));
+  return OnShardOf(id, [&](Transaction& p) { return p.Erase(id); });
 }
 
 Status ShardedTransaction::Update(
     const ItemId& id,
     const std::function<Row(const std::optional<Row>&)>& transform) {
-  if (!active_) {
-    return Status::TransactionAborted("sharded transaction finished");
-  }
-  CRITIQUE_ASSIGN_OR_RETURN(Transaction * part, Part(db_->ShardOf(id)));
-  return ObservePartStatus(part->Update(id, transform));
+  return OnShardOf(id, [&](Transaction& p) { return p.Update(id, transform); });
 }
 
 Status ShardedTransaction::Commit() {

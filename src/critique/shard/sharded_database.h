@@ -354,10 +354,15 @@ class ShardedTransaction {
  private:
   friend class ShardedDatabase;
   ShardedTransaction(ShardedDatabase* db, TxnId gid,
-                     std::optional<IsolationLevel> level = std::nullopt);
+                     std::optional<IsolationLevel> level);
 
   /// The session on `shard`, begun on first use.
   Result<Transaction*> Part(int shard);
+
+  /// Runs `op` on the session of `id`'s shard (begun on first touch) and
+  /// observes its status; refused on a finished handle.
+  template <typename Op>
+  Status OnShardOf(const ItemId& id, Op&& op);
 
   /// Propagates a participant's terminal failure to the global level: on
   /// deadlock / serialization refusal / dead-handle answers, every other

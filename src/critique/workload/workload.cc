@@ -13,13 +13,37 @@ ItemId WorkloadGenerator::ItemName(uint64_t k) {
   return "i" + std::to_string(k);
 }
 
-Status WorkloadGenerator::LoadInitial(Database& db) const {
+template <typename DbT>
+Status WorkloadGenerator::LoadInitial(DbT& db) const {
   for (uint64_t k = 0; k < options_.num_items; ++k) {
     CRITIQUE_RETURN_NOT_OK(
         db.Load(ItemName(k), Value(options_.initial_balance)));
   }
   return Status::OK();
 }
+
+template Status WorkloadGenerator::LoadInitial(Database&) const;
+template Status WorkloadGenerator::LoadInitial(ShardedDatabase&) const;
+
+template <typename DbT>
+int64_t WorkloadGenerator::TotalBalance(DbT& db, uint64_t num_items) {
+  auto txn = db.Begin();
+  if (!txn.active()) return -1;
+  int64_t sum = 0;
+  for (uint64_t k = 0; k < num_items; ++k) {
+    auto r = txn.Get(ItemName(k));
+    if (!r.ok()) return -1;  // RAII rollback
+    if (r->has_value()) {
+      auto v = (*r)->scalar().AsNumeric();
+      if (v.has_value()) sum += static_cast<int64_t>(*v);
+    }
+  }
+  if (!txn.Commit().ok()) return -1;
+  return sum;
+}
+
+template int64_t WorkloadGenerator::TotalBalance(Database&, uint64_t);
+template int64_t WorkloadGenerator::TotalBalance(ShardedDatabase&, uint64_t);
 
 Program WorkloadGenerator::MakeMixedTxn(Rng& rng) const {
   Program p;
@@ -144,14 +168,6 @@ Program WorkloadGenerator::MakeAuditTxn() const {
   return p;
 }
 
-Status WorkloadGenerator::LoadInitial(ShardedDatabase& db) const {
-  for (uint64_t k = 0; k < options_.num_items; ++k) {
-    CRITIQUE_RETURN_NOT_OK(
-        db.Load(ItemName(k), Value(options_.initial_balance)));
-  }
-  return Status::OK();
-}
-
 Status WorkloadGenerator::ApplyShardedTransferTxn(ShardedTransaction& txn,
                                                   Rng& rng, int64_t amount,
                                                   double cross_shard_prob) const {
@@ -184,38 +200,6 @@ Status WorkloadGenerator::ApplyShardedTransferTxn(ShardedTransaction& txn,
   const int64_t dst_bal = dst_val.is_null() ? 0 : dst_val.AsInt();
   CRITIQUE_RETURN_NOT_OK(txn.Put(dst, Value(dst_bal + amount)));
   return Status::OK();
-}
-
-int64_t WorkloadGenerator::TotalBalance(ShardedDatabase& db,
-                                        uint64_t num_items) {
-  ShardedTransaction txn = db.Begin();
-  int64_t sum = 0;
-  for (uint64_t k = 0; k < num_items; ++k) {
-    auto r = txn.Get(ItemName(k));
-    if (!r.ok()) return -1;  // RAII rollback
-    if (r->has_value()) {
-      auto v = (*r)->scalar().AsNumeric();
-      if (v.has_value()) sum += static_cast<int64_t>(*v);
-    }
-  }
-  if (!txn.Commit().ok()) return -1;
-  return sum;
-}
-
-int64_t WorkloadGenerator::TotalBalance(Database& db, uint64_t num_items) {
-  Transaction txn = db.Begin();
-  if (!txn.active()) return -1;
-  int64_t sum = 0;
-  for (uint64_t k = 0; k < num_items; ++k) {
-    auto r = txn.Get(ItemName(k));
-    if (!r.ok()) return -1;  // RAII rollback
-    if (r->has_value()) {
-      auto v = (*r)->scalar().AsNumeric();
-      if (v.has_value()) sum += static_cast<int64_t>(*v);
-    }
-  }
-  (void)txn.Commit();
-  return sum;
 }
 
 }  // namespace critique

@@ -39,8 +39,15 @@ class WorkloadGenerator {
   /// Item id for index `k` ("i0", "i1", ...).
   static ItemId ItemName(uint64_t k);
 
-  /// Loads the initial table into `db`.
-  Status LoadInitial(Database& db) const;
+  /// Loads the initial table into `db` — a `Database`, or a
+  /// `ShardedDatabase`, which routes each row to its shard.
+  template <typename DbT>
+  Status LoadInitial(DbT& db) const;
+
+  /// Sum of all committed balances via a fresh (auto-id) transaction on
+  /// `db` — a `Database` or a `ShardedDatabase`; -1 on failure.
+  template <typename DbT>
+  static int64_t TotalBalance(DbT& db, uint64_t num_items);
 
   /// A read-write transaction: `ops_per_txn` operations over
   /// Zipf-distributed keys; writes are read-modify-write increments.
@@ -74,9 +81,6 @@ class WorkloadGenerator {
 
   // --- sharded counterparts -------------------------------------------------
 
-  /// Loads the initial table into every shard (routed by the facade).
-  Status LoadInitial(ShardedDatabase& db) const;
-
   /// Runs one balance-preserving transfer inside a sharded transaction:
   /// with probability `cross_shard_prob` the two accounts are *forced*
   /// onto different shards (the transaction commits through 2PC),
@@ -87,17 +91,9 @@ class WorkloadGenerator {
                                  int64_t amount,
                                  double cross_shard_prob) const;
 
-  /// Sum of all committed balances via a fresh global transaction; -1 on
-  /// failure.
-  static int64_t TotalBalance(ShardedDatabase& db, uint64_t num_items);
-
   /// An audit transaction reading every item (the invariant check of the
   /// inconsistent-analysis experiments); stores the sum under "sum".
   Program MakeAuditTxn() const;
-
-  /// Sum of all committed balances via a fresh (auto-id) transaction;
-  /// -1 on failure.
-  static int64_t TotalBalance(Database& db, uint64_t num_items);
 
  private:
   WorkloadOptions options_;

@@ -57,6 +57,19 @@ TEST(CheckerCycleTest, WriteSkewIsSnapshotIsolationsDueAnomaly) {
   EXPECT_TRUE(r.ok());
 }
 
+TEST(CheckerCycleTest, ReRegisteringAKnownIdChangesNothing) {
+  // A refused duplicate begin must not re-declare the live transaction:
+  // had T1 become SI, it would excuse the write skew.
+  OnlineChecker checker;
+  EXPECT_TRUE(checker.BeginTxn(1, IsolationLevel::kSerializable));
+  EXPECT_TRUE(checker.BeginTxn(2, IsolationLevel::kSerializable));
+  EXPECT_FALSE(checker.BeginTxn(1, IsolationLevel::kSnapshotIsolation));
+  const History h = MustParse(kWriteSkew);
+  for (const Action& a : h.actions()) checker.Ingest(a);
+  EXPECT_EQ(checker.Report().violations, 1u) << checker.Report().ToString();
+  EXPECT_EQ(checker.Report().allowed_anomalies, 0u);
+}
+
 TEST(CheckerCycleTest, OneSnapshotIsolationParticipantExcusesTheCycle) {
   // T1 declared SI is a pivot with pure-rw edges both ways: its level
   // permits the role, so the Serializable neighbour's guarantee is judged

@@ -85,6 +85,39 @@ TEST(TransactionTest, BeginWithIdRejectsReuse) {
   (void)t2.Commit();
 }
 
+TEST(TransactionTest, RefusedDuplicateIdLeavesTheLiveTransactionAlone) {
+  // The refused begin must neither move the GC watermark past the live
+  // T1's snapshot nor drop T1 (which has not acted yet) from the checker.
+  DbOptions opts(IsolationLevel::kSnapshotIsolation);
+  opts.online_check = true;
+  opts.online_check_prune_interval = 0;
+  Database db(opts);
+  ASSERT_TRUE(db.Load("x", Value(0)).ok());
+  auto t1 = db.BeginWithId(1);
+  ASSERT_TRUE(t1.ok());
+  for (int i = 1; i <= 2; ++i) {
+    ASSERT_TRUE(
+        db.Execute([&](Transaction& t) { return t.Put("x", Value(i)); }).ok());
+  }
+  const std::optional<Timestamp> oldest = db.OldestOpenSnapshot();
+  const uint64_t live = db.checker()->Report().live_nodes;
+  ASSERT_TRUE(oldest.has_value());
+  ASSERT_LT(*oldest, *db.CurrentTimestamp());
+
+  auto dup = db.BeginWithId(1);
+  ASSERT_FALSE(dup.ok());
+  EXPECT_TRUE(dup.status().IsInvalidArgument()) << dup.status().ToString();
+  EXPECT_EQ(db.OldestOpenSnapshot(), oldest);
+  EXPECT_EQ(db.checker()->Report().live_nodes, live);
+
+  Result<Value> x = t1->GetScalar("x");
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ(x->AsInt(), 0) << "T1 still reads its own snapshot";
+  ASSERT_TRUE(t1->Commit().ok());
+  EXPECT_EQ(db.checker()->Report().commits_certified, 3u);
+  EXPECT_TRUE(db.checker()->Report().ok());
+}
+
 TEST(TransactionTest, ReadYourOwnWrites) {
   Database db;
   (void)db.Load("x", Value(1));

@@ -135,9 +135,9 @@ TEST_P(RecoveryTest, CommittedEffectsSurviveACrash) {
   const std::string image = CrashImage(opt.wal_path, "img");
   DbOptions ropt = opt;
   ropt.wal_path = image;
-  Result<Database> r = Database::Recover(ropt);
+  Result<std::unique_ptr<Database>> r = Database::Recover(ropt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Database rec = std::move(r).value();
+  Database& rec = **r;
 
   EXPECT_TRUE(rec.recovered());
   EXPECT_FALSE(rec.wal_recovery().torn_tail);
@@ -174,9 +174,9 @@ TEST_P(RecoveryTest, TornTailIsChoppedAndTheLogStaysAppendable) {
 
   DbOptions ropt = opt;
   ropt.wal_path = image;
-  Result<Database> r = Database::Recover(ropt);
+  Result<std::unique_ptr<Database>> r = Database::Recover(ropt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Database rec = std::move(r).value();
+  Database& rec = **r;
   EXPECT_TRUE(rec.wal_recovery().torn_tail);
   EXPECT_GT(rec.wal_recovery().dropped_bytes, 0u);
   EXPECT_EQ(ReadInt(rec, "a"), 2) << "the durable prefix is authoritative";
@@ -186,9 +186,9 @@ TEST_P(RecoveryTest, TornTailIsChoppedAndTheLogStaysAppendable) {
   const std::string image2 = CrashImage(image, "img2");
   DbOptions ropt2 = opt;
   ropt2.wal_path = image2;
-  Result<Database> r2 = Database::Recover(ropt2);
+  Result<std::unique_ptr<Database>> r2 = Database::Recover(ropt2);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  Database rec2 = std::move(r2).value();
+  Database& rec2 = **r2;
   EXPECT_FALSE(rec2.wal_recovery().torn_tail);
   EXPECT_EQ(ReadInt(rec2, "a"), 3);
 }
@@ -206,9 +206,9 @@ TEST_P(RecoveryTest, PreparedParticipantIsRestoredAndPresumedAbortFreesIt) {
   const std::string image = CrashImage(opt.wal_path, "img");
   DbOptions ropt = opt;
   ropt.wal_path = image;
-  Result<Database> r = Database::Recover(ropt);
+  Result<std::unique_ptr<Database>> r = Database::Recover(ropt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Database rec = std::move(r).value();
+  Database& rec = **r;
 
   EXPECT_EQ(rec.wal_recovery().prepared_restored, 1u);
   const std::vector<TxnId> in_doubt = rec.engine().InDoubtTransactions();
@@ -237,9 +237,9 @@ TEST_P(RecoveryTest, PreparedParticipantRollsForwardOnALoggedCommit) {
   const std::string image = CrashImage(opt.wal_path, "img");
   DbOptions ropt = opt;
   ropt.wal_path = image;
-  Result<Database> r = Database::Recover(ropt);
+  Result<std::unique_ptr<Database>> r = Database::Recover(ropt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Database rec = std::move(r).value();
+  Database& rec = **r;
   ASSERT_EQ(rec.engine().InDoubtTransactions().size(), 1u);
 
   // The coordinator's decision arrives (it was logged elsewhere): roll
@@ -255,9 +255,9 @@ TEST_P(RecoveryTest, PreparedParticipantRollsForwardOnALoggedCommit) {
   {
     DbOptions ropt2 = opt;
     ropt2.wal_path = unsynced;
-    Result<Database> r2 = Database::Recover(ropt2);
+    Result<std::unique_ptr<Database>> r2 = Database::Recover(ropt2);
     ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    Database rec2 = std::move(r2).value();
+    Database& rec2 = **r2;
     EXPECT_EQ(rec2.wal_recovery().prepared_restored, 1u);
     const std::vector<TxnId> in_doubt = rec2.engine().InDoubtTransactions();
     ASSERT_EQ(in_doubt.size(), 1u) << "the unsynced commit must not replay";
@@ -272,9 +272,9 @@ TEST_P(RecoveryTest, PreparedParticipantRollsForwardOnALoggedCommit) {
   const std::string synced = CrashImage(image, "img3");
   DbOptions ropt3 = opt;
   ropt3.wal_path = synced;
-  Result<Database> r3 = Database::Recover(ropt3);
+  Result<std::unique_ptr<Database>> r3 = Database::Recover(ropt3);
   ASSERT_TRUE(r3.ok()) << r3.status().ToString();
-  Database rec3 = std::move(r3).value();
+  Database& rec3 = **r3;
   EXPECT_EQ(rec3.wal_recovery().prepared_restored, 0u);
   EXPECT_TRUE(rec3.engine().InDoubtTransactions().empty());
   EXPECT_EQ(ReadInt(rec3, "a"), 2);
@@ -330,9 +330,9 @@ TEST(RecoveryGroupCommitTest, AckedCommitsFromEveryThreadSurvive) {
   const std::string image = CrashImage(opt.wal_path, "img");
   DbOptions ropt = opt;
   ropt.wal_path = image;
-  Result<Database> r = Database::Recover(ropt);
+  Result<std::unique_ptr<Database>> r = Database::Recover(ropt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Database rec = std::move(r).value();
+  Database& rec = **r;
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(ReadInt(rec, "k" + std::to_string(t)), kRounds)
         << "every acked commit must be in the recovered state";
@@ -832,7 +832,7 @@ TEST(ShardedRecoveryTest, RecoverClosesDecisionsWhoseParticipantsReplayed) {
 }
 
 TEST(ShardedRecoveryTest, RecoverRequiresAWalLocation) {
-  Result<Database> r = Database::Recover(DbOptions());
+  Result<std::unique_ptr<Database>> r = Database::Recover(DbOptions());
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
 

@@ -1,8 +1,11 @@
 // RetryPolicy edge cases: zero retry budgets, backoff monotonicity and
-// saturation, and the guarantee that non-retryable statuses are never
-// retried — neither by the policy predicate nor by `Database::Execute`.
+// saturation, the guarantee that non-retryable statuses are never
+// retried — neither by the policy predicate nor by `Database::Execute` —
+// and the `Execute` contract `Database` and `ShardedDatabase` share.
 
 #include <chrono>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +136,76 @@ TEST(RetryPolicyTest, ShardedExecuteSharesTheRetryProtocol) {
   EXPECT_TRUE(s.IsSerializationFailure());
   EXPECT_EQ(calls, 3);  // 1 try + 2 retries
   EXPECT_EQ(db.execute_retries(), 2u);
+}
+
+// --- the Execute contract, shared by both facades ---------------------------
+
+// Re-runs after any failure, whatever its status, up to three times: only
+// the loop's own terminal rule can stop it early.
+class RetryEveryStatus : public RetryPolicy {
+ public:
+  std::string name() const override { return "retry-every-status"; }
+  bool RetryBlockedOp(int) const override { return false; }
+  bool RetryTransaction(const Status&, int attempt) const override {
+    return attempt <= 3;
+  }
+};
+
+struct SingleSite {
+  using Txn = Transaction;
+  static std::unique_ptr<Database> Make() {
+    DbOptions o(IsolationLevel::kSnapshotIsolation);
+    o.retry_policy = std::make_shared<RetryEveryStatus>();
+    return std::make_unique<Database>(o);
+  }
+};
+
+struct Sharded {
+  using Txn = ShardedTransaction;
+  static std::unique_ptr<ShardedDatabase> Make() {
+    ShardedDbOptions o(2, IsolationLevel::kSnapshotIsolation);
+    o.retry_policy = std::make_shared<RetryEveryStatus>();
+    return std::make_unique<ShardedDatabase>(o);
+  }
+};
+
+template <typename Facade>
+class ExecuteContractTest : public ::testing::Test {};
+using Facades = ::testing::Types<SingleSite, Sharded>;
+TYPED_TEST_SUITE(ExecuteContractTest, Facades);
+
+TYPED_TEST(ExecuteContractTest, RefusedDeclaredLevelIsTerminal) {
+  // The SI engine cannot honor Repeatable Read: `Database` refuses at
+  // begin (the body never runs), the sharded facade at first touch.
+  auto db = TypeParam::Make();
+  ASSERT_TRUE(db->Load("x", Value(0)).ok());
+  int calls = 0;
+  Status s = db->Execute(BeginOptions{IsolationLevel::kRepeatableRead},
+                         [&](typename TypeParam::Txn& txn) {
+                           ++calls;
+                           return txn.Put("x", Value(1));
+                         });
+  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
+  EXPECT_LE(calls, 1) << "the body must not run again";
+  EXPECT_EQ(db->execute_retries(), 0u);
+}
+
+TYPED_TEST(ExecuteContractTest, RetryableFailureIsRerunAndCounted) {
+  auto db = TypeParam::Make();
+  ASSERT_TRUE(db->Load("x", Value(0)).ok());
+  int calls = 0;
+  Status s = db->Execute([&](typename TypeParam::Txn& txn) -> Status {
+    ++calls;
+    CRITIQUE_RETURN_NOT_OK(txn.Put("x", Value(calls)));
+    return calls < 3 ? Status::SerializationFailure("again") : Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(db->execute_retries(), 2u);
+  auto check = db->Begin();
+  Result<Value> x = check.GetScalar("x");
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ(x->AsInt(), 3) << "only the last attempt committed";
 }
 
 }  // namespace

@@ -418,9 +418,9 @@ TEST(WalTest, DatabaseWithRealFsyncCommitsAndRecovers) {
                     return t.Insert("b", Row::Scalar(Value(3)));
                   }).ok());
   }
-  Result<Database> r = Database::Recover(opt);
+  Result<std::unique_ptr<Database>> r = Database::Recover(opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Database rec = std::move(r).value();
+  Database& rec = **r;
   EXPECT_TRUE(rec.recovered());
   EXPECT_EQ(rec.wal_recovery().committed_replayed, 2u);
   Transaction t = rec.Begin();
