@@ -40,7 +40,9 @@ struct LongTxnResult {
 // `short_txns` single-item hot-spot updates.
 LongTxnResult RunLongVsShort(IsolationLevel level, uint64_t seed,
                              size_t long_ops, int short_txns) {
-  Database db(level);
+  DbOptions db_options(level);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   WorkloadOptions opts;
   opts.num_items = 16;
   opts.zipf_theta = 0.9;  // shorts hammer the hot keys

@@ -16,7 +16,9 @@ namespace {
 void BM_ReplayH1Schedule(benchmark::State& state) {
   // Cost of replaying the paper's H1 interleaving end to end.
   for (auto _ : state) {
-    Database db(IsolationLevel::kReadCommitted);
+    DbOptions db_options(IsolationLevel::kReadCommitted);
+    db_options.record_history = true;  // the Runner judges the history
+    Database db(db_options);
     (void)db.Load("x", Value(50));
     (void)db.Load("y", Value(50));
     Runner runner(db);
@@ -45,7 +47,9 @@ void BM_ManyTransactionsRoundRobin(benchmark::State& state) {
   const int txns = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    Database db(IsolationLevel::kSnapshotIsolation);
+    DbOptions db_options(IsolationLevel::kSnapshotIsolation);
+    db_options.record_history = true;  // the Runner judges the history
+    Database db(db_options);
     WorkloadOptions opts;
     opts.num_items = 32;
     WorkloadGenerator gen(opts);
@@ -64,7 +68,9 @@ void BM_ManyTransactionsRoundRobin(benchmark::State& state) {
 BENCHMARK(BM_ManyTransactionsRoundRobin)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_ScheduleGeneration(benchmark::State& state) {
-  Database db(IsolationLevel::kSnapshotIsolation);
+  DbOptions db_options(IsolationLevel::kSnapshotIsolation);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   WorkloadOptions opts;
   WorkloadGenerator gen(opts);
   Rng rng(7);
@@ -80,7 +86,9 @@ BENCHMARK(BM_ScheduleGeneration);
 
 void BM_HistoryRecordingOverhead(benchmark::State& state) {
   // Session read-path cost: facade dispatch + engine op + history append.
-  Database db(IsolationLevel::kSnapshotIsolation);
+  DbOptions db_options(IsolationLevel::kSnapshotIsolation);
+  db_options.record_history = true;  // the cost this bench measures
+  Database db(db_options);
   (void)db.Load("x", Value(1));
   Transaction txn = db.Begin();
   for (auto _ : state) {

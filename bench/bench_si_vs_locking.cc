@@ -40,7 +40,9 @@ struct MixResult {
 
 MixResult RunMix(IsolationLevel level, uint64_t seed, int writers,
                  int readers, uint64_t items, double theta) {
-  Database db(level);
+  DbOptions db_options(level);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   WorkloadOptions opts;
   opts.num_items = items;
   opts.zipf_theta = theta;

@@ -37,6 +37,7 @@ void PrintLockTraffic() {
     options.engine_factory = [level] {
       return std::make_unique<LockingEngine>(level);
     };
+    options.record_history = true;  // the Runner judges the history
     Database db(options);
     WorkloadOptions opts;
     opts.num_items = 8;
@@ -133,6 +134,7 @@ void BM_FullTransferWorkload(benchmark::State& state) {
     options.engine_factory = [level] {
       return std::make_unique<LockingEngine>(level);
     };
+    options.record_history = true;  // the Runner judges the history
     Database db(options);
     WorkloadOptions opts;
     opts.num_items = 16;

@@ -33,7 +33,9 @@ const LevelRow kRows[] = {
 
 // One random run at `level`; returns the recorded history.
 History RunOnce(IsolationLevel level, uint64_t seed) {
-  Database db(level);
+  DbOptions db_options(level);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   WorkloadOptions opts;
   opts.num_items = 6;
   opts.zipf_theta = 0.8;

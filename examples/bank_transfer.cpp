@@ -21,7 +21,9 @@ struct Outcome {
 };
 
 Outcome RunH1(IsolationLevel level) {
-  Database db(level);
+  DbOptions db_options(level);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   (void)db.Load("x", Value(50));
   (void)db.Load("y", Value(50));
 

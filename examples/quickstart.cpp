@@ -17,7 +17,9 @@ int main() {
   //    available: the Table 2 locking levels, Snapshot Isolation, Oracle
   //    Read Consistency, and the SSI extension.  (A custom engine can be
   //    plugged in through DbOptions::engine_factory.)
-  Database db(IsolationLevel::kReadCommitted);
+  DbOptions db_options(IsolationLevel::kReadCommitted);
+  db_options.record_history = true;  // read back below
+  Database db(db_options);
   std::printf("engine: %s\n\n", db.name().c_str());
 
   // 2. Load initial data: two bank accounts of 50 each.

@@ -46,7 +46,9 @@ Program SignOffTxn(const ItemId& self) {
 }
 
 void RunAt(IsolationLevel level) {
-  Database db(level);
+  DbOptions db_options(level);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   (void)db.Load("alice", Row().Set("oncall", true).Set("name", "alice"));
   (void)db.Load("bob", Row().Set("oncall", true).Set("name", "bob"));
 
@@ -91,7 +93,9 @@ int main() {
   // Show the rw-antidependency cycle behind the SI failure.
   std::printf("\nUnder SI the multiversion serialization graph closes an\n"
               "rw-only cycle (the hazard SSI instruments):\n");
-  Database db(IsolationLevel::kSnapshotIsolation);
+  DbOptions db_options(IsolationLevel::kSnapshotIsolation);
+  db_options.record_history = true;  // the Runner judges the history
+  Database db(db_options);
   (void)db.Load("alice", Row().Set("oncall", true));
   (void)db.Load("bob", Row().Set("oncall", true));
   Runner runner(db);

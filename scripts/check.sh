@@ -20,9 +20,12 @@
 #   --stress build under ThreadSanitizer and loop the formerly-flaky SSI
 #            serializability stress test (ConcurrencyTest.
 #            CommittedSerializableHistoriesStaySerializable, which before
-#            the commit-pipeline fix failed ~1/15 TSan runs) STRESS_RUNS
-#            times (default 30).  Zero failures required; any data race
-#            or non-serializable committed history fails the loop.
+#            the commit-pipeline fix failed ~1/15 TSan runs) and the
+#            deadlock-victim seniority tests (SeniorityTest.*: a prober
+#            dooms a parked junior, which wakes and rolls back on its own
+#            thread) STRESS_RUNS times (default 30).  Zero failures
+#            required; any data race, non-serializable committed history
+#            or failed Execute fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
 #            matrix: the WAL format/pipeline suite plus every
 #            kill-and-recover test (single-site, group commit, and the
@@ -160,14 +163,15 @@ if [[ "$CRASH" -eq 1 ]]; then
 fi
 
 if [[ "$STRESS" -eq 1 ]]; then
-  # The stress loop: the SSI commit-pipeline regression pin.  One gtest
-  # process repeats the test so every iteration reuses the warmed TSan
-  # runtime; --gtest_break_on_failure turns the first bad history into a
-  # non-zero exit.  TSan itself fails the run on any data race.
+  # The stress loop: the SSI commit-pipeline regression pin plus the
+  # deadlock-victim doom-and-wake handoff.  One gtest process repeats the
+  # tests so every iteration reuses the warmed TSan runtime;
+  # --gtest_break_on_failure turns the first failure into a non-zero
+  # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable' \
+    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*' \
     --gtest_repeat="$RUNS" --gtest_break_on_failure
   echo "check.sh: stress loop green ($RUNS TSan runs)"
   exit 0

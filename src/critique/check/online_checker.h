@@ -121,9 +121,12 @@ struct CheckerReport {
 /// live, else the last committed version.
 ///
 /// Thread safety: all entry points lock one internal mutex.  `Ingest` is
-/// designed to be called from `EngineRecorder`'s action observer (i.e.
-/// under the recorder mutex), which gives the checker exactly the
-/// recorded total order; the checker never calls back into the engine.
+/// designed to be called from `EngineRecorder`'s action observer, at each
+/// action's call site under the engine's latches — and, while a history
+/// is recorded, under the recorder mutex too.  Either way the internal
+/// mutex serializes ingestion in the order the engine's latches impose,
+/// which is the order the recorded history would show; the checker never
+/// calls back into the engine.
 class OnlineChecker {
  public:
   explicit OnlineChecker(CheckerOptions options = {});

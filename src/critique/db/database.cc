@@ -33,6 +33,7 @@ Database::Database(std::unique_ptr<Engine> engine, DbOptions options)
   c.lock_stripes = options.lock_stripes;
   engine_->SetConcurrency(c);
   engine_->SetVersionGc({options.version_gc, options.version_gc_interval});
+  engine_->SetHistoryRecording(options.record_history);
   WireObservability(options);
   track_snapshots_ = engine_->SnapshotTimestamp().has_value();
   if (!options.wal_path.empty()) {
@@ -60,8 +61,9 @@ void Database::WireObservability(const DbOptions& options) {
     checker_ = std::make_unique<check::OnlineChecker>(copts);
     checker_->SetDefaultLevel(engine_->level());
     checker_->RegisterMetrics(*metrics_, "check.");
-    // The observer runs under the recorder mutex: the checker ingests the
-    // exact recorded total order, one action at a time.
+    // The observer runs at each action's call site under the engine's
+    // latches (and under the recorder mutex when recording); the checker
+    // serializes on its own mutex, so it ingests the engine's order.
     engine_->SetActionObserver(
         [c = checker_.get()](const Action& a) { c->Ingest(a); });
   }
@@ -258,7 +260,15 @@ std::string Database::DebugDump() const {
 Status Database::Execute(const BeginOptions& opts,
                          const std::function<Status(Transaction&)>& body) {
   return RunWithRetries(
-      *retry_, execute_retries_, [&] { return Begin(opts); }, body);
+      *retry_, execute_retries_,
+      [&](TxnId first_attempt) {
+        Result<Transaction> txn = Begin(opts);
+        if (txn.ok() && first_attempt != 0) {
+          engine_->InheritSeniority(txn->id(), first_attempt);
+        }
+        return txn;
+      },
+      body);
 }
 
 Status Database::Execute(const std::function<Status(Transaction&)>& body) {

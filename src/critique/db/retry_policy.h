@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "critique/common/status.h"
+#include "critique/history/action.h"
 
 namespace critique {
 
@@ -67,21 +68,27 @@ class RetryPolicy {
 };
 
 /// The `Execute` loop both session facades (`Database`,
-/// `ShardedDatabase`) run.  `begin()` returns a `Result` holding a fresh
-/// transaction handle; a refusal is returned as is, never retried.  The
-/// body runs in that transaction, which is committed unless the body
-/// already finished it, and rolled back on failure.  A failure is re-run
-/// (after `RetryDelay`, counting one in `retries`) while `ShouldRestart`
-/// allows; otherwise the first terminal status, or the last failure once
-/// the policy gives up, is returned.
+/// `ShardedDatabase`) run.  `begin(first_attempt)` returns a `Result`
+/// holding a fresh transaction handle; a refusal is returned as is, never
+/// retried.  `first_attempt` is 0 on the first attempt and the first
+/// attempt's transaction id on every restart: the facade hands it to the
+/// engine as the restart's deadlock-victim seniority
+/// (`Engine::InheritSeniority`).  The body runs in that transaction,
+/// which is committed unless the body already finished it, and rolled
+/// back on failure.  A failure is re-run (after `RetryDelay`, counting
+/// one in `retries`) while `ShouldRestart` allows; otherwise the first
+/// terminal status, or the last failure once the policy gives up, is
+/// returned.
 template <typename BeginFn, typename BodyFn>
 Status RunWithRetries(const RetryPolicy& policy,
                       std::atomic<uint64_t>& retries, BeginFn&& begin,
                       BodyFn&& body) {
+  TxnId first_attempt = 0;
   for (int attempt = 1;; ++attempt) {
-    auto begun = begin();
+    auto begun = begin(first_attempt);
     if (!begun.ok()) return begun.status();
     auto txn = std::move(begun).value();
+    if (first_attempt == 0) first_attempt = txn.id();
     Status s = body(txn);
     if (s.ok() && txn.active()) s = txn.Commit();
     if (txn.active()) (void)txn.Rollback();

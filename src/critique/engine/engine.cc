@@ -33,30 +33,47 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
   return *this;
 }
 
+EngineStats EngineCounters::Snapshot() const {
+  EngineStats s;
+  s.reads = reads.Value();
+  s.predicate_reads = predicate_reads.Value();
+  s.writes = writes.Value();
+  s.commits = commits.Value();
+  s.aborts = aborts.Value();
+  s.deadlock_aborts = deadlock_aborts.Value();
+  s.serialization_aborts = serialization_aborts.Value();
+  s.blocked_ops = blocked_ops.Value();
+  s.fcw_aborts = fcw_aborts.Value();
+  s.ssi_aborts = ssi_aborts.Value();
+  s.in_doubt_aborts = in_doubt_aborts.Value();
+  return s;
+}
+
 std::ostream& operator<<(std::ostream& os, const EngineStats& stats) {
   return os << stats.ToString();
 }
 
 void Engine::RegisterMetrics(obs::MetricsRegistry& reg,
                              const std::string& prefix) {
-  // Field-by-field gauges over the recorder's stats snapshot: collect is
-  // cold-path, so taking the recorder mutex once per field is fine.
+  // One gauge per counter: collect is cold-path, and each gauge sums only
+  // its own counter's shards.
   auto field = [this, &reg, &prefix](const char* name,
-                                     uint64_t EngineStats::*member) {
-    reg.RegisterGauge(prefix + name,
-                      [this, member] { return StatsSnapshot().*member; });
+                                     EngineRecorder::CounterField member) {
+    reg.RegisterGauge(prefix + name, [this, member] {
+      return (recorder_.counters().*member).Value();
+    });
   };
-  field("reads", &EngineStats::reads);
-  field("predicate_reads", &EngineStats::predicate_reads);
-  field("writes", &EngineStats::writes);
-  field("commits", &EngineStats::commits);
-  field("aborts", &EngineStats::aborts);
-  field("deadlock_aborts", &EngineStats::deadlock_aborts);
-  field("serialization_aborts", &EngineStats::serialization_aborts);
-  field("fcw_aborts", &EngineStats::fcw_aborts);
-  field("ssi_aborts", &EngineStats::ssi_aborts);
-  field("in_doubt_aborts", &EngineStats::in_doubt_aborts);
-  field("blocked_ops", &EngineStats::blocked_ops);
+  field("reads", &EngineCounters::reads);
+  field("predicate_reads", &EngineCounters::predicate_reads);
+  field("writes", &EngineCounters::writes);
+  field("commits", &EngineCounters::commits);
+  field("aborts", &EngineCounters::aborts);
+  field("deadlock_aborts", &EngineCounters::deadlock_aborts);
+  field("serialization_aborts", &EngineCounters::serialization_aborts);
+  field("fcw_aborts", &EngineCounters::fcw_aborts);
+  field("ssi_aborts", &EngineCounters::ssi_aborts);
+  field("in_doubt_aborts", &EngineCounters::in_doubt_aborts);
+  field("blocked_ops", &EngineCounters::blocked_ops);
 }
 
 Status Engine::Update(

@@ -131,63 +131,112 @@ struct VersionGcStats {
   uint64_t collected = 0;  ///< versions dropped across all passes
 };
 
-/// \brief Serializes history appends and stats updates across concurrent
-/// sessions.
+/// The live form of `EngineStats`: one sharded `obs::Counter` per field,
+/// so engines count without sharing a lock.  The counters always count,
+/// whatever the global metrics switch says (`obs::Counter::AddAlways`).
+struct EngineCounters {
+  obs::Counter reads;
+  obs::Counter predicate_reads;
+  obs::Counter writes;
+  obs::Counter commits;
+  obs::Counter aborts;
+  obs::Counter deadlock_aborts;
+  obs::Counter serialization_aborts;
+  obs::Counter blocked_ops;
+  obs::Counter fcw_aborts;
+  obs::Counter ssi_aborts;
+  obs::Counter in_doubt_aborts;
+
+  /// Sums every counter into an `EngineStats`.  Exact once sessions are
+  /// quiescent; while they run it is not a consistent cut (one field may
+  /// already count an operation another field does not yet reflect).
+  EngineStats Snapshot() const;
+};
+
+/// \brief Records the engine's history, when asked, and its counters.
 ///
-/// Engines mutate their recorded history and operation counters through
-/// this recorder only, so the pair stays consistent however many threads
-/// drive the engine.  The reference accessors are cheap views for quiescent
-/// callers (no sessions in flight — the normal read-the-results point);
-/// `HistorySnapshot` / `StatsSnapshot` copy under the recorder mutex for
-/// mid-run observers.
+/// Recording is a choice: the harness needs every action (scenarios,
+/// Table 4, HISTEX), while traffic does not.  A bare engine records (the
+/// engine-level tests replay the paper's schedules on one); the
+/// `Database` facade records only under `DbOptions::record_history`.
+/// With recording on, every action is appended under the recorder mutex
+/// and the observer sees exactly that total order.  With recording off,
+/// no mutex is taken: the observer (if any) is called directly, at the
+/// same call site under the same engine latches, and must serialize
+/// itself (the online checker does, on its own mutex).  With neither a
+/// history nor an observer, engines skip building actions entirely
+/// (`wants_actions`).  Counters are sharded `obs::Counter`s in every
+/// mode.
 class EngineRecorder {
  public:
-  /// Observer invoked for every recorded action, under the recorder
-  /// mutex: observers see exactly the recorded total order, at the price
-  /// of running inside the engine's innermost critical section — keep
-  /// them cheap and never call back into the engine.  The online MVSG
-  /// checker (check/online_checker.h) feeds from here.
+  /// Observer invoked for every action — under the recorder mutex when
+  /// recording, directly otherwise (see the class comment).  Either way
+  /// it runs inside the engine's critical sections: keep it cheap, make
+  /// it thread-safe, and never call back into the engine.  The online
+  /// MVSG checker (check/online_checker.h) feeds from here.
   using Observer = std::function<void(const Action&)>;
+
+  /// A counter to bump alongside an action.
+  using CounterField = obs::Counter EngineCounters::*;
 
   /// Installs (or with nullptr removes) the action observer.  Call
   /// before any session starts — the `Database` facade does this when
   /// `DbOptions::online_check` is set.
-  void SetObserver(Observer observer) {
-    std::lock_guard<std::mutex> lk(mu_);
-    observer_ = std::move(observer);
+  void SetObserver(Observer observer) { observer_ = std::move(observer); }
+
+  /// Turns history recording on (the default) or off.  Call before any
+  /// session starts — the `Database` facade does this from
+  /// `DbOptions::record_history`.
+  void SetRecording(bool on) { recording_ = on; }
+  bool recording() const { return recording_; }
+
+  /// True when a history or an observer consumes actions; engines build
+  /// an `Action` (strings, row images) only then.
+  bool wants_actions() const { return recording_ || observer_ != nullptr; }
+
+  /// Bumps `counter` (when non-null), then — only when `wants_actions()`
+  /// — builds the action with `make()` and hands it to the history and
+  /// the observer.
+  template <typename MakeAction>
+  void Record(MakeAction&& make, CounterField counter = nullptr) {
+    if (counter != nullptr) Count(counter);
+    if (recording_) {
+      Action a = make();
+      std::lock_guard<std::mutex> lk(mu_);
+      if (observer_) observer_(a);
+      history_.Append(std::move(a));
+    } else if (observer_) {
+      observer_(make());
+    }
   }
 
-  /// Appends `a`, bumping `*counter` (when non-null) atomically with it.
-  void Record(Action a, uint64_t EngineStats::*counter = nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (counter != nullptr) ++(stats_.*counter);
-    if (observer_) observer_(a);
-    history_.Append(std::move(a));
+  /// Bumps `counter` by `n` with no action.
+  void Count(CounterField counter, uint64_t n = 1) {
+    (counters_.*counter).AddAlways(n);
   }
 
-  /// Bumps `*counter` by `n` with no history append.
-  void Count(uint64_t EngineStats::*counter, uint64_t n = 1) {
-    std::lock_guard<std::mutex> lk(mu_);
-    (stats_.*counter) += n;
-  }
-
+  /// The recorded history (empty when not recording); a reference view
+  /// for quiescent callers.
   const History& history() const { return history_; }
-  const EngineStats& stats() const { return stats_; }
 
+  /// A copy of the history taken under the recorder mutex, safe while
+  /// sessions are in flight (empty when not recording).
   History HistorySnapshot() const {
     std::lock_guard<std::mutex> lk(mu_);
     return history_;
   }
-  EngineStats StatsSnapshot() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
-  }
+
+  /// The counters summed (see `EngineCounters::Snapshot`).
+  EngineStats StatsSnapshot() const { return counters_.Snapshot(); }
+
+  const EngineCounters& counters() const { return counters_; }
 
  private:
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards history_ appends and copies
   History history_;
-  EngineStats stats_;
+  EngineCounters counters_;
   Observer observer_;
+  bool recording_ = true;
 };
 
 /// \brief The transaction-engine interface every isolation implementation
@@ -213,19 +262,23 @@ class EngineRecorder {
 /// Thread-safety contract (the stock engines all honor it): every
 /// operation is safe to call from any thread, provided each transaction is
 /// driven by one thread at a time.  Implementations serialize operation
-/// bodies behind an internal latch and route every history append / stats
-/// update through the `EngineRecorder`; in blocking mode, lock waits park
-/// *outside* the latch so other sessions keep running while a thread
-/// sleeps.  `SetConcurrency` must be called before the first session
-/// begins (the `Database` facade does this from its constructor).
+/// bodies behind internal latches and route every action and counter
+/// through the `EngineRecorder` (whose mutex is taken only while a history
+/// is recorded); in blocking mode, lock waits park *outside* the latches
+/// so other sessions keep running while a thread sleeps.
+/// `SetConcurrency` and `SetHistoryRecording` must be called before the
+/// first session begins (the `Database` facade does this from its
+/// constructor).
 ///
-/// Every executed operation is recorded into `history()` with observed
-/// values, row images, and (for multiversion engines) version subscripts,
-/// so any run can be fed to the analysis layer: the engines *produce*
-/// histories, the detectors *judge* them, and the two views must agree —
-/// the property the test suite leans on hardest.  Concurrent runs record
-/// the engine's own linearization of the actions, so the recorded history
-/// is judged exactly like a cooperative one.
+/// While recording is on (the default for a bare engine), every executed
+/// operation is recorded into `history()` with observed values, row
+/// images, and (for multiversion engines) version subscripts, so any run
+/// can be fed to the analysis layer: the engines *produce* histories, the
+/// detectors *judge* them, and the two views must agree — the property
+/// the test suite leans on hardest.  Concurrent runs record the engine's
+/// own linearization of the actions, so the recorded history is judged
+/// exactly like a cooperative one.  With recording off, `history()` stays
+/// empty and the hot path takes no recorder mutex.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -261,6 +314,24 @@ class Engine {
   /// `EngineRecorder::SetObserver`).  Call before any session starts.
   void SetActionObserver(EngineRecorder::Observer observer) {
     recorder_.SetObserver(std::move(observer));
+  }
+
+  /// Turns history recording on (the default) or off (see
+  /// `EngineRecorder`).  Call before any session starts.
+  void SetHistoryRecording(bool on) { recorder_.SetRecording(on); }
+
+  /// Whether `history()` records this engine's actions.
+  bool records_history() const { return recorder_.recording(); }
+
+  /// Deadlock-victim seniority: `txn` — a restart of an `Execute` body
+  /// whose first attempt was `first_attempt` — competes in deadlock
+  /// victim selection as if it were `first_attempt`, so a restarted
+  /// transaction ages instead of losing to the same rivals again.  Call
+  /// right after beginning `txn`, before its first operation.  Lock-based
+  /// engines forward it to their `LockManager`; the default ignores it.
+  virtual void InheritSeniority(TxnId txn, TxnId first_attempt) {
+    (void)txn;
+    (void)first_attempt;
   }
 
   /// Attaches the opt-in transaction tracer (nullptr detaches, the
@@ -494,17 +565,19 @@ class Engine {
   /// abort).  Sorted ascending.
   virtual std::vector<TxnId> InDoubtTransactions() const { return {}; }
 
-  /// The history recorded so far.  Reference view for quiescent callers;
-  /// use `HistorySnapshot` while sessions are in flight.
+  /// The history recorded so far (empty when recording is off).
+  /// Reference view for quiescent callers; use `HistorySnapshot` while
+  /// sessions are in flight.
   const History& history() const { return recorder_.history(); }
 
-  /// Operation counters.  Reference view for quiescent callers; use
-  /// `StatsSnapshot` while sessions are in flight.
-  const EngineStats& stats() const { return recorder_.stats(); }
-
-  /// Copies of history / stats taken under the recorder mutex, safe while
-  /// other threads are mid-operation.
+  /// A history copy taken under the recorder mutex, safe while other
+  /// threads are mid-operation (empty when recording is off).
   History HistorySnapshot() const { return recorder_.HistorySnapshot(); }
+
+  /// Operation counters, summed from the recorder's sharded counters:
+  /// exact once sessions are quiescent, not a consistent cut while they
+  /// run.  `stats()` and `StatsSnapshot()` are the same call.
+  EngineStats stats() const { return recorder_.StatsSnapshot(); }
   EngineStats StatsSnapshot() const { return recorder_.StatsSnapshot(); }
 
  protected:
@@ -537,11 +610,11 @@ class Engine {
     }();
     if (r.ok()) return r;
     if (r.status().IsWouldBlock()) {
-      recorder_.Count(&EngineStats::blocked_ops);
+      recorder_.Count(&EngineCounters::blocked_ops);
       return r;
     }
     if (r.status().IsDeadlock()) {
-      recorder_.Count(&EngineStats::deadlock_aborts);
+      recorder_.Count(&EngineCounters::deadlock_aborts);
       Trace(spec.txn, obs::TraceEventType::kAbort,
             obs::AbortReason::kDeadlockVictim, r.status().message());
       rollback_requester();

@@ -43,6 +43,14 @@ Status LockingEngine::BeginWithLevel(TxnId txn, IsolationLevel level) {
 
 Status LockingEngine::BeginLocked(TxnId txn, LockingPolicy policy) {
   if (txn < 1) return Status::InvalidArgument("txn ids start at 1");
+  {
+    // The exclusive table latch excludes every session operation, so the
+    // finished transactions' states can go now.  Duplicate-id refusal
+    // therefore covers live ids only, as in the multiversion engines.
+    std::lock_guard<std::mutex> rl(retired_mu_);
+    for (TxnId t : retired_) txns_.erase(t);
+    retired_.clear();
+  }
   if (txns_.count(txn)) {
     return Status::InvalidArgument("txn " + std::to_string(txn) +
                                    " already used");
@@ -75,6 +83,10 @@ void LockingEngine::RegisterMetrics(obs::MetricsRegistry& reg,
                         &lock_manager_.wait_histogram());
   reg.RegisterHistogram(prefix + "lock.park_wakeup_us",
                         &lock_manager_.park_wakeup_histogram());
+}
+
+void LockingEngine::InheritSeniority(TxnId txn, TxnId first_attempt) {
+  lock_manager_.InheritSeniority(txn, first_attempt);
 }
 
 std::string LockingEngine::DebugDump() const {
@@ -119,13 +131,19 @@ void LockingEngine::Rollback(TxnId txn) {
     }
     // Appended under the store latch: a lock-free reader of the restored
     // values observes them only after the `a<t>` record exists.
-    recorder_.Record(Action::Abort(txn));
+    recorder_.Record([txn] { return Action::Abort(txn); });
   }
   st.undo.clear();
   st.redo.clear();
   st.active = false;
   st.cursors.clear();
   lock_manager_.ReleaseAll(txn);
+  Retire(txn);
+}
+
+void LockingEngine::Retire(TxnId txn) {
+  std::lock_guard<std::mutex> rl(retired_mu_);
+  retired_.push_back(txn);
 }
 
 Result<LockHandle> LockingEngine::Acquire(TableLock& lk, TxnId txn,
@@ -180,10 +198,13 @@ Result<std::optional<Row>> LockingEngine::DoRead(TableLock& lk, TxnId txn,
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     row = store_.Get(id);
-    Action a = type == Action::Type::kCursorRead
-                   ? Action::CursorRead(txn, id, HistoryValue(row))
-                   : Action::Read(txn, id, HistoryValue(row));
-    recorder_.Record(std::move(a), &EngineStats::reads);
+    recorder_.Record(
+        [&] {
+          return type == Action::Type::kCursorRead
+                     ? Action::CursorRead(txn, id, HistoryValue(row))
+                     : Action::Read(txn, id, HistoryValue(row));
+        },
+        &EngineCounters::reads);
   }
 
   if (type == Action::Type::kCursorRead && pol.cursor_stability) {
@@ -231,14 +252,18 @@ Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     rows = store_.Scan(pred);
-    Action a = Action::PredicateRead(txn, name, pred);
-    for (const auto& [id, row] : rows) {
-      (void)row;
-      a.read_set.push_back(id);
-    }
     // Appended under the store latch: scan and record stay ordered
     // against every write record (see DoRead).
-    recorder_.Record(std::move(a), &EngineStats::predicate_reads);
+    recorder_.Record(
+        [&] {
+          Action a = Action::PredicateRead(txn, name, pred);
+          for (const auto& [id, row] : rows) {
+            (void)row;
+            a.read_set.push_back(id);
+          }
+          return a;
+        },
+        &EngineCounters::predicate_reads);
   }
 
   if (handle != 0 && pol.pred_read == LockDuration::kShort) {
@@ -278,13 +303,17 @@ Status LockingEngine::DoWrite(TableLock& lk, TxnId txn, const ItemId& id,
       // Recorded before the store latch drops: no reader of this value
       // (levels without read locks see it immediately) can append its
       // read ahead of this write in the history.
-      Action a = type == Action::Type::kCursorWrite
-                     ? Action::CursorWrite(txn, id, HistoryValue(new_row))
-                     : Action::Write(txn, id, HistoryValue(new_row));
-      a.before_image = before;
-      a.after_image = new_row;
-      a.is_insert = is_insert;
-      recorder_.Record(std::move(a), &EngineStats::writes);
+      recorder_.Record(
+          [&] {
+            Action a = type == Action::Type::kCursorWrite
+                           ? Action::CursorWrite(txn, id, HistoryValue(new_row))
+                           : Action::Write(txn, id, HistoryValue(new_row));
+            a.before_image = before;
+            a.after_image = new_row;
+            a.is_insert = is_insert;
+            return a;
+          },
+          &EngineCounters::writes);
     }
   }
   if (!precondition.ok()) {
@@ -339,7 +368,6 @@ Result<size_t> LockingEngine::DoPredicateWrite(
   size_t rows_touched = 0;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    Action a = Action::PredicateWrite(txn, name, pred);
     auto rows = store_.Scan(pred);  // post-lock scan
     rows_touched = rows.size();
     for (const auto& [id, row] : rows) {
@@ -351,11 +379,17 @@ Result<size_t> LockingEngine::DoPredicateWrite(
         store_.Erase(id);
       }
       if (wal_ != nullptr) st.redo[id] = std::move(next);
-      a.read_set.push_back(id);
     }
     // Appended under the store latch (see DoWrite).
-    recorder_.Count(&EngineStats::writes, rows_touched);
-    recorder_.Record(std::move(a));
+    recorder_.Count(&EngineCounters::writes, rows_touched);
+    recorder_.Record([&] {
+      Action a = Action::PredicateWrite(txn, name, pred);
+      for (const auto& [id, row] : rows) {
+        (void)row;
+        a.read_set.push_back(id);
+      }
+      return a;
+    });
   }
 
   if (st.policy.write == LockDuration::kShort) lock_manager_.Release(handle);
@@ -426,8 +460,10 @@ Status LockingEngine::Commit(TxnId txn) {
       wal_lsn = wal_->Append(WalRecord::Commit(txn, kInvalidTimestamp));
       st.redo.clear();
     }
-    recorder_.Record(Action::Commit(txn), &EngineStats::commits);
+    recorder_.Record([txn] { return Action::Commit(txn); },
+                     &EngineCounters::commits);
     lock_manager_.ReleaseAll(txn);
+    Retire(txn);
   }
   Trace(txn, obs::TraceEventType::kCommit);
   if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
@@ -438,7 +474,7 @@ Status LockingEngine::Abort(TxnId txn) {
   TableLock lk(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   Rollback(txn);
-  recorder_.Count(&EngineStats::aborts);
+  recorder_.Count(&EngineCounters::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kExplicit);
   return Status::OK();
 }
@@ -484,8 +520,10 @@ Status LockingEngine::CommitPrepared(TxnId txn) {
     if (wal_ != nullptr) {
       wal_->Append(WalRecord::Commit(txn, kInvalidTimestamp));
     }
-    recorder_.Record(Action::Commit(txn), &EngineStats::commits);
+    recorder_.Record([txn] { return Action::Commit(txn); },
+                     &EngineCounters::commits);
     lock_manager_.ReleaseAll(txn);
+    Retire(txn);
   }
   Trace(txn, obs::TraceEventType::kCommit);
   return Status::OK();
@@ -499,7 +537,7 @@ Status LockingEngine::AbortPrepared(TxnId txn) {
   if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
   txns_.find(txn)->second.prepared = false;
   Rollback(txn);
-  recorder_.Count(&EngineStats::aborts);
+  recorder_.Count(&EngineCounters::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kInDoubtDecision);
   return Status::OK();
 }

@@ -52,6 +52,9 @@ class LockingEngine : public Engine {
   }
 
   Status Load(const ItemId& id, Row row) override;
+
+  /// Duplicate-id refusal covers live transactions only: a finished
+  /// transaction's state is retired by the next `Begin`.
   Status Begin(TxnId txn) override;
 
   /// Per-transaction isolation: any Table 2 row may be declared — the
@@ -93,6 +96,9 @@ class LockingEngine : public Engine {
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
   std::vector<TxnId> InDoubtTransactions() const override;
+
+  /// Forwards to the lock manager's deadlock-victim seniority.
+  void InheritSeniority(TxnId txn, TxnId first_attempt) override;
 
   /// The active policy (a row of Table 2).
   const LockingPolicy& policy() const { return policy_; }
@@ -138,8 +144,13 @@ class LockingEngine : public Engine {
   /// only read the registry and mutate their own entry).
   using TableLock = std::shared_lock<std::shared_mutex>;
 
-  /// Registers `txn` under `policy`.  Requires `table_mu_` exclusive.
+  /// Erases the retired states, then registers `txn` under `policy`.
+  /// Requires `table_mu_` exclusive.
   Status BeginLocked(TxnId txn, LockingPolicy policy);
+
+  /// Queues finished `txn` for erasure by the next `BeginLocked`.
+  /// Requires `table_mu_` (any mode).
+  void Retire(TxnId txn);
 
   /// Status when `txn` is not active (kTransactionAborted) or is prepared
   /// (kFailedPrecondition — in doubt, only the coordinator may end it) or
@@ -149,7 +160,7 @@ class LockingEngine : public Engine {
   /// Status unless `txn` is prepared (in doubt).  Requires `table_mu_`.
   Status CheckPrepared(TxnId txn) const;
 
-  /// Rolls `txn` back: undo LIFO, release locks, record `a<txn>`.
+  /// Rolls `txn` back: undo LIFO, release locks, record `a<txn>`, retire.
   /// Requires `table_mu_` shared; takes `store_mu_` internally.
   void Rollback(TxnId txn);
 
@@ -187,8 +198,9 @@ class LockingEngine : public Engine {
   LockingPolicy policy_;
   /// Reader-writer latch over the transaction-table registry: operation
   /// bodies hold it shared (each session mutates only its own entry —
-  /// "one session per thread"); `Begin` (insert) and
-  /// `InDoubtTransactions` (cross-session scan) take it exclusive.
+  /// "one session per thread"); `Begin` (insert, and erasure of retired
+  /// entries) and `InDoubtTransactions` (cross-session scan) take it
+  /// exclusive.
   /// Logical isolation is the lock manager's job, not this latch's.
   mutable std::shared_mutex table_mu_;
   /// Latch over the physical store (reads shared, mutations exclusive);
@@ -198,6 +210,11 @@ class LockingEngine : public Engine {
   SingleVersionStore store_;
   LockManager lock_manager_;
   std::map<TxnId, TxnState> txns_;
+  /// Finished transactions whose `txns_` entries the next `Begin` erases
+  /// (commits and rollbacks hold `table_mu_` only shared, so they queue
+  /// here instead of erasing).  Guarded by `retired_mu_`.
+  std::mutex retired_mu_;
+  std::vector<TxnId> retired_;
 };
 
 }  // namespace critique

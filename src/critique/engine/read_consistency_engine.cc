@@ -87,7 +87,8 @@ void ReadConsistencyEngine::Rollback(TxnId txn) {
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     store_.AbortTxn(txn, st.write_set);
-    recorder_.Record(Action::Abort(txn));  // under the latch, see DoRead
+    // Under the latch, see DoRead.
+    recorder_.Record([txn] { return Action::Abort(txn); });
   }
   st.write_set.clear();  // dead once the versions are gone
   st.redo.clear();
@@ -122,23 +123,22 @@ Result<std::optional<Row>> ReadConsistencyEngine::DoRead(TxnId txn,
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     std::optional<Version> version =
         store_.ReadVersionInfo(id, clock_.Now(), txn);
-    Action a = type == Action::Type::kCursorRead ? Action::CursorRead(txn, id)
-                                                 : Action::Read(txn, id);
-    if (version.has_value()) {
-      a.version = version->creator;
-      if (!version->tombstone) {
-        row = version->row;
-        a.value = HistoryValue(row);
-      }
-    } else {
-      // Nothing committed at the statement timestamp: the statement
-      // observed the initial (absent) state of the item.  Subscript it
-      // explicitly — an unversioned read would be misattributed by
-      // single-version creator inference (this is a multiversion
-      // history).
-      a.version = kInitialTxn;
-    }
-    recorder_.Record(std::move(a), &EngineStats::reads);
+    if (version.has_value() && !version->tombstone) row = version->row;
+    recorder_.Record(
+        [&] {
+          Action a = type == Action::Type::kCursorRead
+                         ? Action::CursorRead(txn, id)
+                         : Action::Read(txn, id);
+          // Nothing committed at the statement timestamp: the statement
+          // observed the initial (absent) state of the item.  Subscript
+          // it explicitly — an unversioned read would be misattributed by
+          // single-version creator inference (this is a multiversion
+          // history).
+          a.version = version.has_value() ? version->creator : kInitialTxn;
+          if (row.has_value()) a.value = HistoryValue(row);
+          return a;
+        },
+        &EngineCounters::reads);
   }
   return row;
 }
@@ -169,13 +169,17 @@ ReadConsistencyEngine::ReadPredicate(TxnId txn, const std::string& name,
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     rows = store_.Scan(pred, clock_.Now(), txn);
-    Action a = Action::PredicateRead(txn, name, pred);
-    for (const auto& [id, row] : rows) {
-      (void)row;
-      a.read_set.push_back(id);
-    }
     // Appended under the store latch (see DoRead).
-    recorder_.Record(std::move(a), &EngineStats::predicate_reads);
+    recorder_.Record(
+        [&] {
+          Action a = Action::PredicateRead(txn, name, pred);
+          for (const auto& [id, row] : rows) {
+            (void)row;
+            a.read_set.push_back(id);
+          }
+          return a;
+        },
+        &EngineCounters::predicate_reads);
   }
   return rows;
 }
@@ -212,25 +216,29 @@ Status ReadConsistencyEngine::DoWrite(TableLock& lk, TxnId txn,
   // (see DoRead).
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
-    std::optional<Row> before = store_.Read(id, clock_.Now(), txn);
+    // The before-image only feeds the action.
+    std::optional<Row> before;
+    if (recorder_.wants_actions()) before = store_.Read(id, clock_.Now(), txn);
     if (new_row.has_value()) {
       store_.Write(id, *new_row, txn);
     } else {
       store_.Delete(id, txn);
     }
-    Action a = type == Action::Type::kCursorWrite
-                   ? Action::CursorWrite(txn, id, HistoryValue(new_row))
-                   : Action::Write(txn, id, HistoryValue(new_row));
-    a.version = txn;
-    a.before_image = std::move(before);
-    a.is_insert = is_insert;
+    recorder_.Record(
+        [&] {
+          Action a = type == Action::Type::kCursorWrite
+                         ? Action::CursorWrite(txn, id, HistoryValue(new_row))
+                         : Action::Write(txn, id, HistoryValue(new_row));
+          a.version = txn;
+          a.before_image = std::move(before);
+          a.after_image = new_row;
+          a.is_insert = is_insert;
+          return a;
+        },
+        &EngineCounters::writes);
     if (wal_ != nullptr) {
-      a.after_image = new_row;
       txns_.find(txn)->second.redo[id] = std::move(new_row);
-    } else {
-      a.after_image = std::move(new_row);
     }
-    recorder_.Record(std::move(a), &EngineStats::writes);
   }
   txns_.find(txn)->second.write_set.insert(id);
   return Status::OK();
@@ -321,7 +329,8 @@ Status ReadConsistencyEngine::Commit(TxnId txn) {
         wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
         wal_lsn = wal_->Append(WalRecord::Commit(txn, commit_ts));
       }
-      recorder_.Record(Action::Commit(txn), &EngineStats::commits);
+      recorder_.Record([txn] { return Action::Commit(txn); },
+                       &EngineCounters::commits);
     }
     st.write_set.clear();  // dead once the versions are stamped
     st.redo.clear();
@@ -338,7 +347,7 @@ Status ReadConsistencyEngine::Abort(TxnId txn) {
   TableLock lk(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
   Rollback(txn);
-  recorder_.Count(&EngineStats::aborts);
+  recorder_.Count(&EngineCounters::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kExplicit);
   return Status::OK();
 }
@@ -379,7 +388,8 @@ Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {
       // Slim commit: the write set is already durable from Prepare.
       // Buffered, not awaited: the durable decision is the commit point.
       if (wal_ != nullptr) wal_->Append(WalRecord::Commit(txn, commit_ts));
-      recorder_.Record(Action::Commit(txn), &EngineStats::commits);
+      recorder_.Record([txn] { return Action::Commit(txn); },
+                       &EngineCounters::commits);
     }
     st.write_set.clear();  // dead once the versions are stamped
     lock_manager_.ReleaseAll(txn);
@@ -397,7 +407,7 @@ Status ReadConsistencyEngine::AbortPrepared(TxnId txn) {
   if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
   txns_.find(txn)->second.prepared = false;
   Rollback(txn);
-  recorder_.Count(&EngineStats::aborts);
+  recorder_.Count(&EngineCounters::aborts);
   Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kInDoubtDecision);
   return Status::OK();
 }

@@ -77,6 +77,11 @@ class ReadConsistencyEngine : public Engine {
   Status AbortPrepared(TxnId txn) override;
   std::vector<TxnId> InDoubtTransactions() const override;
 
+  /// Forwards to the lock manager's deadlock-victim seniority.
+  void InheritSeniority(TxnId txn, TxnId first_attempt) override {
+    lock_manager_.InheritSeniority(txn, first_attempt);
+  }
+
   LockStats lock_stats() const { return lock_manager_.stats(); }
 
   /// Base gauges plus lock-table counters and wait/park histograms.

@@ -10,6 +10,19 @@ std::optional<Value> HistoryValue(const std::optional<Row>& row) {
   return std::nullopt;
 }
 
+// `w<txn>[P]` over the scanned rows, subscripted with its own version.
+Action PredicateWriteAction(TxnId txn, const std::string& name,
+                            const Predicate& pred,
+                            const std::vector<std::pair<ItemId, Row>>& rows) {
+  Action a = Action::PredicateWrite(txn, name, pred);
+  a.version = txn;
+  for (const auto& [id, row] : rows) {
+    (void)row;
+    a.read_set.push_back(id);
+  }
+  return a;
+}
+
 }  // namespace
 
 SnapshotIsolationEngine::SnapshotIsolationEngine(
@@ -105,28 +118,29 @@ Status SnapshotIsolationEngine::CheckPrepared(TxnId txn) const {
   return Status::OK();
 }
 
-Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
-                                              uint64_t EngineStats::*counter,
-                                              obs::AbortReason why) {
+Status SnapshotIsolationEngine::AbortInternal(
+    TxnId txn, Status reason, EngineRecorder::CounterField counter,
+    obs::AbortReason why) {
   TxnState& st = txns_.find(txn)->second;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     store_.AbortTxn(txn, st.write_set);
-    recorder_.Record(Action::Abort(txn), counter);  // under the latch
+    // Under the latch, see DoRead.
+    recorder_.Record([txn] { return Action::Abort(txn); }, counter);
   }
   // Breakdown by the paper's taxonomy: only serialization aborts split
   // (coordinator-decided AbortPrepared traces kInDoubtDecision but counts
   // as a plain abort).
-  if (counter == &EngineStats::serialization_aborts) {
+  if (counter == &EngineCounters::serialization_aborts) {
     switch (why) {
       case obs::AbortReason::kFirstCommitterWins:
-        recorder_.Count(&EngineStats::fcw_aborts);
+        recorder_.Count(&EngineCounters::fcw_aborts);
         break;
       case obs::AbortReason::kSsiDangerousStructure:
-        recorder_.Count(&EngineStats::ssi_aborts);
+        recorder_.Count(&EngineCounters::ssi_aborts);
         break;
       case obs::AbortReason::kInDoubtDecision:
-        recorder_.Count(&EngineStats::in_doubt_aborts);
+        recorder_.Count(&EngineCounters::in_doubt_aborts);
         break;
       default:
         break;
@@ -301,22 +315,22 @@ Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     std::optional<Version> version = store_.ReadVersionInfo(id, ReadTs(st), txn);
-    Action a = type == Action::Type::kCursorRead ? Action::CursorRead(txn, id)
-                                                 : Action::Read(txn, id);
-    if (version.has_value()) {
-      a.version = version->creator;
-      if (!version->tombstone) {
-        row = version->row;
-        a.value = HistoryValue(row);
-      }
-    } else {
-      // Nothing visible at the read timestamp: the transaction observed
-      // the initial (absent) state of the item.  Subscript it explicitly
-      // — an unversioned read would be misattributed by single-version
-      // creator inference (this is a multiversion history).
-      a.version = kInitialTxn;
-    }
-    recorder_.Record(std::move(a), &EngineStats::reads);
+    if (version.has_value() && !version->tombstone) row = version->row;
+    recorder_.Record(
+        [&] {
+          Action a = type == Action::Type::kCursorRead
+                         ? Action::CursorRead(txn, id)
+                         : Action::Read(txn, id);
+          // Nothing visible at the read timestamp: the transaction
+          // observed the initial (absent) state of the item.  Subscript it
+          // explicitly — an unversioned read would be misattributed by
+          // single-version creator inference (this is a multiversion
+          // history).
+          a.version = version.has_value() ? version->creator : kInitialTxn;
+          if (row.has_value()) a.value = HistoryValue(row);
+          return a;
+        },
+        &EngineCounters::reads);
   }
   {
     auto el = SsiLock();
@@ -350,13 +364,17 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     rows = store_.Scan(pred, ReadTs(st), txn);
-    Action a = Action::PredicateRead(txn, name, pred);
-    for (const auto& [id, row] : rows) {
-      (void)row;
-      a.read_set.push_back(id);
-    }
     // Appended under the store latch (see DoRead).
-    recorder_.Record(std::move(a), &EngineStats::predicate_reads);
+    recorder_.Record(
+        [&] {
+          Action a = Action::PredicateRead(txn, name, pred);
+          for (const auto& [id, row] : rows) {
+            (void)row;
+            a.read_set.push_back(id);
+          }
+          return a;
+        },
+        &EngineCounters::predicate_reads);
   }
   {
     auto el = SsiLock();
@@ -410,14 +428,18 @@ Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
       } else {
         store_.Delete(id, txn);
       }
-      Action a = type == Action::Type::kCursorWrite
-                     ? Action::CursorWrite(txn, id, HistoryValue(new_row))
-                     : Action::Write(txn, id, HistoryValue(new_row));
-      a.version = txn;
-      a.before_image = before;
-      a.after_image = new_row;
-      a.is_insert = is_insert;
-      recorder_.Record(std::move(a), &EngineStats::writes);
+      recorder_.Record(
+          [&] {
+            Action a = type == Action::Type::kCursorWrite
+                           ? Action::CursorWrite(txn, id, HistoryValue(new_row))
+                           : Action::Write(txn, id, HistoryValue(new_row));
+            a.version = txn;
+            a.before_image = before;
+            a.after_image = new_row;
+            a.is_insert = is_insert;
+            return a;
+          },
+          &EngineCounters::writes);
     }
   }
   if (eager_conflict) {
@@ -425,7 +447,7 @@ Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
         txn,
         Status::SerializationFailure(
             "first-updater-wins: concurrent pending write on '" + id + "'"),
-        &EngineStats::serialization_aborts,
+        &EngineCounters::serialization_aborts,
         obs::AbortReason::kFirstCommitterWins);
   }
   {
@@ -484,17 +506,15 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     rows = store_.Scan(pred, ReadTs(st), txn);
     nexts.reserve(rows.size());
-    Action a = Action::PredicateWrite(txn, name, pred);
-    a.version = txn;
     for (const auto& [id, row] : rows) {
       Row next = transform(row);
       store_.Write(id, next, txn);
       nexts.push_back(std::move(next));
-      a.read_set.push_back(id);
     }
     // Appended under the store latch (see DoRead).
-    recorder_.Count(&EngineStats::writes, rows.size());
-    recorder_.Record(std::move(a));
+    recorder_.Count(&EngineCounters::writes, rows.size());
+    recorder_.Record(
+        [&] { return PredicateWriteAction(txn, name, pred, rows); });
   }
   {
     auto el = SsiLock();
@@ -521,16 +541,14 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     rows = store_.Scan(pred, ReadTs(st), txn);
-    Action a = Action::PredicateWrite(txn, name, pred);
-    a.version = txn;
     for (const auto& [id, row] : rows) {
       (void)row;
       store_.Delete(id, txn);
-      a.read_set.push_back(id);
     }
     // Appended under the store latch (see DoRead).
-    recorder_.Count(&EngineStats::writes, rows.size());
-    recorder_.Record(std::move(a));
+    recorder_.Count(&EngineCounters::writes, rows.size());
+    recorder_.Record(
+        [&] { return PredicateWriteAction(txn, name, pred, rows); });
   }
   {
     auto el = SsiLock();
@@ -600,7 +618,7 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
         Status::SerializationFailure(
             "first-committer-wins: '" + *fcw_conflict +
             "' was committed during this transaction's interval"),
-        &EngineStats::serialization_aborts,
+        &EngineCounters::serialization_aborts,
         obs::AbortReason::kFirstCommitterWins);
   }
 
@@ -619,14 +637,14 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
           Status::SerializationFailure(
               "first-committer-wins: '" + id + "' is reserved by " +
               "in-flight/prepared txn " + std::to_string(it->second)),
-          &EngineStats::serialization_aborts,
+          &EngineCounters::serialization_aborts,
           obs::AbortReason::kFirstCommitterWins);
     }
   }
 
   if (auto refusal = SsiRefusal(txn, /*decision=*/false)) {
     return AbortInternal(txn, Status::SerializationFailure(*refusal),
-                         &EngineStats::serialization_aborts,
+                         &EngineCounters::serialization_aborts,
                          obs::AbortReason::kSsiDangerousStructure);
   }
 
@@ -651,7 +669,7 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
       ++pipeline_stats_.revalidation_aborts;
     }
     return AbortInternal(txn, Status::SerializationFailure(*refusal),
-                         &EngineStats::serialization_aborts,
+                         &EngineCounters::serialization_aborts,
                          decision ? obs::AbortReason::kInDoubtDecision
                                   : obs::AbortReason::kSsiDangerousStructure);
   }
@@ -667,7 +685,8 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
       std::unique_lock<std::shared_mutex> sl(store_mu_);
       st.commit_ts = clock_.Tick();
       store_.CommitTxn(txn, st.commit_ts, st.write_set);
-      recorder_.Record(Action::Commit(txn), &EngineStats::commits);
+      recorder_.Record([txn] { return Action::Commit(txn); },
+                       &EngineCounters::commits);
       if (wal_ != nullptr && (decision || !st.write_set.empty())) {
         // Inside the publication section, behind commit_mu_: log order is
         // commit order, the property recovery's sequential replay relies
@@ -802,7 +821,7 @@ Status SnapshotIsolationEngine::AbortPrepared(TxnId txn) {
     if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
     ReleaseReservations(txn);
   }
-  return AbortInternal(txn, Status::OK(), &EngineStats::aborts,
+  return AbortInternal(txn, Status::OK(), &EngineCounters::aborts,
                        obs::AbortReason::kInDoubtDecision);
 }
 
@@ -818,7 +837,7 @@ std::vector<TxnId> SnapshotIsolationEngine::InDoubtTransactions() const {
 Status SnapshotIsolationEngine::Abort(TxnId txn) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
   CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  return AbortInternal(txn, Status::OK(), &EngineStats::aborts,
+  return AbortInternal(txn, Status::OK(), &EngineCounters::aborts,
                        obs::AbortReason::kExplicit);
 }
 

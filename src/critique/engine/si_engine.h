@@ -308,7 +308,8 @@ class SnapshotIsolationEngine : public Engine {
   /// takes `ssi_mu_`/`store_mu_` internally, so the caller may hold
   /// `commit_mu_` but neither of those.
   Status AbortInternal(TxnId txn, Status reason,
-                       uint64_t EngineStats::*counter, obs::AbortReason why);
+                       EngineRecorder::CounterField counter,
+                       obs::AbortReason why);
 
   /// Commit-pipeline stage 1: First-Committer-Wins + reservation overlap +
   /// SSI dangerous-structure checks; on success reserves the write set and

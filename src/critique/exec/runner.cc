@@ -83,6 +83,11 @@ Status Runner::Advance(TxnId txn, bool* progressed) {
 }
 
 Result<RunResult> Runner::Run(const std::vector<TxnId>& schedule) {
+  if (!db_.records_history()) {
+    return Status::FailedPrecondition(
+        "the Runner judges recorded histories: build the database with "
+        "DbOptions::record_history");
+  }
   blocked_retries_ = 0;
   for (TxnId t : schedule) {
     bool progressed = false;

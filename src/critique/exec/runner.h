@@ -69,6 +69,9 @@ class Runner {
   void AddProgram(TxnId txn, Program program);
 
   /// Runs to completion along `schedule` (see class comment).  Fails with
+  /// FailedPrecondition when the database does not record its history
+  /// (`DbOptions::record_history`: every verdict on a run judges the
+  /// recorded history, and an empty one would pass vacuously),
   /// InvalidArgument on malformed schedules/programs and Internal on
   /// livelock (which a correct engine never produces).
   Result<RunResult> Run(const std::vector<TxnId>& schedule);

@@ -16,6 +16,7 @@ Result<VariantOutcome> RunVariantOn(const EngineFactory& factory,
   // The runner's schedule decides when blocked steps are retried; the
   // database must not second-guess it.
   options.retry_policy = std::make_shared<NoRetryPolicy>();
+  options.record_history = true;  // the verdicts judge the history
   Database db(std::move(engine), std::move(options));
   CRITIQUE_RETURN_NOT_OK(variant.load(db));
   Runner runner(db);

@@ -200,6 +200,7 @@ HistexResult RunSingle(const HistexConfig& cfg) {
   opts.seed = cfg.seed;
   opts.online_check = true;
   opts.online_check_prune_interval = cfg.checker_prune_interval;
+  opts.record_history = true;  // HISTEX_DUMP prints it on failure
   Database db(opts);
   // Preload the even half of the keyspace so inserts and erases both have
   // live and absent targets.

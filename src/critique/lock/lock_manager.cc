@@ -356,14 +356,17 @@ std::vector<TxnId> LockManager::BlockersGlobalLocked(
   return out;
 }
 
-bool LockManager::WouldDeadlockLocked(TxnId requester) const {
+std::vector<TxnId> LockManager::FindCycleLocked(TxnId requester) const {
   // DFS from the requester; a path back to the requester is a cycle that
   // the newly recorded edges just closed.  Parked waiters' edges are
   // recomputed live from their waiting spec (legal here: the global view
   // holds every bucket latch) — their waits_for_ entries can be stale
-  // (recorded before releases that happened while they slept).
+  // (recorded before releases that happened while they slept).  A doomed
+  // waiter is leaving: its edges close no cycle that still needs a victim.
   std::set<TxnId> visited;
+  std::vector<TxnId> path{requester};
   auto successors = [&](TxnId u) -> std::set<TxnId> {
+    if (doomed_.count(u) != 0) return {};
     auto w = waiting_.find(u);
     if (w != waiting_.end()) {
       std::vector<TxnId> live = BlockersGlobalLocked(w->second);
@@ -375,11 +378,48 @@ bool LockManager::WouldDeadlockLocked(TxnId requester) const {
   std::function<bool(TxnId)> reaches = [&](TxnId u) -> bool {
     for (TxnId v : successors(u)) {
       if (v == requester) return true;
-      if (visited.insert(v).second && reaches(v)) return true;
+      if (!visited.insert(v).second) continue;
+      path.push_back(v);
+      if (reaches(v)) return true;
+      path.pop_back();
     }
     return false;
   };
-  return reaches(requester);
+  if (!reaches(requester)) path.clear();
+  return path;
+}
+
+TxnId LockManager::SeniorityLocked(TxnId txn) const {
+  auto it = seniority_.find(txn);
+  return it == seniority_.end() ? txn : it->second;
+}
+
+TxnId LockManager::PickVictimLocked(const std::vector<TxnId>& cycle) const {
+  const TxnId requester = cycle.front();
+  TxnId junior = requester;
+  TxnId junior_key = SeniorityLocked(requester);
+  bool tie = false;
+  for (size_t i = 1; i < cycle.size(); ++i) {
+    const TxnId key = SeniorityLocked(cycle[i]);
+    if (key > junior_key) {
+      junior = cycle[i];
+      junior_key = key;
+      tie = false;
+    } else if (key == junior_key) {
+      tie = true;
+    }
+  }
+  if (junior == requester || tie) return requester;
+  // Only a thread parked in Acquire can be woken to answer the doom; a
+  // cooperative registration (also in waiting_) has no thread to wake.
+  const bool parked =
+      waiting_.count(junior) != 0 && coop_seq_.count(junior) == 0;
+  return parked ? junior : requester;
+}
+
+void LockManager::InheritSeniority(TxnId txn, TxnId first_attempt) {
+  std::lock_guard<std::mutex> gl(graph_mu_);
+  seniority_[txn] = first_attempt;
 }
 
 void LockManager::EraseEdgesLocked(TxnId txn) {
@@ -469,7 +509,7 @@ Result<LockHandle> LockManager::TryAcquire(const LockSpec& spec) {
   const bool coop_hook = has_wakeup_hook_.load(std::memory_order_acquire);
   if (coop_hook) RegisterCoopWaiterLocked(spec);
   RecordEdgesLocked(spec.txn, blockers);
-  if (WouldDeadlockLocked(spec.txn)) {
+  if (!FindCycleLocked(spec.txn).empty()) {
     stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
     if (coop_hook) DeregisterCoopLocked(spec.txn);
     EraseEdgesLocked(spec.txn);
@@ -513,11 +553,21 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
   auto deregister_locked = [&] {
     if (registered) {
       waiting_.erase(spec.txn);
+      doomed_.erase(spec.txn);
       if (!spec.is_item) pred_waiters_.fetch_sub(1, std::memory_order_relaxed);
       registered = false;
     }
     EraseEdgesLocked(spec.txn);
   };
+
+  // Requires graph_mu_; this transaction is a deadlock victim.
+  auto deadlock_locked = [&](const std::string& why) -> Result<LockHandle> {
+    stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
+    deregister_locked();
+    record_wait();
+    return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) + why);
+  };
+  const char* kDoomed = " is the junior member of a waits-for cycle";
 
   std::unique_lock<std::mutex> bl(park.mu, std::defer_lock);
   for (;;) {
@@ -530,6 +580,7 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
         if (registered ||
             edge_txns_.load(std::memory_order_relaxed) > 0) {
           std::lock_guard<std::mutex> gl(graph_mu_);
+          if (doomed_.count(spec.txn) != 0) return deadlock_locked(kDoomed);
           deregister_locked();
         }
         record_wait();
@@ -541,6 +592,7 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
     // Conflict: global view for the grant/edges/deadlock decision.
     auto all = LockAllBuckets();
     std::unique_lock<std::mutex> gl(graph_mu_);
+    if (doomed_.count(spec.txn) != 0) return deadlock_locked(kDoomed);
     std::vector<TxnId> blockers = BlockersGlobalLocked(spec);
     if (blockers.empty()) {
       deregister_locked();
@@ -553,12 +605,17 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
       registered = true;
     }
     RecordEdgesLocked(spec.txn, blockers);
-    if (WouldDeadlockLocked(spec.txn)) {
-      stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-      deregister_locked();
-      record_wait();
-      return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) +
-                              " waits on" + JoinTxns(blockers));
+    const std::vector<TxnId> cycle = FindCycleLocked(spec.txn);
+    if (!cycle.empty()) {
+      const TxnId victim = PickVictimLocked(cycle);
+      if (victim == spec.txn) {
+        return deadlock_locked(" waits on" + JoinTxns(blockers));
+      }
+      // A more junior member is parked: doom it and keep waiting for the
+      // locks its rollback releases.
+      doomed_.insert(victim);
+      const LockSpec& vs = waiting_.at(victim);
+      buckets_[vs.is_item ? BucketOf(vs.item) : 0]->cv.notify_all();
     }
     if (!counted_wait) {
       stat_blocked_.fetch_add(1, std::memory_order_relaxed);
@@ -733,6 +790,7 @@ void LockManager::ReleaseAll(TxnId txn) {
     std::lock_guard<std::mutex> gl(graph_mu_);
     DeregisterCoopLocked(txn);
     coop_sticky_.erase(txn);
+    seniority_.erase(txn);
     EraseEdgesLocked(txn);
     for (auto it = waits_for_.begin(); it != waits_for_.end();) {
       it->second.erase(txn);

@@ -145,16 +145,26 @@ struct LockDebugSnapshot {
 ///    answers `WouldBlock` — unless granting the wait would close a cycle,
 ///    in which case it answers `Deadlock` and the caller (the engine)
 ///    aborts the requesting transaction (deterministic requester-as-victim
-///    policy).  Cooperative runners retry `WouldBlock` steps when other
-///    transactions make progress.
+///    policy, which holds for `TryAcquire` only).  Cooperative runners
+///    retry `WouldBlock` steps when other transactions make progress.
 ///  * `Acquire` parks the calling thread on its bucket's condition variable
 ///    until the conflict clears, the wait would close a waits-for cycle
-///    (`Deadlock`, same requester-as-victim policy), or `timeout` elapses
-///    (`WouldBlock` carrying a lock-wait-timeout message — the caller
-///    treats it like any other retryable conflict).  Every relevant
-///    release notifies the bucket, and each waiter re-runs global deadlock
-///    detection when its recheck slice fires, so cycles formed while
-///    threads sleep are still caught.
+///    (`Deadlock`, see below), or `timeout` elapses (`WouldBlock` carrying
+///    a lock-wait-timeout message — the caller treats it like any other
+///    retryable conflict).  Every relevant release notifies the bucket,
+///    and each waiter re-runs global deadlock detection when its recheck
+///    slice fires, so cycles formed while threads sleep are still caught.
+///
+/// Blocking victim selection aborts the most *junior* member of the cycle
+/// it finds.  A transaction's seniority is its id — lower is older —
+/// unless `InheritSeniority` gave it an earlier one (an `Execute` restart
+/// keeps its first attempt's).  When the requester is the most junior, or
+/// seniorities tie, the requester is the victim.  Otherwise the junior
+/// member, parked in `Acquire`, is *doomed*: the requester notifies its
+/// bucket and keeps waiting, and the doomed waiter answers `Deadlock` as
+/// soon as it wakes, so its engine rolls it back through the usual path.
+/// Each victim is counted once, when it answers.  A doomed waiter's edges
+/// no longer count in later probes: it is already on its way out.
 ///
 /// Thread-safe; at most one in-flight acquire per transaction at a time
 /// (a transaction is one session driven by one thread).
@@ -233,9 +243,14 @@ class LockManager {
   /// Releases one granted lock (no-op on unknown handles).
   void Release(LockHandle handle);
 
-  /// Releases everything `txn` holds and clears its waits-for edges
-  /// (commit/abort time for long locks).
+  /// Releases everything `txn` holds and clears its waits-for edges and
+  /// inherited seniority (commit/abort time for long locks).
   void ReleaseAll(TxnId txn);
+
+  /// Makes `txn` compete in blocking victim selection with the seniority
+  /// of `first_attempt` (see the class comment) until `ReleaseAll(txn)`.
+  /// Call before `txn` requests any lock.
+  void InheritSeniority(TxnId txn, TxnId first_attempt);
 
   /// Transactions currently blocking `spec` (diagnostics).
   std::vector<TxnId> Blockers(const LockSpec& spec) const;
@@ -321,11 +336,21 @@ class LockManager {
   /// every bucket latch.
   std::vector<TxnId> BlockersGlobalLocked(const LockSpec& spec) const;
 
-  /// Cycle probe from `requester`.  Requires every bucket latch plus the
-  /// graph mutex: parked waiters' edges are recomputed live from their
-  /// waiting spec instead of trusting `waits_for_`, whose recorded edges
-  /// go stale while a thread sleeps.
-  bool WouldDeadlockLocked(TxnId requester) const;
+  /// Cycle probe from `requester`: the members of one waits-for cycle
+  /// through it, `requester` first, or empty when none.  Requires every
+  /// bucket latch plus the graph mutex: parked waiters' edges are
+  /// recomputed live from their waiting spec instead of trusting
+  /// `waits_for_`, whose recorded edges go stale while a thread sleeps.
+  /// Doomed waiters have no edges.
+  std::vector<TxnId> FindCycleLocked(TxnId requester) const;
+
+  /// The blocking victim for `cycle` (see the class comment): its most
+  /// junior member when that is a parked `Acquire` waiter other than the
+  /// requester `cycle[0]`, else the requester.  Requires the graph mutex.
+  TxnId PickVictimLocked(const std::vector<TxnId>& cycle) const;
+
+  /// `txn`'s seniority key (lower is older).  Requires the graph mutex.
+  TxnId SeniorityLocked(TxnId txn) const;
 
   /// Removes `txn`'s outgoing edges.  Requires the graph mutex.
   void EraseEdgesLocked(TxnId txn);
@@ -384,12 +409,18 @@ class LockManager {
   /// item releases in other buckets poke bucket 0 when this is non-zero).
   std::atomic<int> pred_waiters_{0};
 
-  /// Graph mutex: guards waits_for_ and waiting_.  Always taken after
-  /// bucket latches, never before.
+  /// Graph mutex: guards waits_for_, waiting_, doomed_ and seniority_.
+  /// Always taken after bucket latches, never before.
   mutable std::mutex graph_mu_;
   std::map<TxnId, std::set<TxnId>> waits_for_;
   /// Requests currently parked in `Acquire`, for live edge recompute.
   std::map<TxnId, LockSpec> waiting_;
+  /// Parked `Acquire` waiters chosen as deadlock victims by another
+  /// transaction's probe; each answers `Deadlock` when it wakes.
+  std::set<TxnId> doomed_;
+  /// Inherited seniority: txn -> the id it competes as (see
+  /// `InheritSeniority`); cleared by `ReleaseAll`.
+  std::map<TxnId, TxnId> seniority_;
   /// Number of transactions with recorded edges (== waits_for_.size(),
   /// maintained under graph_mu_): the fast path's "is the graph empty?"
   /// probe.

@@ -47,7 +47,13 @@ constexpr size_t kShards = 16;
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if (!MetricsEnabled()) return;
+    if (MetricsEnabled()) AddAlways(n);
+  }
+
+  /// `Add` regardless of the global switch: for counters that are program
+  /// state rather than monitoring (`EngineStats`), which must keep
+  /// counting while a disarmed run is measured.
+  void AddAlways(uint64_t n = 1) {
     shards_[internal::ThreadShardIndex() % internal::kShards].v.fetch_add(
         n, std::memory_order_relaxed);
   }

@@ -184,7 +184,12 @@ Status ShardedDatabase::Execute(
     const std::function<Status(ShardedTransaction&)>& body) {
   return RunWithRetries(
       *retry_, execute_retries_,
-      [&]() -> Result<ShardedTransaction> { return Begin(opts); }, body);
+      [&](TxnId first_attempt) -> Result<ShardedTransaction> {
+        ShardedTransaction txn = Begin(opts);
+        txn.seniority_ = first_attempt;  // handed to every shard it opens
+        return txn;
+      },
+      body);
 }
 
 ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
@@ -296,6 +301,7 @@ ShardedTransaction::ShardedTransaction(ShardedTransaction&& other) noexcept
       gid_(other.gid_),
       active_(other.active_),
       level_(other.level_),
+      seniority_(other.seniority_),
       parts_(std::move(other.parts_)) {
   other.db_ = nullptr;
   other.active_ = false;
@@ -310,6 +316,7 @@ ShardedTransaction& ShardedTransaction::operator=(
     gid_ = other.gid_;
     active_ = other.active_;
     level_ = other.level_;
+    seniority_ = other.seniority_;
     parts_ = std::move(other.parts_);
     other.db_ = nullptr;
     other.active_ = false;
@@ -341,9 +348,10 @@ Result<Transaction*> ShardedTransaction::Part(int shard) {
     // The same global id on every shard: each shard's history subscripts
     // the same global transaction identically, and in-doubt participants
     // are resolvable against the coordinator log by id alone.
-    CRITIQUE_ASSIGN_OR_RETURN(
-        Transaction t,
-        db_->shard(shard).BeginWithId(gid_, BeginOptions{level_}));
+    Database& site = db_->shard(shard);
+    CRITIQUE_ASSIGN_OR_RETURN(Transaction t,
+                              site.BeginWithId(gid_, BeginOptions{level_}));
+    if (seniority_ != 0) site.engine().InheritSeniority(gid_, seniority_);
     slot.emplace(std::move(t));
   }
   return &*slot;

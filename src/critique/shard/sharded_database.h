@@ -377,6 +377,9 @@ class ShardedTransaction {
   TxnId gid_ = 0;
   bool active_ = false;
   std::optional<IsolationLevel> level_;  ///< declared contract, if any
+  /// An `Execute` restart's first-attempt id, handed to each shard session
+  /// it opens (`Engine::InheritSeniority`); 0 for a first attempt.
+  TxnId seniority_ = 0;
   std::vector<std::optional<Transaction>> parts_;  ///< one slot per shard
 };
 

@@ -169,6 +169,7 @@ TEST(CheckerParityTest, SiEngineWriteSkewMatchesOfflineGraph) {
   DbOptions opts(IsolationLevel::kSnapshotIsolation);
   opts.online_check = true;
   opts.online_check_prune_interval = 0;  // keep the whole graph
+  opts.record_history = true;            // for the offline builder
   Database db(opts);
   ASSERT_TRUE(db.Load("x", Value(1)).ok());
   ASSERT_TRUE(db.Load("y", Value(1)).ok());
@@ -199,6 +200,7 @@ TEST(CheckerParityTest, SsiEngineRefusalKeepsBothGraphsAcyclic) {
   DbOptions opts(IsolationLevel::kSerializableSI);
   opts.online_check = true;
   opts.online_check_prune_interval = 0;
+  opts.record_history = true;  // for the offline builder
   Database db(opts);
   ASSERT_TRUE(db.Load("x", Value(1)).ok());
   ASSERT_TRUE(db.Load("y", Value(1)).ok());

@@ -161,6 +161,13 @@ DbOptions BlockingOptions(IsolationLevel level, uint64_t seed = 7) {
   return opts;
 }
 
+// The same, recording the history the test then judges.
+DbOptions RecordingBlockingOptions(IsolationLevel level, uint64_t seed = 7) {
+  DbOptions opts = BlockingOptions(level, seed);
+  opts.record_history = true;
+  return opts;
+}
+
 struct StressOutcome {
   ParallelRunStats run;
   EngineStats stats;
@@ -190,7 +197,7 @@ StressOutcome StressMixed(Database& db, int threads, uint64_t per_thread) {
 class EngineStressTest : public ::testing::TestWithParam<IsolationLevel> {};
 
 TEST_P(EngineStressTest, StatsStayConsistentUnderConcurrentSessions) {
-  Database db(BlockingOptions(GetParam()));
+  Database db(RecordingBlockingOptions(GetParam()));
   StressOutcome out = StressMixed(db, /*threads=*/4, /*per_thread=*/25);
 
   // Client and engine views of the run must agree exactly:
@@ -330,7 +337,7 @@ TEST(ConcurrencyTest, CommittedSerializableHistoriesStaySerializable) {
   //    30x under TSan to keep it pinned.
   for (IsolationLevel level : {IsolationLevel::kSerializable,
                                IsolationLevel::kSerializableSI}) {
-    Database db(BlockingOptions(level, /*seed=*/17));
+    Database db(RecordingBlockingOptions(level, /*seed=*/17));
     StressOutcome out = StressMixed(db, /*threads=*/3, /*per_thread=*/12);
     EXPECT_GT(out.run.committed, 0u) << db.name();
     if (level == IsolationLevel::kSerializable) {

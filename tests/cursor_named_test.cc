@@ -13,6 +13,14 @@
 namespace critique {
 namespace {
 
+// Options for a database whose history the test judges (through a
+// Runner, which refuses databases that do not record).
+DbOptions Recording(IsolationLevel level) {
+  DbOptions options(level);
+  options.record_history = true;
+  return options;
+}
+
 // --- Cursor Stability: named cursors pin items independently ----------------
 
 TEST(NamedCursorTest, CursorStabilityPinsEachNamedCursorsItem) {
@@ -155,7 +163,7 @@ TEST(NamedCursorTest, MultiCursorParlayPreventsWriteSkewAtCursorStability) {
   // With every read pinned by its own cursor, Cursor Stability behaves
   // like REPEATABLE READ on the pinned set: H5's write skew cannot leave
   // the joint balance negative.
-  Database db(IsolationLevel::kCursorStability);
+  Database db(Recording(IsolationLevel::kCursorStability));
   (void)db.Load("x", Value(50));
   (void)db.Load("y", Value(50));
   Runner runner(db);
@@ -172,7 +180,7 @@ TEST(NamedCursorTest, MultiCursorParlayPreventsWriteSkewAtCursorStability) {
 TEST(NamedCursorTest, UnpinnedReadsStillShowWriteSkewAtCursorStability) {
   // The contrast making the parlay non-vacuous: with plain reads the same
   // schedule empties the joint account at Cursor Stability.
-  Database db(IsolationLevel::kCursorStability);
+  Database db(Recording(IsolationLevel::kCursorStability));
   (void)db.Load("x", Value(50));
   (void)db.Load("y", Value(50));
   Runner runner(db);

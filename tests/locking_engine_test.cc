@@ -24,6 +24,7 @@ Value FinalScalar(Engine& engine, const ItemId& id, TxnId reader = 77) {
 // engine through db.engine() for level-specific assertions.
 Database MakeDb(IsolationLevel level) {
   DbOptions options;
+  options.record_history = true;  // the tests judge the history
   options.engine_factory = [level] {
     return std::make_unique<LockingEngine>(level);
   };

@@ -40,7 +40,9 @@ RandomRun RunRandomTransfers(IsolationLevel level, uint64_t seed,
   opts.num_items = num_items;
   opts.zipf_theta = 0.6;  // mild hot spot to force conflicts
   WorkloadGenerator gen(opts);
-  Database db(level);
+  DbOptions db_opts(level);
+  db_opts.record_history = true;  // the Runner judges the history
+  Database db(db_opts);
   EXPECT_TRUE(gen.LoadInitial(db).ok());
 
   Rng rng(seed);
@@ -155,7 +157,9 @@ TEST_P(SnapshotAuditSweep, AuditsAlwaysConsistentUnderSI) {
   WorkloadOptions opts;
   opts.num_items = 6;
   WorkloadGenerator gen(opts);
-  Database db(IsolationLevel::kSnapshotIsolation);
+  DbOptions db_opts(IsolationLevel::kSnapshotIsolation);
+  db_opts.record_history = true;  // the Runner judges the history
+  Database db(db_opts);
   ASSERT_TRUE(gen.LoadInitial(db).ok());
 
   Rng rng(seed);
@@ -188,7 +192,9 @@ TEST(SnapshotAuditContrast, ReadCommittedAuditsCanTear) {
     WorkloadOptions opts;
     opts.num_items = 6;
     WorkloadGenerator gen(opts);
-    Database db(IsolationLevel::kReadCommitted);
+    DbOptions db_opts(IsolationLevel::kReadCommitted);
+    db_opts.record_history = true;  // the Runner judges the history
+    Database db(db_opts);
     ASSERT_TRUE(gen.LoadInitial(db).ok());
     Rng rng(seed);
     Runner runner(db);

@@ -24,6 +24,7 @@ Value FinalScalar(Engine& engine, const ItemId& id, TxnId reader) {
 // raw engine through db.engine() for statement-snapshot assertions.
 Database MakeDb() {
   DbOptions options;
+  options.record_history = true;  // the tests judge the history
   options.engine_factory = [] {
     return std::make_unique<ReadConsistencyEngine>();
   };

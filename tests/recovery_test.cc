@@ -101,6 +101,7 @@ class RecoveryTest : public testing::TestWithParam<IsolationLevel> {
   DbOptions Options(const std::string& test) {
     DbOptions o(GetParam());
     o.wal_path = TmpPath(test + "_" + LevelTag(GetParam()) + ".wal");
+    o.record_history = true;  // recovered histories are judged below
     return o;
   }
 };
@@ -410,6 +411,7 @@ TEST_P(ShardedCrashMatrixTest, NoLostCommitsNothingLeaked) {
   fs::remove_all(dir);
   ShardedDbOptions opt(2, level);
   opt.wal_dir = dir;
+  opt.shard_options.record_history = true;  // shard histories are judged
   ShardedDatabase db(opt);
   ASSERT_NE(db.coordinator_log(), nullptr);
 

@@ -14,8 +14,17 @@
 namespace critique {
 namespace {
 
+// Options for a database whose history the test judges (through a
+// Runner, which refuses databases that do not record).
+DbOptions Recording(IsolationLevel level) {
+  DbOptions options(level);
+  options.record_history = true;
+  return options;
+}
+
 Database LockingDb(IsolationLevel level) {
   DbOptions options;
+  options.record_history = true;  // the tests judge the history
   options.engine_factory = [level] {
     return std::make_unique<LockingEngine>(level);
   };
@@ -78,7 +87,7 @@ TEST(TxnLocalsTest, GetSetDefaults) {
 }
 
 TEST(RunnerTest, UnknownTxnInScheduleFails) {
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   Runner runner(db);
   Program p;
   p.Commit();
@@ -88,7 +97,7 @@ TEST(RunnerTest, UnknownTxnInScheduleFails) {
 }
 
 TEST(RunnerTest, DrainCompletesUnscheduledSteps) {
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   (void)db.Load("x", Value(1));
   Runner runner(db);
   Program p;
@@ -105,7 +114,7 @@ TEST(RunnerTest, DrainCompletesUnscheduledSteps) {
 TEST(RunnerTest, BeginFollowsScheduleOrder) {
   // Under SI the snapshot is taken at the first step: T2 beginning after
   // T1's commit must see T1's write.
-  Database db(IsolationLevel::kSnapshotIsolation);
+  Database db(Recording(IsolationLevel::kSnapshotIsolation));
   (void)db.Load("x", Value(1));
   Runner runner(db);
   Program t1;
@@ -119,7 +128,7 @@ TEST(RunnerTest, BeginFollowsScheduleOrder) {
   EXPECT_EQ(result->locals.at(2).GetInt("seen"), 2);
 
   // Reversed: T2 begins first and must NOT see it.
-  Database db2(IsolationLevel::kSnapshotIsolation);
+  Database db2(Recording(IsolationLevel::kSnapshotIsolation));
   (void)db2.Load("x", Value(1));
   Runner runner2(db2);
   Program t1b;
@@ -184,7 +193,7 @@ TEST(RunnerTest, OutcomeClassification) {
 }
 
 TEST(RunnerTest, SerializationOutcome) {
-  Database db(IsolationLevel::kSnapshotIsolation);
+  Database db(Recording(IsolationLevel::kSnapshotIsolation));
   (void)db.Load("x", Value(1));
   Runner runner(db);
   Program t1;
@@ -202,7 +211,7 @@ TEST(RunnerTest, SerializationOutcome) {
 }
 
 TEST(RunnerTest, RoundRobinCoversAllSteps) {
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   Runner runner(db);
   Program t1;
   t1.Write("a", Value(1)).Commit();  // 2 steps
@@ -217,7 +226,7 @@ TEST(RunnerTest, RoundRobinCoversAllSteps) {
 }
 
 TEST(RunnerTest, RandomScheduleIsPermutationOfSteps) {
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   Runner runner(db);
   Program t1;
   t1.Write("a", Value(1)).Commit();
@@ -233,7 +242,7 @@ TEST(RunnerTest, RandomScheduleIsPermutationOfSteps) {
 }
 
 TEST(RunnerTest, FatalStepErrorSurfacesAsRunError) {
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   Runner runner(db);
   Program p;
   p.Delete("never_existed").Commit();
@@ -244,7 +253,7 @@ TEST(RunnerTest, FatalStepErrorSurfacesAsRunError) {
 }
 
 TEST(RunnerTest, UpdateStatementStep) {
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   (void)db.Load("x", Value(10));
   Runner runner(db);
   Program p;
@@ -261,7 +270,7 @@ TEST(RunnerTest, UpdateStatementStep) {
 TEST(RunnerTest, ExplicitIdsAndAutoIdsCoexist) {
   // A runner using explicit ids 1..2 must not collide with auto-assigned
   // inspection sessions begun afterwards.
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   (void)db.Load("x", Value(1));
   Runner runner(db);
   Program t1;

@@ -30,6 +30,19 @@
 namespace critique {
 namespace {
 
+// Options for databases whose histories the test judges.
+DbOptions Recording(IsolationLevel level) {
+  DbOptions options(level);
+  options.record_history = true;
+  return options;
+}
+
+ShardedDbOptions RecordingShards(int shards, IsolationLevel level) {
+  ShardedDbOptions options(shards, level);
+  options.shard_options.record_history = true;
+  return options;
+}
+
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
@@ -198,7 +211,7 @@ TEST(ShardedDatabaseTest, ExecuteRetriesRetryableFailures) {
 // ---------------------------------------------------------------------------
 
 TEST(CrossShardAnomalyTest, WriteSkewOccursWithPerShardSnapshotIsolation) {
-  ShardedDatabase db(2, IsolationLevel::kSnapshotIsolation);
+  ShardedDatabase db(RecordingShards(2, IsolationLevel::kSnapshotIsolation));
   auto out = RunCrossShardWriteSkew(db);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out->anomaly) << out->detail;
@@ -215,7 +228,7 @@ TEST(CrossShardAnomalyTest, WriteSkewOccursWithPerShardSnapshotIsolation) {
 }
 
 TEST(CrossShardAnomalyTest, WriteSkewPreventedByPerShardSerializable2PC) {
-  ShardedDatabase db(2, IsolationLevel::kSerializable);
+  ShardedDatabase db(RecordingShards(2, IsolationLevel::kSerializable));
   auto out = RunCrossShardWriteSkew(db);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_FALSE(out->anomaly) << out->detail;
@@ -241,7 +254,7 @@ TEST(CrossShardAnomalyTest, WriteSkewSurvivesPerShardSsi) {
 }
 
 TEST(CrossShardAnomalyTest, FracturedReadOccursWithPerShardSnapshotIsolation) {
-  ShardedDatabase db(2, IsolationLevel::kSnapshotIsolation);
+  ShardedDatabase db(RecordingShards(2, IsolationLevel::kSnapshotIsolation));
   auto out = RunFracturedRead(db);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // The transfer committed atomically through 2PC, yet the reader saw the
@@ -504,7 +517,7 @@ void CompleteStructureAroundPrepared(Database& db, const ItemId& xr,
 }
 
 TEST(SsiPreparedWindowTest, StructureCompletedInDoubtAbortsAtCommitPrepared) {
-  Database db{DbOptions(IsolationLevel::kSerializableSI)};
+  Database db(Recording(IsolationLevel::kSerializableSI));
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
@@ -539,7 +552,7 @@ TEST(SsiPreparedWindowTest, CoordinatorPlumbsInlineDecisionAbort) {
   // completes inside the in-doubt window (deterministic via the
   // coordinator's failpoint hook), phase 2's CommitPrepared refuses, and
   // the coordinator turns it into a retryable global abort.
-  Database db{DbOptions(IsolationLevel::kSerializableSI)};
+  Database db(Recording(IsolationLevel::kSerializableSI));
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
 
@@ -616,7 +629,7 @@ TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
   // each shard's own history stays serializable, which is exactly what
   // the refusing engine enforces (the cross-shard atomicity cost is the
   // documented coordinator caveat).
-  ShardedDatabase db(2, IsolationLevel::kSerializableSI);
+  ShardedDatabase db(RecordingShards(2, IsolationLevel::kSerializableSI));
   auto pair = PickCrossShardPair(db.router());
   ASSERT_TRUE(pair.ok());
   const ItemId xr = pair->first;   // structure shard

@@ -25,6 +25,7 @@ Value FinalScalar(Engine& engine, const ItemId& id, TxnId reader) {
 // through db.engine() for snapshot/GC-specific assertions.
 Database MakeDb(SnapshotIsolationOptions opts = {}) {
   DbOptions options;
+  options.record_history = true;  // the tests judge the history
   options.engine_factory = [opts] {
     return std::make_unique<SnapshotIsolationEngine>(opts);
   };

@@ -13,6 +13,14 @@
 namespace critique {
 namespace {
 
+// Options for a database whose history the test judges (through a
+// Runner, which refuses databases that do not record).
+DbOptions Recording(IsolationLevel level) {
+  DbOptions options(level);
+  options.record_history = true;
+  return options;
+}
+
 TEST(ZipfTest, UniformWhenThetaZero) {
   ZipfGenerator zipf(10, 0.0);
   Rng rng(7);
@@ -55,7 +63,7 @@ TEST(WorkloadTest, TransferPreservesTotalWhenSerial) {
   WorkloadOptions opts;
   opts.num_items = 4;
   WorkloadGenerator gen(opts);
-  Database db(IsolationLevel::kSerializable);
+  Database db(Recording(IsolationLevel::kSerializable));
   ASSERT_TRUE(gen.LoadInitial(db).ok());
   Rng rng(11);
   Runner runner(db);
@@ -71,7 +79,7 @@ TEST(WorkloadTest, AuditComputesSum) {
   opts.num_items = 3;
   opts.initial_balance = 7;
   WorkloadGenerator gen(opts);
-  Database db(IsolationLevel::kSnapshotIsolation);
+  Database db(Recording(IsolationLevel::kSnapshotIsolation));
   ASSERT_TRUE(gen.LoadInitial(db).ok());
   Runner runner(db);
   runner.AddProgram(1, gen.MakeAuditTxn());
@@ -104,7 +112,7 @@ TEST(WorkloadTest, ReadOnlyTxnHasNoWrites) {
   WorkloadOptions opts;
   opts.num_items = 8;
   WorkloadGenerator gen(opts);
-  Database db(IsolationLevel::kSnapshotIsolation);
+  Database db(Recording(IsolationLevel::kSnapshotIsolation));
   ASSERT_TRUE(gen.LoadInitial(db).ok());
   Rng rng(5);
   Runner runner(db);
