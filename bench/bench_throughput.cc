@@ -27,7 +27,9 @@
 // log attached (FsyncMode::kSimulated, --fsync-us of device latency per
 // physical sync): once in single-commit mode (one fsync per commit, the
 // classic discipline — workload tag "wal_serial") and once with the
-// leader/follower group-commit pipeline ("wal_group").  Same engine,
+// group-commit pipeline ("wal_group": a committer parks while another's
+// sync is in flight, leaves once that sync covers its record, and leads
+// the next sync itself if it was missed).  Same engine,
 // same workload, same simulated device; the only variable is whether
 // concurrent committers share syncs.  The JSON rows carry the log's
 // append/sync/batch counters so the gate can assert the batching
@@ -254,9 +256,10 @@ void PrintHuman(const Config& cfg, const std::vector<EngineResult>& results) {
                   static_cast<unsigned long long>(r.wal_stats.max_batch));
     }
     std::printf(
-        "\nwal_serial pays one device sync per commit; wal_group lets one\n"
-        "leader's sync retire every commit appended before it.  Fewer\n"
-        "syncs for the same appends is the group-commit win.\n");
+        "\nwal_serial pays one device sync per commit; in wal_group one\n"
+        "sync retires every commit appended before it, and a commit it\n"
+        "missed leads the next sync itself.  Fewer syncs for the same\n"
+        "appends is the group-commit win.\n");
   }
   std::printf(
       "\nExpected shape (Section 4.2): SI commits read-heavy traffic\n"

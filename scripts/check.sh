@@ -23,7 +23,10 @@
 #            the commit-pipeline fix failed ~1/15 TSan runs) and the
 #            deadlock-victim seniority tests (SeniorityTest.*: a prober
 #            dooms a parked junior, which wakes and rolls back on its own
-#            thread) STRESS_RUNS times (default 30).  Zero failures
+#            thread) and three WalTest.GroupCommit* device-token tests
+#            (exact wait accounting, a leader returning after its own
+#            round, a handed-off round dying with waiters parked)
+#            STRESS_RUNS times (default 30).  Zero failures
 #            required; any data race, non-serializable committed history
 #            or failed Execute fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
@@ -163,15 +166,17 @@ if [[ "$CRASH" -eq 1 ]]; then
 fi
 
 if [[ "$STRESS" -eq 1 ]]; then
-  # The stress loop: the SSI commit-pipeline regression pin plus the
-  # deadlock-victim doom-and-wake handoff.  One gtest process repeats the
+  # The stress loop: the SSI commit-pipeline regression pin, the
+  # deadlock-victim doom-and-wake handoff and the group-commit device-token
+  # handoff (including a handed-off round that dies with waiters parked
+  # behind it).  One gtest process repeats the
   # tests so every iteration reuses the warmed TSan runtime;
   # --gtest_break_on_failure turns the first failure into a non-zero
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*' \
+    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly' \
     --gtest_repeat="$RUNS" --gtest_break_on_failure
   echo "check.sh: stress loop green ($RUNS TSan runs)"
   exit 0

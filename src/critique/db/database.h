@@ -108,8 +108,10 @@ struct DbOptions {
   /// to restart from an existing log use `Database::Recover`.
   std::string wal_path;
 
-  /// Group commit (leader/follower batching): many concurrent committers
-  /// share one physical sync.  Off, every committer pays its own sync.
+  /// Group commit: a committer parks while another's sync is in flight and
+  /// leaves as soon as that sync covers its record, so many concurrent
+  /// committers share one physical sync.  Off, every committer pays its
+  /// own sync.
   bool group_commit = false;
 
   /// What a physical sync does: kFlush (fwrite+fflush, real-file

@@ -35,34 +35,67 @@ uint64_t CommitLog::Append(const WalRecord& rec) {
   return writer_.Append(rec);
 }
 
-Status CommitLog::SyncRoundLocked(std::unique_lock<std::mutex>& lk) {
-  if (failpoint_ == WalFailpoint::kPreSync) {
-    dead_ = Status::Internal(
-        "wal: crashed before sync (failpoint); unsynced records lost");
-    return dead_;
+Status CommitLog::SyncRoundLocked(std::unique_lock<std::mutex>& lk,
+                                  uint64_t lsn) {
+  if (options_.group_commit && lsn != 0 && syncing_) {
+    // Park while another thread holds the token.  The round that covers
+    // this LSN retires the entry and counts it; one that does not hands
+    // the token over, and this wait leads the next round itself.
+    parked_.push_back(lsn);
+    sync_cv_.wait(lk, [&] {
+      return !syncing_ || !dead_.ok() || durable_lsn_ >= lsn;
+    });
+    if (durable_lsn_ >= lsn) return Status::OK();
+    if (!dead_.ok()) return dead_;  // retired by the round that died
+    parked_.erase(std::find(parked_.begin(), parked_.end(), lsn));
   }
-  auto [staged_lsn, bytes] = writer_.StagePending();
-  // The device write runs with `mu_` released: while this thread sleeps
-  // on the (simulated) fsync, other sessions keep appending — the window
-  // group commit batches.  `syncing_` (held by the caller) keeps the
-  // writer's file exclusive.
-  lk.unlock();
+  sync_cv_.wait(lk, [&] { return !syncing_ || !dead_.ok(); });
+  if (!dead_.ok()) return dead_;
+  syncing_ = true;
+
   Status s;
-  {
-    // Times the device write + (simulated) fsync, i.e. exactly the window
-    // other sessions batch behind.
-    obs::ScopedTimer t(fsync_hist_);
-    s = writer_.WriteStaged(bytes, staged_lsn, options_.fsync_mode,
-                            options_.fsync_latency);
+  if (failpoint_ == WalFailpoint::kPreSync) {
+    s = Status::Internal(
+        "wal: crashed before sync (failpoint); unsynced records lost");
+  } else {
+    auto [staged_lsn, bytes] = writer_.StagePending();
+    // The device write runs with `mu_` released: while this thread sleeps
+    // on the (simulated) fsync, other sessions keep appending and parking
+    // — the window group commit batches.  The token keeps the writer's
+    // file exclusive.
+    lk.unlock();
+    {
+      // Times the device write + (simulated) fsync, i.e. exactly the
+      // window other sessions batch behind.
+      obs::ScopedTimer t(fsync_hist_);
+      s = writer_.WriteStaged(bytes, staged_lsn, options_.fsync_mode,
+                              options_.fsync_latency);
+    }
+    lk.lock();
+    ++stats_.syncs;
+    if (s.ok()) durable_lsn_ = std::max(durable_lsn_, staged_lsn);
   }
-  lk.lock();
-  ++stats_.syncs;
-  if (!s.ok()) {
-    dead_ = s;
-    return s;
+  if (!s.ok()) dead_ = s;
+
+  // Retire every parked wait this round covered — all of them once the
+  // log is dead, since no round will ever run again.
+  const size_t parked = parked_.size();
+  parked_.erase(std::remove_if(parked_.begin(), parked_.end(),
+                               [&](uint64_t p) {
+                                 return !dead_.ok() || p <= durable_lsn_;
+                               }),
+                parked_.end());
+  const uint64_t retired = parked - parked_.size();
+  const uint64_t batch = retired + (lsn != 0 ? 1 : 0);
+  stats_.batched += retired;
+  if (batch > 0) batch_hist_.Record(batch);
+  // Single-commit rounds are not batches: max_batch stays 0 there.
+  if (options_.group_commit) {
+    stats_.max_batch = std::max(stats_.max_batch, batch);
   }
-  if (staged_lsn > durable_lsn_) durable_lsn_ = staged_lsn;
-  return Status::OK();
+  syncing_ = false;
+  sync_cv_.notify_all();
+  return s;
 }
 
 Status CommitLog::WaitDurable(uint64_t lsn) {
@@ -74,80 +107,17 @@ Status CommitLog::WaitDurable(uint64_t lsn) {
   if (options_.fsync_mode == FsyncMode::kNone) {
     return Status::OK();  // ack-before-durable by configuration
   }
-
-  if (!options_.group_commit) {
-    // Single-commit discipline: every committer performs its own
-    // physical sync, serialized at the device — one fsync per commit,
-    // the throughput ceiling group commit exists to break.  (No
-    // piggybacking: a record another committer's flush already covered
-    // still pays a full device round here, which is the cost model the
-    // --group-commit bench contrasts.)
-    ++stats_.sync_waits;
-    sync_cv_.wait(lk, [&] { return !syncing_ || !dead_.ok(); });
-    if (!dead_.ok()) return dead_;
-    syncing_ = true;
-    Status s = SyncRoundLocked(lk);
-    syncing_ = false;
-    batch_hist_.Record(1);  // one committer per sync, by definition
-    sync_cv_.notify_all();
-    return s;
-  }
-
-  // Group commit.
-  if (durable_lsn_ >= lsn) return Status::OK();
-  if (syncing_) {
-    // Follower: park on a future; some leader's round covers this LSN
-    // (the record was appended before this call, so the next stage
-    // includes it).  No device work on this thread.
-    auto waiter = std::make_unique<Waiter>();
-    waiter->lsn = lsn;
-    std::future<Status> done = waiter->done.get_future();
-    waiters_.push_back(std::move(waiter));
-    ++stats_.sync_waits;
-    lk.unlock();
-    return done.get();
-  }
-
-  // Leader: batch everything appended so far into one write + one sync,
-  // retire covered waiters, repeat until this LSN and every parked
-  // follower are durable.
-  syncing_ = true;
+  // Single-commit mode does not piggyback: a record another committer's
+  // round already covered still pays a full device round, the cost model
+  // the --group-commit bench contrasts.
+  if (options_.group_commit && durable_lsn_ >= lsn) return Status::OK();
   ++stats_.sync_waits;
-  Status s = Status::OK();
-  while (true) {
-    s = SyncRoundLocked(lk);
-    uint64_t retired = 0;
-    auto it = waiters_.begin();
-    while (it != waiters_.end()) {
-      if (!s.ok() || (*it)->lsn <= durable_lsn_) {
-        (*it)->done.set_value(s);
-        it = waiters_.erase(it);
-        ++retired;
-      } else {
-        ++it;
-      }
-    }
-    stats_.batched += retired;
-    stats_.max_batch = std::max(stats_.max_batch, retired + 1);
-    batch_hist_.Record(retired + 1);  // followers retired + the leader
-    if (!s.ok()) break;
-    if (waiters_.empty() && durable_lsn_ >= lsn) break;
-  }
-  syncing_ = false;
-  sync_cv_.notify_all();
-  return s;
+  return SyncRoundLocked(lk, lsn);
 }
 
 Status CommitLog::SyncAll() {
   std::unique_lock<std::mutex> lk(mu_);
-  if (!dead_.ok()) return dead_;
-  sync_cv_.wait(lk, [&] { return !syncing_ || !dead_.ok(); });
-  if (!dead_.ok()) return dead_;
-  syncing_ = true;
-  Status s = SyncRoundLocked(lk);
-  syncing_ = false;
-  sync_cv_.notify_all();
-  return s;
+  return SyncRoundLocked(lk, 0);
 }
 
 uint64_t CommitLog::appended_lsn() const {

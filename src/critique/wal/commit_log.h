@@ -4,9 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -36,35 +34,37 @@ struct GroupCommitStats {
   uint64_t appends = 0;     ///< records appended
   uint64_t syncs = 0;       ///< physical sync operations on the device
   uint64_t sync_waits = 0;  ///< WaitDurable calls that were not already covered
-  /// Records made durable by a sync another session led — the batching
-  /// win (0 in single-commit mode, where every committer pays its own
-  /// sync).
+  /// Counted waits retired by a round another thread led — the batching
+  /// win (0 in single-commit mode, where every wait pays its own sync).
   uint64_t batched = 0;
-  uint64_t max_batch = 0;   ///< most waiters one leader round retired
+  /// Most waits one group-commit round retired: its leader plus the parked
+  /// waits it covered (0 in single-commit mode).
+  uint64_t max_batch = 0;
 
   std::string ToString() const;
 };
 
 std::ostream& operator<<(std::ostream& os, const GroupCommitStats& stats);
 
-/// \brief The thread-safe durability pipeline over one `WalWriter` —
-/// plain per-commit syncs, or leader/follower group commit.
+/// \brief The thread-safe durability pipeline over one `WalWriter`.
+///
+/// Every physical sync goes through one *device token* (`syncing_`): its
+/// holder stages everything appended so far and runs exactly one round
+/// (one buffer write + one fsync), then hands the token back and returns.
 ///
 /// **Single-commit mode** (`group_commit = false`): every `WaitDurable`
-/// performs its own physical sync, serialized on the device mutex — one
-/// fsync per commit, the classic pre-group-commit discipline whose
-/// throughput ceiling is 1/latency however many sessions commit
-/// concurrently.  This is the honest baseline `bench_throughput
-/// --group-commit` compares against.
+/// takes the token and pays its own round, even for a record another
+/// round already covered — one fsync per commit, the classic
+/// pre-group-commit discipline whose throughput ceiling is 1/latency
+/// however many sessions commit concurrently.  This is the honest
+/// baseline `bench_throughput --group-commit` compares against.
 ///
-/// **Group-commit mode**: the first waiter becomes the *leader*; it
-/// stages everything appended so far (one batch = one buffer write + one
-/// simulated fsync) and retires it while followers park on futures.
-/// Sessions that appended during the leader's device wait are picked up
-/// by its next round (or the next leader), so the batch boundary is the
-/// group-fsync boundary and N concurrent committers cost ~N/batch
-/// syncs.  Futures mean a follower never does device work: it blocks
-/// only until some leader's round covers its LSN.
+/// **Group-commit mode** (DeWitt et al., SIGMOD 1984): a waiter parks
+/// only while another thread holds the token, and returns as soon as a
+/// round covers its LSN.  A waiter that round did not cover (it appended
+/// after the stage) takes the token and leads the next round, which
+/// covers whoever appended meanwhile — N concurrent committers cost
+/// ~N/batch syncs, and every leader returns after its own round.
 ///
 /// The writer's buffered-until-sync behavior is what makes the crash
 /// matrix honest: records a failpoint or abandoned process never synced
@@ -113,8 +113,9 @@ class CommitLog : public WalSink {
   /// Physical-sync (device write + fsync) latency, microseconds.
   const obs::Histogram& fsync_histogram() const { return fsync_hist_; }
 
-  /// Records retired per leader round (the group-commit batch size; every
-  /// round records leader + followers, so single-commit mode reads 1s).
+  /// Waits retired per round (the group-commit batch size): the waiter
+  /// that led it plus the parked waiters it covered, so single-commit mode
+  /// reads 1s.  A `SyncAll` round counts only the waiters it covered.
   const obs::Histogram& batch_histogram() const { return batch_hist_; }
 
   /// Registers fsync/batch histograms plus `GroupCommitStats` gauges with
@@ -127,25 +128,22 @@ class CommitLog : public WalSink {
   }
 
  private:
-  /// Performs one staged write outside `mu_` (caller holds the leader /
-  /// single-committer role via `syncing_`).  Requires `lk` held on
-  /// entry; returns with it re-held.
-  Status SyncRoundLocked(std::unique_lock<std::mutex>& lk);
-
-  struct Waiter {
-    uint64_t lsn = 0;
-    std::promise<Status> done;
-  };
+  /// Takes the token and runs one round (the device write outside `mu_`),
+  /// retiring the parked waits it covered.  `lsn` is the caller's record
+  /// (0 for `SyncAll`); a group-mode wait first parks while the token is
+  /// held, and returns without a round once one covers `lsn`.  Requires
+  /// `lk` held on entry; returns with it re-held.
+  Status SyncRoundLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn);
 
   mutable std::mutex mu_;
-  std::condition_variable sync_cv_;  ///< single-commit sync token queue
+  std::condition_variable sync_cv_;  ///< device token handoff
   WalWriter writer_;                 ///< mu_, except staged writes (syncing_)
   Options options_;
-  bool syncing_ = false;             ///< a thread is at the device
+  bool syncing_ = false;             ///< the device token is held
   uint64_t durable_lsn_ = 0;
   Status dead_;                      ///< !ok once a failpoint tripped
   WalFailpoint failpoint_ = WalFailpoint::kNone;
-  std::vector<std::unique_ptr<Waiter>> waiters_;  ///< group mode followers
+  std::vector<uint64_t> parked_;     ///< LSNs of parked group-mode waits
   GroupCommitStats stats_;
   // Internally synchronized (sharded atomics) — recorded outside mu_.
   obs::Histogram fsync_hist_;

@@ -5,6 +5,8 @@
 // (single-commit vs group-commit sync accounting, and the failpoints the
 // crash matrix is built from).
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -290,11 +292,77 @@ TEST(WalTest, GroupCommitManyThreadsAllDurableFewerSyncsThanAppends) {
   const GroupCommitStats s = log.stats();
   EXPECT_EQ(s.appends, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_LE(s.syncs, s.appends);
+  EXPECT_EQ(s.syncs + s.batched, s.sync_waits)
+      << "every counted wait either led one round or was retired by "
+         "another's: " << s;
   Result<WalReadResult> back = WalReader::ReadFile(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().records.size(),
             static_cast<size_t>(kThreads * kPerThread))
       << "every acked commit is in the file";
+}
+
+// Spins until `log` has counted `n` sync waits.  A group-mode wait is
+// counted in the same critical section that stages its round (leader) or
+// parks it (follower), so the count says where every waiter stands.
+bool AwaitSyncWaits(const CommitLog& log, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (log.stats().sync_waits < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+CommitLog::Options SlowGroupCommit() {
+  CommitLog::Options opt;
+  opt.group_commit = true;
+  opt.fsync_mode = FsyncMode::kSimulated;
+  opt.fsync_latency = std::chrono::milliseconds(50);  // a wide round
+  return opt;
+}
+
+TEST(WalTest, GroupCommitLeaderReturnsAfterItsOwnRound) {
+  const std::string path = TmpPath("group_commit_own_round.wal");
+  Result<WalWriter> w = WalWriter::Create(path);
+  ASSERT_TRUE(w.ok());
+  CommitLog log(std::move(w).value(), SlowGroupCommit());
+
+  const uint64_t lsn_l = log.Append(WalRecord::Commit(1, 0));
+  std::atomic<bool> l_returned{false};
+  Status l_status = Status::Internal("unset");
+  uint64_t durable_at_l_return = 0;
+  std::thread leader([&] {
+    l_status = log.WaitDurable(lsn_l);
+    durable_at_l_return = log.durable_lsn();
+    l_returned = true;
+  });
+  EXPECT_TRUE(AwaitSyncWaits(log, 1)) << "L stages its round";
+
+  // F appends after L staged, so L's round cannot cover it.
+  const uint64_t lsn_f = log.Append(WalRecord::Commit(2, 0));
+  Status f_status = Status::Internal("unset");
+  std::thread follower([&] { f_status = log.WaitDurable(lsn_f); });
+  EXPECT_TRUE(AwaitSyncWaits(log, 2)) << "F parks";
+  EXPECT_FALSE(l_returned) << "F must park while L's round is in flight";
+
+  leader.join();
+  EXPECT_TRUE(l_status.ok()) << l_status.ToString();
+  EXPECT_EQ(durable_at_l_return, lsn_l);
+  EXPECT_LT(durable_at_l_return, lsn_f)
+      << "L must return after its own round, not after F's";
+
+  follower.join();
+  EXPECT_TRUE(f_status.ok()) << f_status.ToString();
+  const GroupCommitStats s = log.stats();
+  EXPECT_EQ(s.syncs, 2u) << "F led exactly one more round: " << s;
+  EXPECT_EQ(s.batched, 0u) << s;
+  EXPECT_EQ(log.durable_lsn(), lsn_f);
+
+  Result<WalReadResult> back = WalReader::ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().records.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,6 +406,51 @@ TEST(WalTest, PreSyncFailpointLosesTheUnsyncedSuffix) {
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back.value().records.size(), 1u)
       << "the buffered-but-never-synced record must not be in the file";
+  EXPECT_EQ(back.value().records[0].txn, 1);
+}
+
+TEST(WalTest, GroupCommitHandedOffRoundDiesCleanly) {
+  const std::string path = TmpPath("fp_group_handoff.wal");
+  Result<WalWriter> w = WalWriter::Create(path);
+  ASSERT_TRUE(w.ok());
+  {
+    CommitLog log(std::move(w).value(), SlowGroupCommit());
+    const uint64_t lsn_l = log.Append(WalRecord::Commit(1, 0));
+    Status l_status = Status::Internal("unset");
+    std::thread leader([&] { l_status = log.WaitDurable(lsn_l); });
+    EXPECT_TRUE(AwaitSyncWaits(log, 1)) << "L stages its round";
+    // L is past the failpoint check: the next round is the one that dies.
+    log.set_failpoint(WalFailpoint::kPreSync);
+
+    // Two waiters park behind L's round; neither is covered by it.
+    constexpr int kParked = 2;
+    std::vector<Status> parked_status(kParked, Status::Internal("unset"));
+    std::vector<std::thread> parked;
+    for (int i = 0; i < kParked; ++i) {
+      const uint64_t lsn = log.Append(WalRecord::Commit(2 + i, 0));
+      parked.emplace_back(
+          [&log, &parked_status, i, lsn] {
+            parked_status[i] = log.WaitDurable(lsn);
+          });
+      EXPECT_TRUE(AwaitSyncWaits(log, 2 + i)) << "waiter " << i << " parks";
+    }
+
+    leader.join();
+    EXPECT_TRUE(l_status.ok())
+        << "L's own round succeeded: " << l_status.ToString();
+    for (std::thread& t : parked) t.join();  // none may hang
+    for (int i = 0; i < kParked; ++i) {
+      EXPECT_FALSE(parked_status[i].ok())
+          << "waiter " << i << " must see the dead log";
+    }
+    EXPECT_EQ(log.durable_lsn(), lsn_l);
+    EXPECT_EQ(log.stats().syncs, 1u) << "no round runs on a dead log";
+    EXPECT_FALSE(log.WaitDurable(lsn_l + 1).ok()) << "dead is terminal";
+  }  // destruction of a dead log must NOT flush anything
+  Result<WalReadResult> back = WalReader::ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back.value().records.size(), 1u)
+      << "the file holds exactly L's round";
   EXPECT_EQ(back.value().records[0].txn, 1);
 }
 
