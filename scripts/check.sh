@@ -23,19 +23,24 @@
 #            the commit-pipeline fix failed ~1/15 TSan runs) and the
 #            deadlock-victim seniority tests (SeniorityTest.*: a prober
 #            dooms a parked junior, which wakes and rolls back on its own
-#            thread) and three WalTest.GroupCommit* device-token tests
+#            thread), three WalTest.GroupCommit* device-token tests
 #            (exact wait accounting, a leader returning after its own
-#            round, a handed-off round dying with waiters parked)
-#            STRESS_RUNS times (default 30).  Zero failures
-#            required; any data race, non-serializable committed history
-#            or failed Execute fails the loop.
+#            round, a handed-off round dying with waiters parked) and the
+#            overlapped-vote token-ordering tests (a vote wait parked
+#            behind a single-log leader; cross- and single-shard
+#            transfers on three group-commit shards, which must neither
+#            hang nor fail an Execute) STRESS_RUNS times (default 30).
+#            Zero failures required; any data race, non-serializable
+#            committed history, hang or failed Execute fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
 #            matrix: the WAL format/pipeline suite plus every
 #            kill-and-recover test (single-site, group commit, and the
 #            sharded 2PC matrix with a crash injected at each stage of
-#            the commit protocol).  ASan catches recovery touching freed
-#            engine state; the tests themselves assert no acked commit is
-#            lost and no in-doubt transaction leaks locks.  CRASH_FILTER
+#            the commit protocol, and the overlapped-vote cells where one
+#            participant log dies while the other's vote round runs).
+#            ASan catches recovery touching freed engine state; the tests
+#            themselves assert no acked commit is lost and no in-doubt
+#            transaction leaks locks.  CRASH_FILTER
 #            overrides the gtest filter (CI smoke narrows it; nightly
 #            runs the default full matrix).
 #
@@ -156,8 +161,10 @@ if [[ "$CRASH" -eq 1 ]]; then
   # The durability crash matrix under ASan.  The default filter is the
   # full matrix: WAL format/pipeline unit tests, single-site recovery
   # across all five isolation levels, the concurrent group-commit
-  # recovery test, and the sharded 2PC crash matrix (a failure injected
-  # at every stage of the commit protocol x {Serializable, SI}).
+  # recovery test, the sharded 2PC crash matrix (a failure injected at
+  # every stage of the commit protocol x {Serializable, SI}) and the
+  # overlapped-vote cells (VoteCrashMatrix, matched by *CrashMatrix*:
+  # either participant log dies mid vote wait x {Serializable, SI}).
   FILTER="${CRASH_FILTER:-WalTest.*:*RecoveryTest*:*CrashMatrix*:*ShardedRecovery*}"
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests --gtest_filter="$FILTER"
@@ -167,16 +174,16 @@ fi
 
 if [[ "$STRESS" -eq 1 ]]; then
   # The stress loop: the SSI commit-pipeline regression pin, the
-  # deadlock-victim doom-and-wake handoff and the group-commit device-token
+  # deadlock-victim doom-and-wake handoff, the group-commit device-token
   # handoff (including a handed-off round that dies with waiters parked
-  # behind it).  One gtest process repeats the
+  # behind it) and the overlapped vote wait's token ordering.  One gtest process repeats the
   # tests so every iteration reuses the warmed TSan runtime;
   # --gtest_break_on_failure turns the first failure into a non-zero
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly' \
+    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens' \
     --gtest_repeat="$RUNS" --gtest_break_on_failure
   echo "check.sh: stress loop green ($RUNS TSan runs)"
   exit 0

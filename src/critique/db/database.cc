@@ -489,7 +489,21 @@ Status Transaction::Rollback() {
 }
 
 Status Transaction::Prepare() {
-  return RunOp([&] { return db_->engine_->Prepare(id_); });
+  CRITIQUE_ASSIGN_OR_RETURN(std::optional<uint64_t> vote, AppendVote());
+  if (!vote.has_value()) return Status::OK();
+  // A dead log's vote (LSN 0) surfaces here as a failure; the participant
+  // stays frozen in doubt, as a crash at this instant would leave it.
+  return db_->engine_->wal()->WaitDurable(*vote);
+}
+
+Result<std::optional<uint64_t>> Transaction::AppendVote() {
+  std::optional<uint64_t> vote;
+  CRITIQUE_RETURN_NOT_OK(RunOp([&] {
+    Result<std::optional<uint64_t>> r = db_->engine_->Prepare(id_);
+    if (r.ok()) vote = *r;
+    return r.status();
+  }));
+  return vote;
 }
 
 Status Transaction::CommitPrepared() {

@@ -1,6 +1,7 @@
 #ifndef CRITIQUE_DB_TRANSACTION_H_
 #define CRITIQUE_DB_TRANSACTION_H_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -145,8 +146,16 @@ class Transaction {
   // its session.  On `kSerializationFailure` (prepare-time validation
   // refused) the engine already rolled back and the handle is finished.
 
-  /// Phase 1: validate and pin in doubt.
+  /// Phase 1: validate and pin in doubt.  With a WAL attached, OK means
+  /// the vote is durable (the durable-vote rule).
   Status Prepare();
+
+  /// Phase 1 without the durability wait: validates, pins in doubt and
+  /// appends the vote.  Returns the vote's LSN on `database().wal()`
+  /// (nullopt without a WAL); the caller must make it durable before it
+  /// counts this participant as prepared.  The 2PC coordinator awaits
+  /// every participant's vote in one `CommitLog::WaitDurableAll`.
+  Result<std::optional<uint64_t>> AppendVote();
 
   /// Phase 2, commit decision; finishes the handle on success.
   Status CommitPrepared();

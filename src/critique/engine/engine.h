@@ -517,9 +517,17 @@ class Engine {
   // locks or versions leak).  Coordinators must treat such a refusal as a
   // participant abort, not a protocol error (see shard/TxnCoordinator).
   //
-  // Durability (engines with a WAL attached): `Prepare` answers OK only
-  // once its vote — the write set and `kPrepare` — is durable (the
-  // durable-vote rule).  `CommitPrepared` appends its slim `kCommit`
+  // Durability (engines with a WAL attached): `Prepare` appends its vote
+  // — the write set and `kPrepare` — and returns the vote's LSN without
+  // waiting for it.  The durable-vote rule (a participant counts as
+  // prepared only once its vote would survive a crash) is the caller's:
+  // `Transaction::Prepare` awaits the vote before it answers OK, and the
+  // 2PC coordinator appends every participant's vote first and then
+  // awaits them all in one overlapped wait (`CommitLog::WaitDurableAll`),
+  // so a cross-shard commit pays one vote round, not one per shard.  A
+  // dead log's append answers LSN 0, and awaiting it reports the failure;
+  // the participant stays frozen in doubt, which is exactly what a crash
+  // at that instant means.  `CommitPrepared` appends its slim `kCommit`
   // inside the publication section, like a plain commit, but does NOT
   // wait for it: the coordinator's durable commit decision is the commit
   // point.  A crash that loses the record restores the participant in
@@ -543,12 +551,15 @@ class Engine {
   // with a fallible commit (First-Committer-Wins, SSI) must override all
   // four regardless.
 
-  /// Phase 1: validate and move `txn` to the prepared (in-doubt) state.
+  /// Phase 1: validate, move `txn` to the prepared (in-doubt) state and
+  /// append its vote to the attached WAL.  Returns the vote's LSN, for the
+  /// caller to make durable before it counts the participant as prepared
+  /// (0 when the log died on the append), or nullopt with no WAL attached.
   /// Retryable refusals (`kSerializationFailure`, ...) mean the engine
   /// already rolled the transaction back, exactly as a failed `Commit`.
-  virtual Status Prepare(TxnId txn) {
+  virtual Result<std::optional<uint64_t>> Prepare(TxnId txn) {
     (void)txn;
-    return Status::OK();
+    return std::optional<uint64_t>();
   }
 
   /// Phase 2, commit decision: finishes a prepared transaction.  Succeeds

@@ -479,7 +479,7 @@ Status LockingEngine::Abort(TxnId txn) {
   return Status::OK();
 }
 
-Status LockingEngine::Prepare(TxnId txn) {
+Result<std::optional<uint64_t>> LockingEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
@@ -499,10 +499,7 @@ Status LockingEngine::Prepare(TxnId txn) {
     }
   }
   Trace(txn, obs::TraceEventType::kPrepare);
-  // Durable-vote rule: the coordinator only hears "prepared" once the
-  // vote and its redo would survive a crash.
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
-  return Status::OK();
+  return wal_lsn;
 }
 
 Status LockingEngine::CommitPrepared(TxnId txn) {

@@ -92,7 +92,7 @@ class LockingEngine : public Engine {
   // coordinator decides); the locks held across the in-doubt window are
   // exactly what keeps other transactions from observing or clobbering
   // uncommitted state.
-  Status Prepare(TxnId txn) override;
+  Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
   std::vector<TxnId> InDoubtTransactions() const override;

@@ -352,7 +352,7 @@ Status ReadConsistencyEngine::Abort(TxnId txn) {
   return Status::OK();
 }
 
-Status ReadConsistencyEngine::Prepare(TxnId txn) {
+Result<std::optional<uint64_t>> ReadConsistencyEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
@@ -368,9 +368,7 @@ Status ReadConsistencyEngine::Prepare(TxnId txn) {
     }
   }
   Trace(txn, obs::TraceEventType::kPrepare);
-  // Durable-vote rule (see the locking engine).
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
-  return Status::OK();
+  return wal_lsn;
 }
 
 Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {

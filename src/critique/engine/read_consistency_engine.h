@@ -72,7 +72,7 @@ class ReadConsistencyEngine : public Engine {
   // (conflicts were resolved at write-lock grant), so `Prepare` only pins
   // the transaction in doubt with its write locks held until the
   // coordinator's decision.
-  Status Prepare(TxnId txn) override;
+  Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
   std::vector<TxnId> InDoubtTransactions() const override;

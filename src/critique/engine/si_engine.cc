@@ -752,7 +752,8 @@ bool SnapshotIsolationEngine::GcTick() {
   return true;
 }
 
-Status SnapshotIsolationEngine::Prepare(TxnId txn) {
+Result<std::optional<uint64_t>> SnapshotIsolationEngine::Prepare(
+    TxnId txn) {
   // Commit-pipeline stage 1 only: prepare is the participant's last
   // *unprompted* chance to refuse; the write-set reservation then rides
   // the whole in-doubt window, and stage 2 runs at the decision.
@@ -779,12 +780,7 @@ Status SnapshotIsolationEngine::Prepare(TxnId txn) {
     }
     Trace(txn, obs::TraceEventType::kPrepare);
   }
-  // The durable-vote rule: the coordinator may not count this participant
-  // as prepared until its vote would survive a crash.  A dead log surfaces
-  // here as a refusal — the participant stays frozen in doubt, which is
-  // exactly what a crash at this instant means.
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
-  return Status::OK();
+  return wal_lsn;
 }
 
 Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {

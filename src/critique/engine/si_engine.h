@@ -175,7 +175,7 @@ class SnapshotIsolationEngine : public Engine {
   // whose prepare pins every conflict under locks still promise an
   // infallible CommitPrepared; a *certifying* engine cannot, because
   // certification is only complete at publication.
-  Status Prepare(TxnId txn) override;
+  Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
   std::vector<TxnId> InDoubtTransactions() const override;

@@ -370,6 +370,7 @@ std::vector<TxnId> LockManager::FindCycleLocked(TxnId requester) const {
     auto w = waiting_.find(u);
     if (w != waiting_.end()) {
       std::vector<TxnId> live = BlockersGlobalLocked(w->second);
+      AddSeniorWaitersLocked(w->second, live);
       return std::set<TxnId>(live.begin(), live.end());
     }
     auto it = waits_for_.find(u);
@@ -415,6 +416,19 @@ TxnId LockManager::PickVictimLocked(const std::vector<TxnId>& cycle) const {
   const bool parked =
       waiting_.count(junior) != 0 && coop_seq_.count(junior) == 0;
   return parked ? junior : requester;
+}
+
+void LockManager::AddSeniorWaitersLocked(const LockSpec& spec,
+                                         std::vector<TxnId>& out) const {
+  if (!spec.is_item) return;
+  const TxnId key = SeniorityLocked(spec.txn);
+  for (const auto& [txn, want] : waiting_) {
+    if (!want.is_item || want.item != spec.item || !SpecsConflict(want, spec) ||
+        doomed_.count(txn) != 0 || coop_seq_.count(txn) != 0) {
+      continue;
+    }
+    if (SeniorityLocked(txn) < key) AddUnique(out, txn);
+  }
 }
 
 void LockManager::InheritSeniority(TxnId txn, TxnId first_attempt) {
@@ -555,6 +569,7 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
       waiting_.erase(spec.txn);
       doomed_.erase(spec.txn);
       if (!spec.is_item) pred_waiters_.fetch_sub(1, std::memory_order_relaxed);
+      parked_count_.fetch_sub(1, std::memory_order_relaxed);
       registered = false;
     }
     EraseEdgesLocked(spec.txn);
@@ -577,14 +592,19 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
       if (!bl.owns_lock()) bl.lock();
       std::vector<TxnId> blockers = BlockersBucketLocked(park, spec);
       if (blockers.empty()) {
-        if (registered ||
-            edge_txns_.load(std::memory_order_relaxed) > 0) {
+        // Registration takes every bucket latch, so under this one a zero
+        // count proves nobody is parked to queue behind.
+        if (registered || edge_txns_.load(std::memory_order_relaxed) > 0 ||
+            parked_count_.load(std::memory_order_relaxed) > 0) {
           std::lock_guard<std::mutex> gl(graph_mu_);
           if (doomed_.count(spec.txn) != 0) return deadlock_locked(kDoomed);
-          deregister_locked();
+          AddSeniorWaitersLocked(spec, blockers);
+          if (blockers.empty()) deregister_locked();
         }
-        record_wait();
-        return GrantItemLocked(bi, spec);
+        if (blockers.empty()) {
+          record_wait();
+          return GrantItemLocked(bi, spec);
+        }
       }
       bl.unlock();
     }
@@ -594,6 +614,7 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
     std::unique_lock<std::mutex> gl(graph_mu_);
     if (doomed_.count(spec.txn) != 0) return deadlock_locked(kDoomed);
     std::vector<TxnId> blockers = BlockersGlobalLocked(spec);
+    AddSeniorWaitersLocked(spec, blockers);
     if (blockers.empty()) {
       deregister_locked();
       record_wait();
@@ -602,6 +623,7 @@ Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
     if (!registered) {
       waiting_[spec.txn] = spec;  // deadlock detection reads our edges live
       if (!spec.is_item) pred_waiters_.fetch_add(1, std::memory_order_relaxed);
+      parked_count_.fetch_add(1, std::memory_order_relaxed);
       registered = true;
     }
     RecordEdgesLocked(spec.txn, blockers);

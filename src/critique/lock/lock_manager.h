@@ -166,6 +166,14 @@ struct LockDebugSnapshot {
 /// Each victim is counted once, when it answers.  A doomed waiter's edges
 /// no longer count in later probes: it is already on its way out.
 ///
+/// Seniority also orders grants: an `Acquire` that no holder blocks still
+/// waits behind a parked, more senior `Acquire` waiter for a conflicting
+/// mode on the same item, and that queue edge counts in cycle probes.
+/// Otherwise a junior restarted after losing a deadlock can re-take the
+/// shared lock an older waiter is upgrading past before that waiter wakes,
+/// form the same cycle, lose again, and exhaust its restarts while the
+/// senior sleeps.  `TryAcquire` never parks, so it queues behind nobody.
+///
 /// Thread-safe; at most one in-flight acquire per transaction at a time
 /// (a transaction is one session driven by one thread).
 class LockManager {
@@ -352,6 +360,13 @@ class LockManager {
   /// `txn`'s seniority key (lower is older).  Requires the graph mutex.
   TxnId SeniorityLocked(TxnId txn) const;
 
+  /// Adds to `out` every parked `Acquire` waiter, not doomed, that wants a
+  /// mode conflicting with `spec` on the same item and is more senior than
+  /// `spec.txn` — the waiters an item `Acquire` queues behind (see the
+  /// class comment).  Requires the graph mutex.
+  void AddSeniorWaitersLocked(const LockSpec& spec,
+                              std::vector<TxnId>& out) const;
+
   /// Removes `txn`'s outgoing edges.  Requires the graph mutex.
   void EraseEdgesLocked(TxnId txn);
 
@@ -425,6 +440,11 @@ class LockManager {
   /// maintained under graph_mu_): the fast path's "is the graph empty?"
   /// probe.
   std::atomic<int> edge_txns_{0};
+  /// Parked `Acquire` registrations in `waiting_` (maintained under
+  /// graph_mu_ and, on registration, every bucket latch): the fast path's
+  /// "is anyone queued?" probe.  Edges are no substitute: a waiter whose
+  /// blockers all released has none until it rechecks.
+  std::atomic<int> parked_count_{0};
 
   std::atomic<LockHandle> next_seq_{1};
 

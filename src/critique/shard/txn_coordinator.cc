@@ -30,26 +30,61 @@ Status TxnCoordinator::Commit(TxnId gid,
     ++stats_.started;
   }
 
-  // Phase 1: prepare in shard order.  A refusal means the refusing engine
-  // already rolled its participant back (or the participant was already
-  // dead); everyone else must now abort too.
+  // Phase 1.  Every participant validates and appends its vote, in shard
+  // order, without waiting for its log device.  A refusal means the
+  // refusing engine already rolled its participant back (or the
+  // participant was already dead); everyone else must now abort too.
+  // Then the durable-vote rule, for every vote at once: the wait begins a
+  // device round on each participant log, in shard order, before it ends
+  // any, so the votes cost about one device round however many shards
+  // take part.  A refusal skips the wait: presumed abort needs no vote.
+  std::vector<CommitLog::DurableWait> votes;
+  std::vector<size_t> voters;  // votes[k] was cast by parts[voters[k]]
+  votes.reserve(parts.size());
+  voters.reserve(parts.size());
+  size_t prepared = 0;
+  Status failure;
+  uint64_t failures = 0;
   {
     obs::ScopedTimer t(prepare_hist_);
-    for (size_t i = 0; i < parts.size(); ++i) {
-      Status s = parts[i]->Prepare();
-      if (s.ok()) continue;
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.prepare_failures;
-      ++stats_.aborted;
-      // Global abort.  Prepared predecessors take the abort decision;
-      // unprepared successors (and the refuser, if its handle survived)
-      // roll back plainly.  Presumed abort: nothing to log.
-      for (size_t j = 0; j < i; ++j) (void)parts[j]->AbortPrepared();
-      for (size_t j = i; j < parts.size(); ++j) {
-        if (parts[j]->active()) (void)parts[j]->Rollback();
+    for (; prepared < parts.size(); ++prepared) {
+      Transaction* p = parts[prepared];
+      Result<std::optional<uint64_t>> vote = p->AppendVote();
+      if (!vote.ok()) {
+        failure = vote.status();
+        failures = 1;
+        break;
       }
-      return s;
+      if (vote->has_value()) {
+        votes.push_back({p->database().wal(), **vote, Status::OK()});
+        voters.push_back(prepared);
+      }
     }
+    if (failure.ok()) CommitLog::WaitDurableAll(votes);
+  }
+  for (size_t k = 0; k < votes.size(); ++k) {
+    if (votes[k].status.ok()) continue;
+    // A vote whose log died never became durable: the participant stays
+    // frozen in doubt, as a crash at this instant leaves it (the engine
+    // refuses the rollback; the handle is finished).
+    (void)parts[voters[k]]->Rollback();
+    if (failure.ok()) failure = votes[k].status;
+    ++failures;
+  }
+  if (!failure.ok()) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stats_.prepare_failures += failures;
+      ++stats_.aborted;
+    }
+    // Global abort.  Prepared participants take the abort decision;
+    // unprepared successors (and the refuser, if its handle survived)
+    // roll back plainly.  Presumed abort: nothing to log.
+    for (size_t j = 0; j < parts.size(); ++j) {
+      if (!parts[j]->active()) continue;
+      (void)(j < prepared ? parts[j]->AbortPrepared() : parts[j]->Rollback());
+    }
+    return failure;
   }
 
   // All participants are prepared (in doubt) and no decision exists yet —

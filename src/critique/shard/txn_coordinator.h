@@ -56,11 +56,18 @@ std::ostream& operator<<(std::ostream& os, const CoordinatorStats& stats);
 
 /// \brief The two-phase-commit coordinator for cross-shard transactions.
 ///
-/// Phase 1 prepares every participant in shard order; any refusal turns
-/// into a *global abort* — already-prepared participants get
-/// `AbortPrepared`, unprepared ones roll back, and the refusing status
-/// (typically `kSerializationFailure`, retryable) is returned so the
-/// session layer's `RetryPolicy` restarts the whole transaction.  Phase 2
+/// In phase 1 votes are appended in shard order and their device rounds
+/// overlap: every participant validates and appends its vote without
+/// waiting, then one `CommitLog::WaitDurableAll` makes every vote durable,
+/// so a cross-shard commit waits about one device round for its votes,
+/// not one per shard.  Any refusal turns into a *global abort* — prepared
+/// participants get `AbortPrepared`, unprepared ones roll back, and the
+/// refusing status (typically `kSerializationFailure`, retryable) is
+/// returned so the session layer's `RetryPolicy` restarts the whole
+/// transaction.  A vote whose log died during the wait never became
+/// durable: that participant stays frozen in doubt, as a crash at that
+/// instant leaves it, and the failure (`kInternal`) is returned; the
+/// others take the abort decision.  Phase 2
 /// logs the commit decision, then delivers `CommitPrepared` to every
 /// participant; after all acknowledge, the decision is forgotten.
 ///
@@ -128,7 +135,9 @@ std::ostream& operator<<(std::ostream& os, const CoordinatorStats& stats);
 /// thread (one global transaction is one session driven by one thread,
 /// the same contract as everywhere else).  Lock order: `mu_` →
 /// `CommitLog::mu_` (a sweep reads participant logs and appends ends
-/// under `mu_`); a `CommitLog` never calls back into the coordinator.
+/// under `mu_`); a `CommitLog` never calls back into the coordinator, and
+/// the vote wait holds no coordinator lock or engine latch, so a thread
+/// holding a device token never waits for either.
 class TxnCoordinator {
  public:
   /// Runs 2PC over `parts` (the per-shard sessions of global transaction

@@ -35,48 +35,78 @@ uint64_t CommitLog::Append(const WalRecord& rec) {
   return writer_.Append(rec);
 }
 
-Status CommitLog::SyncRoundLocked(std::unique_lock<std::mutex>& lk,
-                                  uint64_t lsn) {
-  if (options_.group_commit && lsn != 0 && syncing_) {
-    // Park while another thread holds the token.  The round that covers
-    // this LSN retires the entry and counts it; one that does not hands
-    // the token over, and this wait leads the next round itself.
-    parked_.push_back(lsn);
-    sync_cv_.wait(lk, [&] {
-      return !syncing_ || !dead_.ok() || durable_lsn_ >= lsn;
-    });
-    if (durable_lsn_ >= lsn) return Status::OK();
-    if (!dead_.ok()) return dead_;  // retired by the round that died
-    parked_.erase(std::find(parked_.begin(), parked_.end(), lsn));
+CommitLog::Step CommitLog::BeginWaitLocked(std::unique_lock<std::mutex>& lk,
+                                           uint64_t lsn, Status* s) {
+  if (!dead_.ok()) {
+    *s = dead_;
+    return Step::kDone;
   }
-  sync_cv_.wait(lk, [&] { return !syncing_ || !dead_.ok(); });
-  if (!dead_.ok()) return dead_;
+  if (lsn == 0) {
+    *s = Status::Internal("wal: WaitDurable on a failed append");
+    return Step::kDone;
+  }
+  // Ack-before-durable by configuration; and single-commit mode does not
+  // piggyback: a record another committer's round already covered still
+  // pays a full device round, the cost model the --group-commit bench
+  // contrasts.
+  if (options_.fsync_mode == FsyncMode::kNone ||
+      (options_.group_commit && durable_lsn_ >= lsn)) {
+    *s = Status::OK();
+    return Step::kDone;
+  }
+  ++stats_.sync_waits;
+  if (syncing_) {
+    // Another thread holds the token.  A group-mode wait parks: the round
+    // that covers this LSN retires the entry and counts it.
+    if (options_.group_commit) parked_.push_back(lsn);
+    return Step::kParked;
+  }
+  return BeginRoundLocked(lk, lsn, s) ? Step::kInRound : Step::kDone;
+}
+
+bool CommitLog::BeginRoundLocked(std::unique_lock<std::mutex>& lk,
+                                 uint64_t lsn, Status* s) {
   syncing_ = true;
-
-  Status s;
   if (failpoint_ == WalFailpoint::kPreSync) {
-    s = Status::Internal(
-        "wal: crashed before sync (failpoint); unsynced records lost");
-  } else {
-    auto [staged_lsn, bytes] = writer_.StagePending();
-    // The device write runs with `mu_` released: while this thread sleeps
-    // on the (simulated) fsync, other sessions keep appending and parking
-    // — the window group commit batches.  The token keeps the writer's
-    // file exclusive.
-    lk.unlock();
-    {
-      // Times the device write + (simulated) fsync, i.e. exactly the
-      // window other sessions batch behind.
-      obs::ScopedTimer t(fsync_hist_);
-      s = writer_.WriteStaged(bytes, staged_lsn, options_.fsync_mode,
-                              options_.fsync_latency);
-    }
-    lk.lock();
-    ++stats_.syncs;
-    if (s.ok()) durable_lsn_ = std::max(durable_lsn_, staged_lsn);
+    *s = FinishRoundLocked(
+        lsn, Status::Internal(
+                 "wal: crashed before sync (failpoint); unsynced records lost"));
+    return false;
   }
-  if (!s.ok()) dead_ = s;
+  auto [staged_lsn, bytes] = writer_.StagePending();
+  // The device write runs with `mu_` released: while the device is busy,
+  // other sessions keep appending and parking — the window group commit
+  // batches.  The token keeps the writer's file exclusive.
+  lk.unlock();
+  round_start_ = std::chrono::steady_clock::now();
+  Status submitted = writer_.SubmitStaged(
+      bytes, staged_lsn, options_.fsync_mode, options_.fsync_latency);
+  lk.lock();
+  ++stats_.syncs;
+  if (!submitted.ok()) {
+    *s = FinishRoundLocked(lsn, submitted);
+    return false;
+  }
+  return true;
+}
 
+Status CommitLog::EndRoundLocked(std::unique_lock<std::mutex>& lk,
+                                 uint64_t lsn) {
+  // The token holder alone touches the writer's file and `round_start_`.
+  lk.unlock();
+  Status s = writer_.CompleteStaged();
+  const uint64_t covered = writer_.durable_lsn();
+  fsync_hist_.Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - round_start_)
+          .count()));
+  lk.lock();
+  if (s.ok()) durable_lsn_ = std::max(durable_lsn_, covered);
+  return FinishRoundLocked(lsn, s);
+}
+
+Status CommitLog::FinishRoundLocked(uint64_t lsn, Status s) {
+  if (!s.ok()) dead_ = s;
   // Retire every parked wait this round covered — all of them once the
   // log is dead, since no round will ever run again.
   const size_t parked = parked_.size();
@@ -98,26 +128,63 @@ Status CommitLog::SyncRoundLocked(std::unique_lock<std::mutex>& lk,
   return s;
 }
 
+Status CommitLog::AwaitParkedLocked(std::unique_lock<std::mutex>& lk,
+                                    uint64_t lsn) {
+  if (options_.group_commit) {
+    sync_cv_.wait(lk, [&] {
+      return !syncing_ || !dead_.ok() || durable_lsn_ >= lsn;
+    });
+    if (durable_lsn_ >= lsn) return Status::OK();
+    if (!dead_.ok()) return dead_;  // retired by the round that died
+    // The round missed this LSN and handed the token over: lead the next.
+    parked_.erase(std::find(parked_.begin(), parked_.end(), lsn));
+  }
+  return LeadRoundLocked(lk, lsn);
+}
+
+Status CommitLog::LeadRoundLocked(std::unique_lock<std::mutex>& lk,
+                                  uint64_t lsn) {
+  sync_cv_.wait(lk, [&] { return !syncing_ || !dead_.ok(); });
+  if (!dead_.ok()) return dead_;
+  Status s;
+  if (!BeginRoundLocked(lk, lsn, &s)) return s;
+  return EndRoundLocked(lk, lsn);
+}
+
 Status CommitLog::WaitDurable(uint64_t lsn) {
   std::unique_lock<std::mutex> lk(mu_);
-  if (!dead_.ok()) return dead_;
-  if (lsn == 0) {
-    return Status::Internal("wal: WaitDurable on a failed append");
+  Status s;
+  const Step step = BeginWaitLocked(lk, lsn, &s);
+  if (step == Step::kInRound) return EndRoundLocked(lk, lsn);
+  if (step == Step::kParked) return AwaitParkedLocked(lk, lsn);
+  return s;
+}
+
+void CommitLog::WaitDurableAll(std::vector<DurableWait>& waits) {
+  // Begin, in the caller's order: each wait takes its log's free token and
+  // submits a round, or parks without blocking.
+  for (DurableWait& w : waits) {
+    std::unique_lock<std::mutex> lk(w.log->mu_);
+    w.step = w.log->BeginWaitLocked(lk, w.lsn, &w.status);
   }
-  if (options_.fsync_mode == FsyncMode::kNone) {
-    return Status::OK();  // ack-before-durable by configuration
+  // End the submitted rounds, whose devices ran side by side.  Ending a
+  // round waits only for its device, never for a token.
+  for (DurableWait& w : waits) {
+    if (w.step != Step::kInRound) continue;
+    std::unique_lock<std::mutex> lk(w.log->mu_);
+    w.status = w.log->EndRoundLocked(lk, w.lsn);
   }
-  // Single-commit mode does not piggyback: a record another committer's
-  // round already covered still pays a full device round, the cost model
-  // the --group-commit bench contrasts.
-  if (options_.group_commit && durable_lsn_ >= lsn) return Status::OK();
-  ++stats_.sync_waits;
-  return SyncRoundLocked(lk, lsn);
+  // Only now, holding no token, wait out the parked ones.
+  for (DurableWait& w : waits) {
+    if (w.step != Step::kParked) continue;
+    std::unique_lock<std::mutex> lk(w.log->mu_);
+    w.status = w.log->AwaitParkedLocked(lk, w.lsn);
+  }
 }
 
 Status CommitLog::SyncAll() {
   std::unique_lock<std::mutex> lk(mu_);
-  return SyncRoundLocked(lk, 0);
+  return LeadRoundLocked(lk, 0);
 }
 
 uint64_t CommitLog::appended_lsn() const {

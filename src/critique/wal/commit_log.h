@@ -51,6 +51,12 @@ std::ostream& operator<<(std::ostream& os, const GroupCommitStats& stats);
 /// Every physical sync goes through one *device token* (`syncing_`): its
 /// holder stages everything appended so far and runs exactly one round
 /// (one buffer write + one fsync), then hands the token back and returns.
+/// A round has two steps.  *Begin* parks or takes the token, stages and
+/// submits the bytes (the device starts); *end* waits for the device,
+/// advances `durable_lsn`, retires the parked waits the round covered and
+/// hands the token back.  `WaitDurable` and `SyncAll` run both steps back
+/// to back; `WaitDurableAll` begins a round on several logs before it ends
+/// any, so their device times overlap.
 ///
 /// **Single-commit mode** (`group_commit = false`): every `WaitDurable`
 /// takes the token and pays its own round, even for a record another
@@ -89,6 +95,17 @@ class CommitLog : public WalSink {
   uint64_t Append(const WalRecord& rec) override;
   Status WaitDurable(uint64_t lsn) override;
 
+  struct DurableWait;  // one log's share of a `WaitDurableAll` (below)
+
+  /// `WaitDurable` on several logs at once, their device rounds
+  /// overlapped.  Each wait first takes its log's free token and submits a
+  /// round, or parks if another thread holds it, in the order given; then
+  /// the submitted rounds end, then the parked waits are waited out.  So
+  /// the call lasts about one device round however many logs it covers.
+  /// A thread blocks on a token only while it holds none, so overlapped
+  /// waits cannot deadlock; pass distinct logs.
+  static void WaitDurableAll(std::vector<DurableWait>& waits);
+
   /// Stages and syncs everything buffered (clean shutdown, tests).
   Status SyncAll();
 
@@ -110,7 +127,8 @@ class CommitLog : public WalSink {
 
   GroupCommitStats stats() const;
 
-  /// Physical-sync (device write + fsync) latency, microseconds.
+  /// Physical-sync latency, microseconds: a round from its submit to the
+  /// end of its device wait.
   const obs::Histogram& fsync_histogram() const { return fsync_hist_; }
 
   /// Waits retired per round (the group-commit batch size): the waiter
@@ -128,12 +146,46 @@ class CommitLog : public WalSink {
   }
 
  private:
-  /// Takes the token and runs one round (the device write outside `mu_`),
-  /// retiring the parked waits it covered.  `lsn` is the caller's record
-  /// (0 for `SyncAll`); a group-mode wait first parks while the token is
-  /// held, and returns without a round once one covers `lsn`.  Requires
-  /// `lk` held on entry; returns with it re-held.
-  Status SyncRoundLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn);
+  // Every *Locked member requires `mu_` held (through `lk` where it is
+  // passed) on entry and returns with it re-held.
+
+  /// Where a wait stands after its first step.
+  enum class Step {
+    kDone,     ///< answered without a round of its own
+    kInRound,  ///< leads a submitted round: `EndRoundLocked` must follow
+    kParked,   ///< the token was held: `AwaitParkedLocked` must follow
+  };
+
+  /// Step 1 of a wait for `lsn`; never blocks.  Answers at once (into
+  /// `*s`) when the log is dead, the LSN is 0 or already covered, or
+  /// durability is off.  Otherwise counts the wait and, if the token is
+  /// free, takes it and submits a round; if not, parks (group mode).
+  Step BeginWaitLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn,
+                       Status* s);
+
+  /// Takes the free token and submits one round: stages everything
+  /// appended and starts the device outside `mu_`.  Returns true with the
+  /// round in flight; false, its status in `*s`, when the round died
+  /// before the device started (failpoint, failed write).
+  bool BeginRoundLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn,
+                        Status* s);
+
+  /// Step 2 of a submitted round: waits for the device outside `mu_`,
+  /// advances `durable_lsn_` and finishes the round.
+  Status EndRoundLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn);
+
+  /// Closes the token holder's round with outcome `s`: a failure kills the
+  /// log, the parked waits it covered (all of them on a dead log) are
+  /// retired and counted, and the token is handed back.  `lsn` is the
+  /// holder's own record (0 for `SyncAll`).
+  Status FinishRoundLocked(uint64_t lsn, Status s);
+
+  /// Step 2 of a parked wait: returns once a round covers `lsn`; a round
+  /// that missed it hands the token over, and this wait leads the next.
+  Status AwaitParkedLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn);
+
+  /// Waits for the token, then runs both steps of one round.
+  Status LeadRoundLocked(std::unique_lock<std::mutex>& lk, uint64_t lsn);
 
   mutable std::mutex mu_;
   std::condition_variable sync_cv_;  ///< device token handoff
@@ -144,10 +196,20 @@ class CommitLog : public WalSink {
   Status dead_;                      ///< !ok once a failpoint tripped
   WalFailpoint failpoint_ = WalFailpoint::kNone;
   std::vector<uint64_t> parked_;     ///< LSNs of parked group-mode waits
+  /// When the token holder's round began (its `fsync_us` sample).
+  std::chrono::steady_clock::time_point round_start_;
   GroupCommitStats stats_;
   // Internally synchronized (sharded atomics) — recorded outside mu_.
   obs::Histogram fsync_hist_;
   obs::Histogram batch_hist_;
+};
+
+/// One log's share of a `CommitLog::WaitDurableAll`.
+struct CommitLog::DurableWait {
+  CommitLog* log;
+  uint64_t lsn;
+  Status status;  ///< filled in: what `WaitDurable(lsn)` answers
+  Step step = Step::kDone;  ///< where the wait stood after its first step
 };
 
 }  // namespace critique

@@ -74,8 +74,9 @@ Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal) {
           CRITIQUE_RETURN_NOT_OK(ApplyImages(engine, rec.txn, it->second));
           images.erase(it);
         }
-        Status s = engine.Prepare(rec.txn);
-        if (!s.ok()) return ReplayError(rec, s);
+        // Replay runs with no log attached: there is no vote to await.
+        Result<std::optional<uint64_t>> vote = engine.Prepare(rec.txn);
+        if (!vote.ok()) return ReplayError(rec, vote.status());
         phase[rec.txn] = ReplayPhase::kPrepared;
         ++stats.prepared_restored;
         break;

@@ -20,6 +20,12 @@ namespace critique {
 ///     called *after* every engine latch is released, so the fsync wait
 ///     never serializes other sessions' commits.
 ///
+/// A 2PC vote splits the steps across layers: `Engine::Prepare` appends
+/// the vote and reports its LSN, and the caller runs step 2 —
+/// `Transaction::Prepare` for one participant, or the coordinator for all
+/// of them at once (`CommitLog::WaitDurableAll`, whose device rounds
+/// overlap), before any participant counts as prepared.
+///
 /// One commit skips step 2: a prepared 2PC participant's slim `kCommit`
 /// (`Engine::CommitPrepared`) is appended but never awaited, because the
 /// coordinator's durable `kDecision` is the commit point — a lost

@@ -99,42 +99,48 @@ std::pair<uint64_t, std::string> WalWriter::StagePending() {
   return {appended_lsn_, std::move(staged)};
 }
 
-Status WalWriter::WriteStaged(const std::string& bytes, uint64_t staged_lsn,
-                              FsyncMode mode,
-                              std::chrono::microseconds latency) {
+Status WalWriter::SubmitStaged(const std::string& bytes, uint64_t staged_lsn,
+                               FsyncMode mode,
+                               std::chrono::microseconds latency) {
   if (!bytes.empty()) {
     if (std::fwrite(bytes.data(), 1, bytes.size(), file_.get()) !=
         bytes.size()) {
       return Status::Internal("wal: short write to '" + path_ + "'");
     }
   }
-  if (mode != FsyncMode::kNone) {
-    if (std::fflush(file_.get()) != 0) {
-      return Status::Internal("wal: flush failed on '" + path_ + "'");
-    }
-    if (mode == FsyncMode::kSimulated &&
-        latency > std::chrono::microseconds::zero()) {
-      std::this_thread::sleep_for(latency);
-    }
-    if (mode == FsyncMode::kFsync) {
-      // fdatasync suffices: recovery reads only file bytes the data sync
-      // covers, and the steadily-growing size reaches the inode with it.
+  if (mode != FsyncMode::kNone && std::fflush(file_.get()) != 0) {
+    return Status::Internal("wal: flush failed on '" + path_ + "'");
+  }
+  submitted_lsn_ = staged_lsn;
+  submitted_mode_ = mode;
+  // The simulated device starts once the bytes have left user space.
+  device_done_ = std::chrono::steady_clock::now() + latency;
+  return Status::OK();
+}
+
+Status WalWriter::CompleteStaged() {
+  if (submitted_mode_ == FsyncMode::kSimulated) {
+    std::this_thread::sleep_until(device_done_);
+  }
+  if (submitted_mode_ == FsyncMode::kFsync) {
+    // fdatasync suffices: recovery reads only file bytes the data sync
+    // covers, and the steadily-growing size reaches the inode with it.
 #if defined(__linux__)
-      if (::fdatasync(::fileno(file_.get())) != 0) {
+    if (::fdatasync(::fileno(file_.get())) != 0) {
 #else
-      if (::fsync(::fileno(file_.get())) != 0) {
+    if (::fsync(::fileno(file_.get())) != 0) {
 #endif
-        return Status::Internal("wal: fsync failed on '" + path_ + "'");
-      }
+      return Status::Internal("wal: fsync failed on '" + path_ + "'");
     }
   }
-  if (staged_lsn > durable_lsn_) durable_lsn_ = staged_lsn;
+  if (submitted_lsn_ > durable_lsn_) durable_lsn_ = submitted_lsn_;
   return Status::OK();
 }
 
 Status WalWriter::Sync(FsyncMode mode, std::chrono::microseconds latency) {
   auto [lsn, bytes] = StagePending();
-  return WriteStaged(bytes, lsn, mode, latency);
+  CRITIQUE_RETURN_NOT_OK(SubmitStaged(bytes, lsn, mode, latency));
+  return CompleteStaged();
 }
 
 Result<WalReadResult> WalReader::ReadFile(const std::string& path) {

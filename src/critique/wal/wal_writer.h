@@ -38,7 +38,7 @@ enum class FsyncMode {
 /// \brief Appends framed records to one log file.
 ///
 /// Records are buffered in user space by `Append` and reach the file only
-/// at `SyncTo` — deliberately, because that is the crash model: a "crash"
+/// at a sync — deliberately, because that is the crash model: a "crash"
 /// (abandoning the writer, or a failpoint killing it) loses exactly the
 /// unsynced suffix, so tests that reopen the file observe precisely what
 /// a kill -9 after the last sync would leave.  LSNs are 1-based record
@@ -89,11 +89,19 @@ class WalWriter {
   /// "device" is busy.
   std::pair<uint64_t, std::string> StagePending();
 
-  /// Writes staged bytes + flushes per `mode` (and sleeps `latency` in
-  /// kSimulated mode), then advances `durable_lsn` to `staged_lsn`.
-  /// Only one thread may be inside at a time.
-  Status WriteStaged(const std::string& bytes, uint64_t staged_lsn,
-                     FsyncMode mode, std::chrono::microseconds latency);
+  /// Step 1 of a device round: writes the staged bytes, flushes them per
+  /// `mode` and starts the device — the bytes have left user space when it
+  /// returns, but are not durable until `CompleteStaged`.  Between the two
+  /// steps the caller may start rounds on other logs, so their device
+  /// times overlap.  Only one thread may hold a round at a time.
+  Status SubmitStaged(const std::string& bytes, uint64_t staged_lsn,
+                      FsyncMode mode, std::chrono::microseconds latency);
+
+  /// Step 2: waits for the device round `SubmitStaged` started — under
+  /// kSimulated sleeps until the submit time plus its latency, under
+  /// kFsync runs fdatasync(2) — then advances `durable_lsn` to the
+  /// round's `staged_lsn`.
+  Status CompleteStaged();
 
   /// Stage + write in one call (single-threaded use).
   Status Sync(FsyncMode mode = FsyncMode::kFlush,
@@ -116,6 +124,10 @@ class WalWriter {
   std::string buffer_;          ///< appended-but-unsynced framed records
   uint64_t appended_lsn_ = 0;
   uint64_t durable_lsn_ = 0;
+  /// The submitted round `CompleteStaged` finishes.
+  uint64_t submitted_lsn_ = 0;
+  FsyncMode submitted_mode_ = FsyncMode::kNone;
+  std::chrono::steady_clock::time_point device_done_;  ///< kSimulated
 };
 
 /// \brief Reads a whole log file, tolerating a torn tail.

@@ -1,7 +1,9 @@
 // Deadlock-victim seniority in blocking mode: a probe that closes a
 // waits-for cycle aborts the cycle's most junior member, and an `Execute`
 // restart keeps its first attempt's seniority, so a body that keeps
-// losing deadlocks ages until it wins them.  `scripts/check.sh --stress`
+// losing deadlocks ages until it wins them; and a junior request queues
+// behind a parked senior one on the same item, so a restart cannot re-take
+// a lock the senior is waiting to upgrade past.  `scripts/check.sh --stress`
 // loops this suite under ThreadSanitizer (the doom-and-wake handoff is a
 // cross-thread race).
 
@@ -94,6 +96,44 @@ TEST(SeniorityTest, InheritedSeniorityOutranksAYoungerId) {
   EXPECT_TRUE(race.prober.IsDeadlock()) << race.prober.ToString();
   EXPECT_TRUE(race.parked.ok()) << race.parked.ToString();
   EXPECT_EQ(lm.stats().deadlocks, 3u);
+}
+
+TEST(SeniorityTest, JuniorQueuesBehindAParkedSeniorUpgrade) {
+  // T1 parks on its upgrade of x behind T2's shared lock.  A junior's
+  // shared request is compatible with every holder, but it must not slip
+  // in ahead of the senior upgrade: it waits, and gets x once T1 is done.
+  LockManager lm;
+  for (TxnId t : {1, 2}) {
+    ASSERT_TRUE(lm.TryAcquire(LockSpec::ReadItem(t, "x", std::nullopt)).ok());
+  }
+  Status upgrade = Status::Internal("unset");
+  std::thread upgrader([&] {
+    upgrade = lm.Acquire(
+                    LockSpec::WriteItem(1, "x", std::nullopt, std::nullopt),
+                    kWait, kWait)
+                  .status();
+  });
+  while (!ParkedWaiter(lm, 1)) std::this_thread::yield();
+
+  Status junior = Status::Internal("unset");
+  std::atomic<bool> answered{false};
+  std::thread reader([&] {
+    junior =
+        lm.Acquire(LockSpec::ReadItem(3, "x", std::nullopt), kWait, kWait)
+            .status();
+    answered = true;
+  });
+  while (!answered && !ParkedWaiter(lm, 3)) std::this_thread::yield();
+  EXPECT_FALSE(answered) << "the junior must queue behind T1's upgrade";
+
+  lm.ReleaseAll(2);  // T1's upgrade goes through first
+  upgrader.join();
+  EXPECT_TRUE(upgrade.ok()) << upgrade.ToString();
+  EXPECT_EQ(lm.HeldCountBy(3), 0u) << "T1's X lock still blocks T3";
+  lm.ReleaseAll(1);
+  reader.join();
+  EXPECT_TRUE(junior.ok()) << junior.ToString();
+  EXPECT_EQ(lm.stats().deadlocks, 0u);
 }
 
 TEST(SeniorityTest, HotKeyTransfersNeverExhaustTheirRestarts) {

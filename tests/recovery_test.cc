@@ -12,6 +12,7 @@
 // and the crashed instance's clean-shutdown flush are not — exactly what
 // a kill -9 at that instant would leave on disk.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -538,6 +539,122 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<std::tuple<int, IsolationLevel>>& info) {
       return std::string(kCrashMatrix[std::get<0>(info.param)].name) + "_" +
              LevelTag(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// The overlapped vote wait: one participant log dies mid-wait
+// ---------------------------------------------------------------------------
+
+// Counts the kPrepare records a log file holds.
+size_t CountPrepares(const std::string& path) {
+  Result<WalReadResult> r = WalReader::ReadFile(path);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return 0;
+  return static_cast<size_t>(
+      std::count_if(r.value().records.begin(), r.value().records.end(),
+                    [](const WalRecord& rec) {
+                      return rec.type == WalRecordType::kPrepare;
+                    }));
+}
+
+// {the participant whose log dies (0 = first in shard order), level}.
+class ShardedVoteCrashTest
+    : public testing::TestWithParam<std::tuple<int, IsolationLevel>> {};
+
+TEST_P(ShardedVoteCrashTest, OnlyTheDurableVoteIsAbortedAndNothingLeaks) {
+  const int dead = std::get<0>(GetParam());
+  const int live = 1 - dead;
+  const IsolationLevel level = std::get<1>(GetParam());
+
+  const std::string dir = TmpPath("vote_crash_" + std::to_string(dead) +
+                                  "_" + LevelTag(level));
+  fs::remove_all(dir);
+  ShardedDbOptions opt(2, level);
+  opt.wal_dir = dir;
+  opt.shard_options.record_history = true;  // shard histories are judged
+  ShardedDatabase db(opt);
+
+  ItemId x, y;
+  std::tie(x, y) = ItemPerShard(db, "acct");
+  ASSERT_TRUE(db.Load(x, Value(100)).ok());
+  ASSERT_TRUE(db.Load(y, Value(100)).ok());
+  ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
+                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(90)));
+                  return t.Put(y, Value(110));
+                }).ok());
+
+  // The vote wait begins the participants' rounds in shard order: when
+  // the second participant's log dies, the first one's round is already
+  // in flight; when the first one's dies, the second one's still runs.
+  db.shard(dead).wal()->set_failpoint(WalFailpoint::kPreSync);
+  {
+    ShardedTransaction t = db.Begin();
+    ASSERT_TRUE(t.Put(x, Value(65)).ok());
+    ASSERT_TRUE(t.Put(y, Value(135)).ok());
+    const Status s = t.Commit();
+    ASSERT_FALSE(s.ok()) << "a vote that never became durable cannot ack";
+    EXPECT_TRUE(s.IsInternal()) << s.ToString();
+  }
+  const CoordinatorStats cs = db.coordinator().stats();
+  EXPECT_EQ(cs.committed, 1u);
+  EXPECT_EQ(cs.aborted, 1u);
+  EXPECT_EQ(cs.prepare_failures, 1u);
+
+  // The live participant's vote became durable and took the abort
+  // decision; the one on the dead log stays frozen in doubt, as the crash
+  // left it.
+  EXPECT_EQ(CountPrepares(db.shard(live).wal()->path()), 2u);
+  EXPECT_EQ(CountPrepares(db.shard(dead).wal()->path()), 1u);
+  EXPECT_TRUE(db.shard(live).engine().InDoubtTransactions().empty());
+  EXPECT_EQ(db.shard(dead).engine().InDoubtTransactions().size(), 1u);
+
+  // The kill, then recovery.  No decision was logged for the doomed
+  // transfer, so its durable vote is restored in doubt and presumed
+  // aborted.  The earlier transfer's commit record on the dead log never
+  // synced either: its participant there is restored in doubt too, and
+  // rolls forward from the decision that is still open.
+  ShardedDbOptions ropt = opt;
+  ropt.wal_dir = ShardedCrashImage(dir);
+  Result<std::unique_ptr<ShardedDatabase>> r = ShardedDatabase::Recover(ropt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::unique_ptr<ShardedDatabase> rec = std::move(r).value();
+  const ShardedDatabase::RecoveryReport rep = rec->RecoverInDoubt();
+  EXPECT_EQ(rep.committed, 1u) << "the earlier transfer on the dead log";
+  EXPECT_EQ(rep.aborted, 1u) << "the durable vote";
+  for (int s = 0; s < rec->num_shards(); ++s) {
+    EXPECT_TRUE(rec->shard(s).engine().InDoubtTransactions().empty())
+        << "shard " << s;
+  }
+
+  int64_t vx = -1, vy = -1;
+  ASSERT_TRUE(rec->Execute([&](ShardedTransaction& t) -> Status {
+                   CRITIQUE_ASSIGN_OR_RETURN(Value rx, t.GetScalar(x));
+                   CRITIQUE_ASSIGN_OR_RETURN(Value ry, t.GetScalar(y));
+                   vx = rx.AsInt();
+                   vy = ry.AsInt();
+                   return Status::OK();
+                 }).ok());
+  EXPECT_EQ(vx, 90);
+  EXPECT_EQ(vy, 110);
+  ASSERT_TRUE(rec->Execute([&](ShardedTransaction& t) -> Status {
+                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(1)));
+                  return t.Put(y, Value(2));
+                }).ok())
+      << "recovered shards must be fully writable (no leaked locks)";
+  for (int s = 0; s < rec->num_shards(); ++s) {
+    EXPECT_TRUE(IsSerializable(rec->shard(s).history())) << "shard " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VoteCrashMatrix, ShardedVoteCrashTest,
+    testing::Combine(testing::Values(0, 1),
+                     testing::Values(IsolationLevel::kSerializable,
+                                     IsolationLevel::kSnapshotIsolation)),
+    [](const testing::TestParamInfo<std::tuple<int, IsolationLevel>>& info) {
+      return std::string(std::get<0>(info.param) == 0 ? "first_dies"
+                                                      : "second_dies") +
+             "_" + LevelTag(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------

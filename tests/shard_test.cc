@@ -12,18 +12,26 @@
 //      leaked (locks released, pending versions gone, values correct).
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "critique/analysis/dependency_graph.h"
 #include "critique/analysis/mv_analysis.h"
+#include "critique/common/random.h"
 #include "critique/engine/locking_engine.h"
 #include "critique/engine/si_engine.h"
 #include "critique/shard/shard_scenarios.h"
 #include "critique/shard/sharded_database.h"
+#include "critique/wal/commit_log.h"
 #include "critique/workload/parallel_driver.h"
 #include "critique/workload/workload.h"
 
@@ -749,6 +757,164 @@ TEST(ShardedDatabaseTest, ConcurrentTransfersPreserveTheGlobalInvariant) {
   // Client-side commits never exceed engine-side commits (each cross-shard
   // commit records one engine commit per participant).
   EXPECT_GE(stats.engine_commits, stats.committed);
+}
+
+// ---------------------------------------------------------------------------
+// Overlapped votes: a cross-shard commit waits one vote round, not one per
+// participant, and the device tokens it holds side by side never deadlock
+// ---------------------------------------------------------------------------
+
+// SI shards with per-shard WALs under a fresh directory, group commit on a
+// simulated device of `latency`.
+ShardedDbOptions DurableShards(int shards, const std::string& name,
+                               std::chrono::microseconds latency) {
+  ShardedDbOptions opt(shards, IsolationLevel::kSnapshotIsolation);
+  opt.wal_dir = testing::TempDir() + "critique_shard_" + name;
+  opt.shard_options.group_commit = true;
+  opt.shard_options.fsync_mode = FsyncMode::kSimulated;
+  opt.shard_options.fsync_latency = latency;
+  return opt;
+}
+
+TEST(VoteOverlapTest, CrossShardCommitWaitsOneVoteRound) {
+  constexpr uint64_t kLatencyUs = 50000;
+  ShardedDatabase db(DurableShards(2, "vote_overlap",
+                                   std::chrono::microseconds(kLatencyUs)));
+  auto pair = PickCrossShardPair(db.router());
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(db.Load(pair->first, Value(5)).ok());
+  ASSERT_TRUE(db.Load(pair->second, Value(5)).ok());
+
+  ShardedTransaction txn = db.Begin();
+  ASSERT_TRUE(txn.Put(pair->first, Value(4)).ok());
+  ASSERT_TRUE(txn.Put(pair->second, Value(6)).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+
+  // Phase 1 made both votes durable in one device round, not two.
+  const obs::HistogramSnapshot prepare =
+      db.coordinator().prepare_histogram().Snapshot();
+  ASSERT_EQ(prepare.count, 1u);
+  EXPECT_LT(prepare.sum, 2 * kLatencyUs);
+
+  std::vector<const CommitLog*> logs = {db.shard(0).wal(), db.shard(1).wal(),
+                                        db.coordinator_log()};
+  for (size_t i = 0; i < logs.size(); ++i) {
+    const GroupCommitStats st = logs[i]->stats();
+    // A participant log syncs its vote round only (the slim commit is
+    // buffered); the coordinator log syncs the decision.
+    EXPECT_EQ(st.syncs, 1u) << "log " << i << ": " << st;
+    EXPECT_EQ(st.syncs + st.batched, st.sync_waits) << "log " << i << ": "
+                                                     << st;
+    // No round completed before its device time.
+    const obs::HistogramSnapshot fsync = logs[i]->fsync_histogram().Snapshot();
+    ASSERT_EQ(fsync.count, 1u) << "log " << i;
+    EXPECT_GE(fsync.sum, kLatencyUs) << "log " << i;
+  }
+}
+
+TEST(VoteOverlapTest, MixedTransfersNeverDeadlockTheDeviceTokens) {
+  // Two threads run cross-shard transfers, whose overlapped vote waits
+  // hold several device tokens at once; two run single-shard transfers,
+  // whose commits take one.  Each thread moves money between its own
+  // accounts, so no Execute can lose a First-Committer-Wins race: a
+  // failure or a hang can only come from the token protocol.
+  constexpr int kShards = 3;
+  constexpr int kThreads = 4;  // threads 0 and 1 cross shards
+  constexpr int kTransfersPerThread = 150;
+  constexpr int64_t kStart = 1000;
+  ShardedDbOptions opt = DurableShards(kShards, "vote_overlap_stress",
+                                       std::chrono::microseconds(100));
+  opt.shard_options.mode = ConcurrencyMode::kBlocking;
+  ShardedDatabase db(opt);
+
+  // acct[t][s][k]: thread t's k-th account on shard s.
+  std::vector<std::vector<std::vector<ItemId>>> acct(
+      kThreads, std::vector<std::vector<ItemId>>(kShards));
+  for (int t = 0; t < kThreads; ++t) {
+    int filled = 0;
+    for (int i = 0; filled < kShards * 2; ++i) {
+      const ItemId id = "t" + std::to_string(t) + "_" + std::to_string(i);
+      std::vector<ItemId>& slot = acct[t][db.ShardOf(id)];
+      if (slot.size() == 2) continue;
+      slot.push_back(id);
+      ++filled;
+      ASSERT_TRUE(db.Load(id, Value(kStart)).ok());
+    }
+  }
+
+  std::atomic<int> finished{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kTransfersPerThread; ++i) {
+        // Cross-shard threads pick a random ordered shard triple and
+        // touch two or all three of its shards; single-shard threads
+        // stay on one shard.
+        const int a = static_cast<int>(rng.Uniform(kShards));
+        const int b = (a + 1 + static_cast<int>(rng.Uniform(kShards - 1))) %
+                      kShards;
+        const int c = 3 - a - b;  // the shard neither a nor b names
+        const bool cross = t < 2;
+        const bool three = cross && rng.Chance(0.5);
+        const Status s = db.Execute([&](ShardedTransaction& txn) -> Status {
+          auto move = [&](const ItemId& id, int64_t delta) -> Status {
+            CRITIQUE_ASSIGN_OR_RETURN(Value v, txn.GetScalar(id));
+            return txn.Put(id, Value(v.AsInt() + delta));
+          };
+          if (!cross) {
+            CRITIQUE_RETURN_NOT_OK(move(acct[t][a][0], -1));
+            return move(acct[t][a][1], 1);
+          }
+          CRITIQUE_RETURN_NOT_OK(move(acct[t][a][0], three ? -2 : -1));
+          CRITIQUE_RETURN_NOT_OK(move(acct[t][b][0], 1));
+          return three ? move(acct[t][c][0], 1) : Status::OK();
+        });
+        if (!s.ok() && failed.fetch_add(1) == 0) {
+          ADD_FAILURE() << "thread " << t << ": " << s.ToString();
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  // A token deadlock would hang the joins below: fail loudly instead.
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(2);
+    while (finished.load() < kThreads) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "transfers hung: device-token deadlock\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  for (std::thread& th : threads) th.join();
+  watchdog.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  int64_t total = 0;
+  ASSERT_TRUE(db.Execute([&](ShardedTransaction& txn) -> Status {
+                  total = 0;
+                  for (const auto& per_thread : acct) {
+                    for (const auto& per_shard : per_thread) {
+                      for (const ItemId& id : per_shard) {
+                        CRITIQUE_ASSIGN_OR_RETURN(Value v, txn.GetScalar(id));
+                        total += v.AsInt();
+                      }
+                    }
+                  }
+                  return Status::OK();
+                }).ok());
+  EXPECT_EQ(total, kStart * kThreads * kShards * 2) << "money conserved";
+  EXPECT_GT(db.coordinator().stats().committed, 0u);
+  EXPECT_GT(db.single_shard_commits(), 0u);
+  for (int s = 0; s < kShards; ++s) {
+    const GroupCommitStats st = db.shard(s).wal()->stats();
+    EXPECT_EQ(st.syncs + st.batched, st.sync_waits) << "shard " << s << ": "
+                                                     << st;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -363,6 +365,85 @@ TEST(WalTest, GroupCommitLeaderReturnsAfterItsOwnRound) {
   Result<WalReadResult> back = WalReader::ReadFile(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().records.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// WaitDurableAll: one wait over several logs, their device rounds overlapped
+// ---------------------------------------------------------------------------
+
+// A fresh slow group-commit log at `name`.
+std::unique_ptr<CommitLog> SlowLog(const std::string& name) {
+  Result<WalWriter> w = WalWriter::Create(TmpPath(name));
+  EXPECT_TRUE(w.ok());
+  return std::make_unique<CommitLog>(std::move(w).value(), SlowGroupCommit());
+}
+
+// Microseconds since `start`.
+int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(WalTest, WaitDurableAllOverlapsTheDeviceRounds) {
+  constexpr int64_t kLatencyUs = 50000;  // SlowGroupCommit's device
+  std::unique_ptr<CommitLog> a = SlowLog("overlap_a.wal");
+  std::unique_ptr<CommitLog> b = SlowLog("overlap_b.wal");
+  std::vector<CommitLog::DurableWait> waits = {
+      {a.get(), a->Append(WalRecord::Prepare(1)), Status::OK()},
+      {b.get(), b->Append(WalRecord::Prepare(1)), Status::OK()}};
+
+  const auto start = std::chrono::steady_clock::now();
+  CommitLog::WaitDurableAll(waits);
+  const int64_t took_us = MicrosSince(start);
+
+  EXPECT_LT(took_us, 2 * kLatencyUs) << "the two rounds must overlap";
+  for (const CommitLog::DurableWait& w : waits) {
+    EXPECT_TRUE(w.status.ok()) << w.status.ToString();
+    EXPECT_EQ(w.log->durable_lsn(), w.lsn);
+    const GroupCommitStats s = w.log->stats();
+    EXPECT_EQ(s.syncs, 1u) << s;
+    EXPECT_EQ(s.syncs + s.batched, s.sync_waits) << s;
+    // No round may complete before its device time.
+    const obs::HistogramSnapshot fsync = w.log->fsync_histogram().Snapshot();
+    ASSERT_EQ(fsync.count, 1u);
+    EXPECT_GE(fsync.sum, static_cast<uint64_t>(kLatencyUs));
+  }
+}
+
+TEST(WalTest, WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound) {
+  constexpr int64_t kLatencyUs = 50000;
+  std::unique_ptr<CommitLog> a = SlowLog("park_a.wal");
+  std::unique_ptr<CommitLog> b = SlowLog("park_b.wal");
+  std::vector<CommitLog::DurableWait> waits = {
+      {a.get(), a->Append(WalRecord::Prepare(1)), Status::OK()},
+      {b.get(), b->Append(WalRecord::Prepare(1)), Status::OK()}};
+
+  // A single-log committer on b takes b's token first; its round stages
+  // everything appended so far, the vote on b included.
+  const uint64_t lsn_c = b->Append(WalRecord::Commit(2, 0));
+  Status c_status = Status::Internal("unset");
+  std::thread committer([&] { c_status = b->WaitDurable(lsn_c); });
+  ASSERT_TRUE(AwaitSyncWaits(*b, 1)) << "the committer leads b's round";
+
+  const auto start = std::chrono::steady_clock::now();
+  CommitLog::WaitDurableAll(waits);
+  const int64_t took_us = MicrosSince(start);
+  committer.join();
+
+  EXPECT_TRUE(c_status.ok()) << c_status.ToString();
+  EXPECT_LT(took_us, 2 * kLatencyUs)
+      << "the vote on b rides the committer's round, which overlaps a's";
+  for (const CommitLog::DurableWait& w : waits) {
+    EXPECT_TRUE(w.status.ok()) << w.status.ToString();
+    const GroupCommitStats s = w.log->stats();
+    EXPECT_EQ(s.syncs, 1u) << s;
+    EXPECT_EQ(s.syncs + s.batched, s.sync_waits) << s;
+  }
+  const GroupCommitStats sb = b->stats();
+  EXPECT_EQ(sb.batched, 1u) << "the parked vote was covered: " << sb;
+  EXPECT_EQ(sb.max_batch, 2u) << sb;
+  EXPECT_EQ(b->durable_lsn(), lsn_c);
 }
 
 // ---------------------------------------------------------------------------
