@@ -29,15 +29,19 @@
 #            overlapped-vote token-ordering tests (a vote wait parked
 #            behind a single-log leader; cross- and single-shard
 #            transfers on three group-commit shards, which must neither
-#            hang nor fail an Execute) STRESS_RUNS times (default 30).
+#            hang nor fail an Execute; a cross-shard commit that waits
+#            one device round for its votes and the coordinator's
+#            record; two clients' commits contending for the
+#            coordinator log's token) STRESS_RUNS times (default 30).
 #            Zero failures required; any data race, non-serializable
 #            committed history, hang or failed Execute fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
 #            matrix: the WAL format/pipeline suite plus every
 #            kill-and-recover test (single-site, group commit, and the
 #            sharded 2PC matrix with a crash injected at each stage of
-#            the commit protocol, and the overlapped-vote cells where one
-#            participant log dies while the other's vote round runs).
+#            the commit protocol, the overlapped-vote cells where one
+#            participant log dies while the other's vote round runs, and
+#            the commit-point cells at the edges of the commit rule).
 #            ASan catches recovery touching freed engine state; the tests
 #            themselves assert no acked commit is lost and no in-doubt
 #            transaction leaks locks.  CRASH_FILTER
@@ -164,7 +168,9 @@ if [[ "$CRASH" -eq 1 ]]; then
   # recovery test, the sharded 2PC crash matrix (a failure injected at
   # every stage of the commit protocol x {Serializable, SI}) and the
   # overlapped-vote cells (VoteCrashMatrix, matched by *CrashMatrix*:
-  # either participant log dies mid vote wait x {Serializable, SI}).
+  # either participant log dies mid vote wait x {Serializable, SI}) and
+  # the commit-point cells (ShardedCrashMatrixCommitPointTest: a lost
+  # vote, a vote on disk beside a durable abort, lost commit records).
   FILTER="${CRASH_FILTER:-WalTest.*:*RecoveryTest*:*CrashMatrix*:*ShardedRecovery*}"
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests --gtest_filter="$FILTER"
@@ -176,14 +182,15 @@ if [[ "$STRESS" -eq 1 ]]; then
   # The stress loop: the SSI commit-pipeline regression pin, the
   # deadlock-victim doom-and-wake handoff, the group-commit device-token
   # handoff (including a handed-off round that dies with waiters parked
-  # behind it) and the overlapped vote wait's token ordering.  One gtest process repeats the
+  # behind it) and the overlapped vote wait's token ordering, with the
+  # coordinator log's record in the same round.  One gtest process repeats the
   # tests so every iteration reuses the warmed TSan runtime;
   # --gtest_break_on_failure turns the first failure into a non-zero
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens' \
+    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens:VoteOverlapTest.CrossShardCommitWaitsOneVoteRound:VoteOverlapTest.ContendedCoordinatorLogCoversEveryAckedCommit' \
     --gtest_repeat="$RUNS" --gtest_break_on_failure
   echo "check.sh: stress loop green ($RUNS TSan runs)"
   exit 0

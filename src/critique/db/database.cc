@@ -81,7 +81,8 @@ void Database::AttachWal(WalWriter writer, const DbOptions& options) {
   wal_->RegisterMetrics(*metrics_, "wal.");
 }
 
-Result<std::unique_ptr<Database>> Database::Recover(DbOptions options) {
+Result<std::unique_ptr<Database>> Database::Recover(DbOptions options,
+                                                   WalVotes* votes) {
   if (options.wal_path.empty()) {
     return Status::InvalidArgument("Recover requires DbOptions::wal_path");
   }
@@ -94,7 +95,7 @@ Result<std::unique_ptr<Database>> Database::Recover(DbOptions options) {
   replay_options.wal_path.clear();
   auto db = std::make_unique<Database>(std::move(replay_options));
   CRITIQUE_ASSIGN_OR_RETURN(WalRecoveryStats stats,
-                            ReplayWal(*db->engine_, wal));
+                            ReplayWal(*db->engine_, wal, votes));
 
   // Reopen for append behind the intact prefix (the torn tail — bytes a
   // crash left mid-record — is truncated away), then log onward into the
@@ -514,11 +515,7 @@ Status Transaction::CommitPrepared() {
     return Status::TransactionAborted("transaction already finished");
   }
   Status s = db_->engine_->CommitPrepared(id_);
-  // A certifying engine (SSI) may refuse the decision when a dangerous
-  // structure completed while the participant was in doubt; the engine
-  // has then already rolled the transaction back, so the handle is
-  // finished either way.
-  if (s.ok() || s.IsSerializationFailure()) Finish();
+  if (s.ok()) Finish();
   return s;
 }
 

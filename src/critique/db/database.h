@@ -261,8 +261,11 @@ class Database {
   /// tail, and reopens the log for appending — the recovered database logs
   /// onward into the same file.  Fails on a log the engine refuses to
   /// replay (corruption past the CRC layer) or on I/O errors; a missing
-  /// file is an empty log (first boot), not an error.
-  static Result<std::unique_ptr<Database>> Recover(DbOptions options);
+  /// file is an empty log (first boot), not an error.  When `votes` is
+  /// non-null it receives the log's 2PC votes (`ShardedDatabase::Recover`
+  /// decides its in-doubt global transactions from them).
+  static Result<std::unique_ptr<Database>> Recover(DbOptions options,
+                                                   WalVotes* votes = nullptr);
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;

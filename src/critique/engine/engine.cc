@@ -13,8 +13,7 @@ std::string EngineStats::ToString() const {
          " deadlock_aborts=" + std::to_string(deadlock_aborts) +
          " serialization_aborts=" + std::to_string(serialization_aborts) +
          " (fcw=" + std::to_string(fcw_aborts) +
-         " ssi=" + std::to_string(ssi_aborts) +
-         " in_doubt=" + std::to_string(in_doubt_aborts) + ")" +
+         " ssi=" + std::to_string(ssi_aborts) + ")" +
          " blocked_ops=" + std::to_string(blocked_ops);
 }
 
@@ -29,7 +28,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
   blocked_ops += o.blocked_ops;
   fcw_aborts += o.fcw_aborts;
   ssi_aborts += o.ssi_aborts;
-  in_doubt_aborts += o.in_doubt_aborts;
   return *this;
 }
 
@@ -45,7 +43,6 @@ EngineStats EngineCounters::Snapshot() const {
   s.blocked_ops = blocked_ops.Value();
   s.fcw_aborts = fcw_aborts.Value();
   s.ssi_aborts = ssi_aborts.Value();
-  s.in_doubt_aborts = in_doubt_aborts.Value();
   return s;
 }
 
@@ -72,7 +69,6 @@ void Engine::RegisterMetrics(obs::MetricsRegistry& reg,
   field("serialization_aborts", &EngineCounters::serialization_aborts);
   field("fcw_aborts", &EngineCounters::fcw_aborts);
   field("ssi_aborts", &EngineCounters::ssi_aborts);
-  field("in_doubt_aborts", &EngineCounters::in_doubt_aborts);
   field("blocked_ops", &EngineCounters::blocked_ops);
 }
 

@@ -38,11 +38,10 @@ struct EngineStats {
 
   // Breakdown of `serialization_aborts` by the paper's taxonomy (the same
   // tags the `obs::TxnTracer` records).  The aggregate above keeps
-  // counting for compatibility; these three always sum to it for the
-  // stock engines.
+  // counting for compatibility; these two always sum to it for the stock
+  // engines.
   uint64_t fcw_aborts = 0;      ///< First-Committer/Updater-Wins conflicts
   uint64_t ssi_aborts = 0;      ///< SSI dangerous-structure refusals
-  uint64_t in_doubt_aborts = 0; ///< 2PC decision-time revalidation refusals
 
   /// All aborts, whatever initiated them.
   uint64_t total_aborts() const {
@@ -56,7 +55,7 @@ struct EngineStats {
 
   /// Field-wise sum (the sharded facade's aggregate).  Every counter,
   /// the taxonomy breakdown included, must be summed here — dropping one
-  /// breaks `fcw + ssi + in_doubt == serialization_aborts` in the sum.
+  /// breaks `fcw + ssi == serialization_aborts` in the sum.
   EngineStats& operator+=(const EngineStats& o);
 
   /// One line: "reads=3 predicate_reads=0 writes=2 commits=1 ...".
@@ -145,7 +144,6 @@ struct EngineCounters {
   obs::Counter blocked_ops;
   obs::Counter fcw_aborts;
   obs::Counter ssi_aborts;
-  obs::Counter in_doubt_aborts;
 
   /// Sums every counter into an `EngineStats`.  Exact once sessions are
   /// quiescent; while they run it is not a consistent cut (one field may
@@ -505,37 +503,36 @@ class Engine {
   // until the coordinator's decision arrives as `CommitPrepared` or
   // `AbortPrepared`.
   //
-  // After an OK `Prepare`, `CommitPrepared` must not fail for engines
-  // whose prepared state pins every conflict it validated (lock
-  // schedulers: the locks held across the in-doubt window are the proof).
-  // A *certifying* engine (SSI) cannot promise that: certification is only
-  // complete at publication, so its `CommitPrepared` re-validates and may
-  // answer kSerializationFailure when a dangerous structure completed
-  // while the participant was in doubt — the engine has then already
-  // rolled the participant back, exactly as a failed `Commit`, and the
-  // refusal is an abort *acknowledgement* (the participant is terminal, no
-  // locks or versions leak).  Coordinators must treat such a refusal as a
-  // participant abort, not a protocol error (see shard/TxnCoordinator).
+  // After an OK `Prepare`, `CommitPrepared` must not fail: *prepared means
+  // pinned*.  A lock scheduler keeps that promise with the locks it holds
+  // across the in-doubt window.  A certifying engine (SSI) keeps it by
+  // treating a prepared participant as committed in everyone else's
+  // conflict checks, so the active transaction that would close a
+  // dangerous structure through it is refused instead (PostgreSQL's rule;
+  // Ports & Grittner, VLDB 2012).  The global commit point depends on
+  // this: once every vote is durable, nothing may refuse the commit.
   //
   // Durability (engines with a WAL attached): `Prepare` appends its vote
   // — the write set and `kPrepare` — and returns the vote's LSN without
   // waiting for it.  The durable-vote rule (a participant counts as
   // prepared only once its vote would survive a crash) is the caller's:
   // `Transaction::Prepare` awaits the vote before it answers OK, and the
-  // 2PC coordinator appends every participant's vote first and then
-  // awaits them all in one overlapped wait (`CommitLog::WaitDurableAll`),
-  // so a cross-shard commit pays one vote round, not one per shard.  A
-  // dead log's append answers LSN 0, and awaiting it reports the failure;
-  // the participant stays frozen in doubt, which is exactly what a crash
-  // at that instant means.  `CommitPrepared` appends its slim `kCommit`
-  // inside the publication section, like a plain commit, but does NOT
-  // wait for it: the coordinator's durable commit decision is the commit
-  // point.  A crash that loses the record restores the participant in
-  // doubt, and recovery rolls it forward from the still-open decision.
-  // The record reaches the device with that log's next sync (the next
-  // prepare, single-shard commit or shutdown); the coordinator closes the
-  // decision only after that.  `AbortPrepared` buffers its `kAbort`
-  // (presumed abort re-aborts a participant whose record was lost).
+  // 2PC coordinator appends every participant's vote and its own record
+  // first and then awaits them all in one overlapped wait
+  // (`CommitLog::WaitDurableAll`), so a cross-shard commit pays one device
+  // round.  A dead log's append answers LSN 0, and awaiting it reports the
+  // failure; the participant stays frozen in doubt, which is exactly what
+  // a crash at that instant means.  `CommitPrepared` appends its slim
+  // `kCommit` inside the publication section, like a plain commit, but
+  // does NOT wait for it: the global commit point (every vote and the
+  // coordinator's record durable, no `kAbort`) is already reached.  A
+  // crash that loses the record restores the participant in doubt, and
+  // recovery rolls it forward from the same durable facts.  The record
+  // reaches the device with that log's next sync (the next prepare,
+  // single-shard commit or shutdown).  `AbortPrepared` appends its
+  // `kAbort` before it releases anything, without waiting: a commit that
+  // depends on the release logs after it, so the abort is durable first,
+  // and a durable `kAbort` overrides the votes in recovery's decision.
   //
   // The base-class defaults implement the *trivial participant* for
   // engines whose `Commit` cannot fail (pure lock schedulers): `Prepare`
@@ -562,18 +559,17 @@ class Engine {
     return std::optional<uint64_t>();
   }
 
-  /// Phase 2, commit decision: finishes a prepared transaction.  Succeeds
-  /// after an OK `Prepare` except on a certifying engine, whose
-  /// re-validation may refuse with kSerializationFailure (participant
-  /// already rolled back — see the protocol notes above).
+  /// Phase 2, commit decision: finishes a prepared transaction.  Cannot
+  /// fail after an OK `Prepare` (prepared means pinned; see above).
   virtual Status CommitPrepared(TxnId txn) { return Commit(txn); }
 
   /// Phase 2, abort decision: rolls back a prepared transaction.
   virtual Status AbortPrepared(TxnId txn) { return Abort(txn); }
 
   /// Transactions prepared but not yet decided — what a recovering
-  /// coordinator must resolve (presumed abort: no logged decision means
-  /// abort).  Sorted ascending.
+  /// coordinator must resolve (presumed abort: a global transaction is
+  /// committed only when its commit point is provably durable).  Sorted
+  /// ascending.
   virtual std::vector<TxnId> InDoubtTransactions() const { return {}; }
 
   /// The history recorded so far (empty when recording is off).

@@ -129,8 +129,7 @@ Status SnapshotIsolationEngine::AbortInternal(
     recorder_.Record([txn] { return Action::Abort(txn); }, counter);
   }
   // Breakdown by the paper's taxonomy: only serialization aborts split
-  // (coordinator-decided AbortPrepared traces kInDoubtDecision but counts
-  // as a plain abort).
+  // (AbortPrepared traces kInDoubtDecision but counts as a plain abort).
   if (counter == &EngineCounters::serialization_aborts) {
     switch (why) {
       case obs::AbortReason::kFirstCommitterWins:
@@ -138,9 +137,6 @@ Status SnapshotIsolationEngine::AbortInternal(
         break;
       case obs::AbortReason::kSsiDangerousStructure:
         recorder_.Count(&EngineCounters::ssi_aborts);
-        break;
-      case obs::AbortReason::kInDoubtDecision:
-        recorder_.Count(&EngineCounters::in_doubt_aborts);
         break;
       default:
         break;
@@ -229,16 +225,16 @@ bool SnapshotIsolationEngine::SsiPivot(const TxnState& st) const {
 
 bool SnapshotIsolationEngine::CompletesCommittedPivot(
     TxnId self, const TxnState& st) const {
-  // self -rw-> P with P committed: P can no longer abort, so if some other
-  // W in P's out-edges committed before P did (the dangerous structure's
-  // "T3 commits first"), self completing the in-edge side must abort
-  // instead.  This is the edge the old validate-once engine never
-  // re-examined: it forms *after* the pivot committed.
+  // self -rw-> P with P committed or prepared: P can no longer abort, so
+  // if some other W in P's out-edges commits before P (the dangerous
+  // structure's "T3 commits first"), self completing the in-edge side must
+  // abort instead.  This is the edge the old validate-once engine never
+  // re-examined: it forms *after* the pivot committed or prepared.
   for (TxnId u : st.out_to) {
     auto it = txns_.find(u);
     if (it == txns_.end()) continue;  // retired or gone: dead edge
     const TxnState& p = it->second;
-    if (!p.committed || p.aborted) continue;
+    if (p.aborted || !(p.committed || p.prepared)) continue;
     // Only a Serializable-SI pivot's contract demands the refusal: a
     // plain-SI pivot is permitted its write skew (the structure is its
     // declared anomaly, not a broken guarantee).
@@ -247,8 +243,12 @@ bool SnapshotIsolationEngine::CompletesCommittedPivot(
     for (TxnId w : p.out_to) {
       if (w == self) continue;
       auto wt = txns_.find(w);
-      if (wt == txns_.end()) continue;
-      if (wt->second.committed && wt->second.commit_ts < p.commit_ts) {
+      if (wt == txns_.end() || wt->second.aborted) continue;
+      const TxnState& ws = wt->second;
+      // A prepared P commits after every W already committed, and maybe
+      // after a prepared W: either may be the one that commits first.
+      if (p.prepared ? (ws.committed || ws.prepared)
+                     : (ws.committed && ws.commit_ts < p.commit_ts)) {
         return true;
       }
     }
@@ -256,49 +256,41 @@ bool SnapshotIsolationEngine::CompletesCommittedPivot(
   return false;
 }
 
-bool SnapshotIsolationEngine::CompletedPivotInDoubt(const TxnState& st) const {
-  // The participant prepared as a non-pivot; while in doubt both sides of
-  // a dangerous structure closed around it: an in-edge source that
-  // committed (or itself prepared — it can still commit), and an out-edge
-  // target that committed, necessarily before this participant's still
-  // unassigned commit timestamp.
-  bool in_live = false;
+bool SnapshotIsolationEngine::FeedsPreparedPivot(const TxnState& st) const {
+  // P -rw-> self with P prepared: self commits before P, so a live in-edge
+  // of P closes a dangerous structure whose pivot can no longer abort.
+  // The in-edge may be self's own (write skew between self and P).
   for (TxnId u : st.in_from) {
     auto it = txns_.find(u);
-    if (it == txns_.end() || it->second.aborted) continue;
-    if (it->second.committed || it->second.prepared) {
-      in_live = true;
-      break;
+    if (it == txns_.end()) continue;
+    const TxnState& p = it->second;
+    if (!p.prepared || p.level != IsolationLevel::kSerializableSI) continue;
+    for (TxnId r : p.in_from) {
+      auto rt = txns_.find(r);
+      if (rt != txns_.end() && !rt->second.aborted) return true;
     }
-  }
-  if (!in_live) return false;
-  for (TxnId w : st.out_to) {
-    auto it = txns_.find(w);
-    if (it == txns_.end() || it->second.aborted) continue;
-    if (it->second.committed) return true;
   }
   return false;
 }
 
-std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn,
-                                                               bool decision) {
+std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn) {
   if (!options_.ssi) return std::nullopt;
   std::lock_guard<std::mutex> el(ssi_mu_);
   const TxnState& st = txns_.find(txn)->second;
   // A transaction is refused as a pivot only under its own declared
   // Serializable-SI contract — a plain-SI neighbour keeps its write skew.
-  // The committed-pivot completion check below runs for *every* level,
-  // because there the broken contract would be the committed pivot's.
-  const bool self_ssi = st.level == IsolationLevel::kSerializableSI;
-  if (!decision && self_ssi && SsiPivot(st)) {
+  // The pinned-pivot checks below run for *every* level, because there
+  // the broken contract would be the committed or prepared pivot's.
+  if (st.level == IsolationLevel::kSerializableSI && SsiPivot(st)) {
     return "ssi: pivot in an rw-antidependency dangerous structure";
-  }
-  if (decision && self_ssi && CompletedPivotInDoubt(st)) {
-    return "ssi: dangerous structure completed while prepared (in doubt)";
   }
   if (CompletesCommittedPivot(txn, st)) {
     return "ssi: commit would complete a dangerous structure through an "
-           "already-committed pivot";
+           "already-committed or prepared pivot";
+  }
+  if (FeedsPreparedPivot(st)) {
+    return "ssi: commit would precede a prepared pivot that already has "
+           "an rw-antidependency in-edge";
   }
   return std::nullopt;
 }
@@ -642,7 +634,7 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
     }
   }
 
-  if (auto refusal = SsiRefusal(txn, /*decision=*/false)) {
+  if (auto refusal = SsiRefusal(txn)) {
     return AbortInternal(txn, Status::SerializationFailure(*refusal),
                          &EngineCounters::serialization_aborts,
                          obs::AbortReason::kSsiDangerousStructure);
@@ -656,22 +648,20 @@ Status SnapshotIsolationEngine::RevalidateAndPublish(
     TxnId txn, bool decision, std::optional<uint64_t>* wal_lsn) {
   TxnState& st = txns_.find(txn)->second;
 
-  // Re-validation: rw-antidependencies that formed after stage 1 — during
-  // the commit window, or the whole in-doubt window for a prepared
-  // participant — are examined here against the current edge state.
+  // Re-validation: rw-antidependencies that formed during the commit
+  // window are examined here against the current edge state.  A prepared
+  // participant skips it: it is pinned, and whoever formed an edge to it
+  // while it was in doubt was checked against it instead.
   // First-Committer-Wins needs no re-run: the write-set reservation taken
   // at stage 1 kept every overlapping committer out.
-  if (auto refusal = SsiRefusal(txn, decision)) {
-    ReleaseReservations(txn);
-    if (decision) {
-      ++pipeline_stats_.decision_aborts;
-    } else {
+  if (!decision) {
+    if (auto refusal = SsiRefusal(txn)) {
+      ReleaseReservations(txn);
       ++pipeline_stats_.revalidation_aborts;
+      return AbortInternal(txn, Status::SerializationFailure(*refusal),
+                           &EngineCounters::serialization_aborts,
+                           obs::AbortReason::kSsiDangerousStructure);
     }
-    return AbortInternal(txn, Status::SerializationFailure(*refusal),
-                         &EngineCounters::serialization_aborts,
-                         decision ? obs::AbortReason::kInDoubtDecision
-                                  : obs::AbortReason::kSsiDangerousStructure);
   }
 
   // Publish: the commit timestamp is drawn inside the store-exclusive
@@ -791,18 +781,17 @@ Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
     std::shared_lock<std::shared_mutex> tl(table_mu_);
     CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
     std::lock_guard<std::mutex> cl(commit_mu_);
-    // Stage 2 at the decision phase: a dangerous structure that completed
-    // while in doubt aborts the participant here (kSerializationFailure;
-    // already rolled back) instead of publishing a non-serializable
-    // commit.
+    // Stage 2 at the decision phase: publication only, which cannot fail
+    // (prepared means pinned).
     CRITIQUE_RETURN_NOT_OK(
         RevalidateAndPublish(txn, /*decision=*/true, &wal_lsn));
     gc_due = GcTick();
   }
   if (gc_due) (void)RunGcPass();
-  // The slim commit record is buffered, not awaited: the coordinator's
-  // durable decision is the commit point, and the record reaches the
-  // device with this log's next sync (see WalSink).
+  // The slim commit record is buffered, not awaited: the global commit
+  // point is already durable (every vote plus the coordinator's record),
+  // and the record reaches the device with this log's next sync (see
+  // WalSink).
   return Status::OK();
 }
 
@@ -811,9 +800,10 @@ Status SnapshotIsolationEngine::AbortPrepared(TxnId txn) {
   CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
   {
     std::lock_guard<std::mutex> cl(commit_mu_);
-    // Buffered only, never synced: presumed abort means a lost abort
-    // record just re-restores the participant in doubt, and the next
-    // recovery aborts it again.
+    // Appended before anything is released, never synced: any commit that
+    // depends on this abort logs after it, so log order makes the abort
+    // durable first.  A lost abort record re-restores the participant in
+    // doubt, and recovery decides it again from the logs.
     if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
     ReleaseReservations(txn);
   }
@@ -945,9 +935,6 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
   });
   reg.RegisterGauge(prefix + "pipeline.revalidation_aborts", [this] {
     return commit_pipeline_stats().revalidation_aborts;
-  });
-  reg.RegisterGauge(prefix + "pipeline.decision_aborts", [this] {
-    return commit_pipeline_stats().decision_aborts;
   });
   reg.RegisterHistogram(prefix + "pipeline.validate_us", &stage1_hist_);
   reg.RegisterHistogram(prefix + "pipeline.publish_us", &stage2_hist_);

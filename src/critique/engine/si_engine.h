@@ -41,9 +41,6 @@ struct CommitPipelineStats {
   /// and version publication (a dangerous structure completed inside the
   /// commit window).
   uint64_t revalidation_aborts = 0;
-  /// Prepared (in-doubt) participants refused at `CommitPrepared` because
-  /// their dangerous structure completed while they were in doubt.
-  uint64_t decision_aborts = 0;
 };
 
 /// \brief Snapshot Isolation (Section 4.2): every transaction reads from
@@ -98,9 +95,9 @@ struct CommitPipelineStats {
 ///
 /// `Prepare` is stage 1 with the transaction frozen in doubt (the
 /// reservation held until the coordinator decides); `CommitPrepared` is
-/// stage 2, so a participant whose dangerous structure completed while in
-/// doubt aborts at the decision phase with `kSerializationFailure` instead
-/// of publishing a non-serializable commit (see the 2PC notes below).
+/// stage 2 without the re-validation: a prepared participant is *pinned*,
+/// and the transactions that would close a dangerous structure around it
+/// are refused instead (see the 2PC notes below).
 class SnapshotIsolationEngine : public Engine {
  public:
   explicit SnapshotIsolationEngine(SnapshotIsolationOptions options = {});
@@ -161,20 +158,18 @@ class SnapshotIsolationEngine : public Engine {
   // untouched — pending versions stay invisible and "a transaction
   // running in Snapshot Isolation is never blocked attempting a read".
   //
-  // `CommitPrepared` is commit-pipeline stage 2: it *re-runs* the SSI
-  // dangerous-structure checks against every rw-antidependency that formed
-  // while the participant was in doubt.  If the participant became the
-  // pivot of a completed dangerous structure during that window (its
-  // in-edge source committed or prepared, its out-edge target committed
-  // first — the Ports & Grittner prepared-transaction hazard), the
-  // decision phase refuses with kSerializationFailure and the engine has
-  // already rolled the participant back, exactly as a failed `Commit`.
-  // This binds into the coordinator's presumed-abort rules: the refusal is
-  // an abort acknowledgement, never an open question (the participant is
-  // terminal either way), and `AbortPrepared` is unaffected.  Engines
-  // whose prepare pins every conflict under locks still promise an
-  // infallible CommitPrepared; a *certifying* engine cannot, because
-  // certification is only complete at publication.
+  // `CommitPrepared` is commit-pipeline stage 2 minus the re-validation,
+  // and it cannot fail: prepared means pinned.  As in PostgreSQL's SSI
+  // (Ports & Grittner, VLDB 2012), a prepared SSI participant counts as
+  // committed for everyone else's conflict checks, so the transaction
+  // whose new rw-antidependency would close a dangerous structure through
+  // it is the one refused: a reader U with U -rw-> P when an out-neighbour
+  // of P has already committed or prepared (`CompletesCommittedPivot`),
+  // or a writer W with P -rw-> W when P already has a live in-edge
+  // (`FeedsPreparedPivot`).  Every edge incident to a prepared P is formed
+  // by its *active* neighbour (P neither reads nor writes any more), and
+  // both checks run at that neighbour's Prepare and at both stages of its
+  // Commit, so the active side always absorbs the abort.
   Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
   Status CommitPrepared(TxnId txn) override;
   Status AbortPrepared(TxnId txn) override;
@@ -223,8 +218,7 @@ class SnapshotIsolationEngine : public Engine {
     return gc_floor_.load(std::memory_order_acquire);
   }
 
-  /// Commit-pipeline counters (slots issued, window re-validation aborts,
-  /// in-doubt decision aborts).
+  /// Commit-pipeline counters (slots issued, window re-validation aborts).
   CommitPipelineStats commit_pipeline_stats() const {
     std::lock_guard<std::mutex> lk(commit_mu_);
     return pipeline_stats_;
@@ -320,9 +314,9 @@ class SnapshotIsolationEngine : public Engine {
 
   /// Commit-pipeline stage 2 for `txn` (already validated): re-runs the
   /// SSI checks, then publishes versions at a fresh commit timestamp and
-  /// retires the reservation.  `decision` distinguishes a CommitPrepared
-  /// (refined in-doubt completion check, decision_aborts counter) from a
-  /// plain Commit window re-validation.  Same latch contract as stage 1.
+  /// retires the reservation.  `decision` marks a CommitPrepared, which
+  /// skips the re-run (a prepared participant is pinned) and cannot fail.
+  /// Same latch contract as stage 1.
   /// When a WAL is attached, the publication section appends the redo +
   /// commit records and stores the commit LSN in `*wal_lsn` (untouched
   /// when nothing was logged); a plain Commit waits on it *after*
@@ -360,18 +354,17 @@ class SnapshotIsolationEngine : public Engine {
   bool SsiPivot(const TxnState& st) const;
 
   /// True when committing `st` (id `self`) would complete a dangerous
-  /// structure whose pivot P is already *committed*: self -rw-> P and some
-  /// other W in P's out-edges committed before P did (Cahill's
-  /// committed-pivot rule — P can no longer abort, so self must).
-  /// Requires `ssi_mu_`.
+  /// structure whose pivot P can no longer abort: self -rw-> P and either
+  /// P is *committed* and some other W in P's out-edges committed before P
+  /// did (Cahill's committed-pivot rule), or P is *prepared* and some
+  /// other W in P's out-edges committed or prepared (W then commits before
+  /// P may).  Requires `ssi_mu_`.
   bool CompletesCommittedPivot(TxnId self, const TxnState& st) const;
 
-  /// The refined decision-phase test for a prepared participant: its
-  /// dangerous structure *completed* while in doubt — an in-edge source
-  /// committed or prepared AND an out-edge target committed (committed
-  /// first, since this participant has no commit timestamp yet).
-  /// Requires `ssi_mu_`.
-  bool CompletedPivotInDoubt(const TxnState& st) const;
+  /// True when some prepared Serializable-SI P with P -rw-> `st` has a
+  /// live in-edge: committing `st` would be the out-neighbour that commits
+  /// first around a pivot that can no longer abort.  Requires `ssi_mu_`.
+  bool FeedsPreparedPivot(const TxnState& st) const;
 
   /// Guard over the per-transaction state that SSI bookkeeping reads
   /// across sessions: locked in SSI mode, disengaged (and free) at plain
@@ -386,7 +379,7 @@ class SnapshotIsolationEngine : public Engine {
   /// The SSI refusals shared by stage 1 and the stage-2 re-validation.
   /// Returns the refusal message, or nullopt to admit.  Requires
   /// `table_mu_` shared; takes `ssi_mu_` internally.  No-op at plain SI.
-  std::optional<std::string> SsiRefusal(TxnId txn, bool decision);
+  std::optional<std::string> SsiRefusal(TxnId txn);
 
   /// One GC pass: compute the watermark, prune chains, raise the floor,
   /// and (kWatermark mode) retire finished transaction states plus their

@@ -1,6 +1,7 @@
 #include "critique/harness/histex.h"
 
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -234,6 +235,7 @@ HistexResult RunSharded(const HistexConfig& cfg) {
   sopts.seed = cfg.seed;
   sopts.shard_options.online_check = true;
   sopts.shard_options.online_check_prune_interval = cfg.checker_prune_interval;
+  sopts.shard_options.record_history = true;  // the atomicity oracle reads it
   ShardedDatabase db(sopts);
   for (int i = 0; i < cfg.items; i += 2) {
     (void)db.Load(ItemName(static_cast<uint64_t>(i)), Value(0));
@@ -250,7 +252,29 @@ HistexResult RunSharded(const HistexConfig& cfg) {
       [&] { (void)db.GarbageCollectVersions(); }, value_counter, out);
   out.report = db.CheckerReportAggregate();
   out.stats = db.StatsAggregate();
+  out.cross_shard_commits = db.coordinator().stats().committed;
+  // Cross-shard atomicity: a global id ends the same way in every shard
+  // history that recorded it (bit 1: committed there, bit 2: aborted).
+  std::map<TxnId, int> ends;
+  for (int s = 0; s < cfg.shards; ++s) {
+    const Database& shard = db.shard(s);
+    out.shard_violations.push_back(shard.checker()->Report().violations);
+    const History history = shard.HistorySnapshot();
+    for (const Action& a : history.actions()) {
+      if (a.type == Action::Type::kCommit) ends[a.txn] |= 1;
+      if (a.type == Action::Type::kAbort) ends[a.txn] |= 2;
+    }
+  }
+  for (const auto& [gid, end] : ends) {
+    if (end == 3) ++out.torn_global_txns;
+  }
   Finish(cfg, ran, out);
+  if (out.ok && out.torn_global_txns != 0) {
+    out.ok = false;
+    out.detail = std::to_string(out.torn_global_txns) +
+                 " global transaction(s) committed on one shard and aborted "
+                 "on another\nreplay: " + ReplayCommand(cfg);
+  }
   return out;
 }
 

@@ -63,7 +63,16 @@ struct HistexResult {
   uint64_t forced_rollbacks = 0;  ///< livelock-breaker interventions
   check::CheckerReport report;    ///< online certification (aggregated)
   EngineStats stats;              ///< engine counters (aggregated)
-  bool ok = false;                ///< ran to completion, zero violations
+  /// Sharded runs only: global transactions committed through 2PC.
+  uint64_t cross_shard_commits = 0;
+  /// Sharded runs only: global ids committed on one shard's recorded
+  /// history and aborted on another's (cross-shard atomicity: must be 0).
+  uint64_t torn_global_txns = 0;
+  /// Sharded runs only: each shard's own online-checker violations.
+  std::vector<uint64_t> shard_violations;
+  /// Ran to completion with zero violations (and, sharded, no torn
+  /// global transaction).
+  bool ok = false;
   std::string detail;             ///< failure account (incl. replay hint)
 };
 

@@ -27,14 +27,14 @@ enum class TraceEventType {
 /// Why a transaction aborted, in the paper's taxonomy (Berenson et al.,
 /// Section 4): deadlock victim under locking, First-Committer/Updater-Wins
 /// under Snapshot Isolation, dangerous-structure refusal under SSI, and the
-/// 2PC decision-time revalidation abort of a certifying participant.
+/// 2PC abort decision delivered to a prepared participant.
 enum class AbortReason {
   kNone,                  ///< not an abort event
   kExplicit,              ///< application ROLLBACK
   kDeadlockVictim,        ///< lock manager chose this txn as victim
   kFirstCommitterWins,    ///< FCW / first-updater-wins conflict (SI)
   kSsiDangerousStructure, ///< rw-antidependency pivot refusal (SSI)
-  kInDoubtDecision,       ///< CommitPrepared revalidation refusal (2PC)
+  kInDoubtDecision,       ///< AbortPrepared: the 2PC abort decision
   kLockTimeout,           ///< blocking lock wait exhausted its budget
 };
 

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "critique/wal/recovery.h"
 #include "critique/wal/wal_writer.h"
@@ -83,22 +84,9 @@ ShardedDatabase::ShardedDatabase(ShardedDbOptions options)
     Result<WalWriter> w =
         WalWriter::Create(CoordinatorWalPath(options.wal_dir),
                           options.shard_options.fsync_mode);
-    CheckOrDie(w.ok(), "could not create the coordinator decision log");
+    CheckOrDie(w.ok(), "could not create the coordinator log");
     AttachCoordinatorLog(std::move(w).value(), options);
   }
-}
-
-ShardedDatabase::~ShardedDatabase() {
-  // Clean shutdown closes every decision: the shard logs sync the
-  // participants' buffered commit records, the sweep appends the ends
-  // they now cover, and only then does the coordinator log flush (its
-  // member destructor runs before the shards').  A dead shard log keeps
-  // its decisions open, exactly as a crash would.
-  if (coord_log_ == nullptr) return;
-  for (auto& shard : shards_) {
-    if (shard->wal() != nullptr) (void)shard->wal()->SyncAll();
-  }
-  coordinator_.CloseCoveredDecisions();
 }
 
 Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
@@ -111,56 +99,44 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Recover(
       new ShardedDatabase(options, DeferShards{}));
 
   // Every shard replays its own redo log; committed effects come back,
-  // prepared participants come back in doubt with their locks re-taken.
+  // prepared participants come back in doubt with their locks re-taken,
+  // and each log reports the 2PC votes it holds.
   TxnId id_floor = 1;
+  std::vector<WalVotes> votes(static_cast<size_t>(options.num_shards));
+  std::set<TxnId> in_doubt;
   db->shards_.reserve(static_cast<size_t>(options.num_shards));
   for (int i = 0; i < options.num_shards; ++i) {
-    CRITIQUE_ASSIGN_OR_RETURN(std::unique_ptr<Database> shard,
-                              Database::Recover(ShardOptionsFor(options, i)));
+    CRITIQUE_ASSIGN_OR_RETURN(
+        std::unique_ptr<Database> shard,
+        Database::Recover(ShardOptionsFor(options, i),
+                          &votes[static_cast<size_t>(i)]));
     if (shard->wal_recovery().max_txn + 1 > id_floor) {
       id_floor = shard->wal_recovery().max_txn + 1;
+    }
+    for (TxnId gid : shard->engine().InDoubtTransactions()) {
+      in_doubt.insert(gid);
     }
     db->shards_.push_back(std::move(shard));
   }
 
-  // The coordinator's decision table is rebuilt from the still-open
-  // entries of its persistent log — a durable kDecision without a closing
-  // kDecisionEnd is a commit some participant may not have heard about.
+  // The commit rule decides every in-doubt global transaction from the
+  // coordinator's records and the shards' votes; whatever it does not
+  // prove committed is presumed aborted.  The id allocator also resumes
+  // past every record, so a global id whose votes were lost is never
+  // reused under its old record.
   const std::string coord_path = CoordinatorWalPath(options.wal_dir);
   CRITIQUE_ASSIGN_OR_RETURN(WalReadResult coord_wal,
                             WalReader::ReadFile(coord_path));
-  std::map<TxnId, bool> decisions =
-      ExtractCoordinatorDecisions(coord_wal.records);
-  std::set<TxnId> in_doubt;
-  for (const auto& shard : db->shards_) {
-    for (TxnId gid : shard->engine().InDoubtTransactions()) {
-      in_doubt.insert(gid);
-    }
+  for (const WalRecord& rec : coord_wal.records) {
+    if (rec.txn + 1 > id_floor) id_floor = rec.txn + 1;
   }
-  // An open decision no shard holds a participant in doubt for is applied
-  // everywhere — every participant's commit replayed from its own log —
-  // so it is closed now instead of lingering across restarts.  (A crash
-  // between a participant log's sync and the sweep that would have
-  // appended the end leaves exactly this.)
-  std::vector<TxnId> applied;
-  for (auto it = decisions.begin(); it != decisions.end();) {
-    if (it->first + 1 > id_floor) id_floor = it->first + 1;
-    if (in_doubt.count(it->first) != 0) {
-      ++it;
-      continue;
-    }
-    applied.push_back(it->first);
-    it = decisions.erase(it);
-  }
-  db->coordinator_.RestoreDecisions(std::move(decisions));
+  db->coordinator_.RestoreCommitted(
+      CommittedInDoubt(coord_wal.records, votes, in_doubt));
   CRITIQUE_ASSIGN_OR_RETURN(
       WalWriter coord_writer,
       WalWriter::OpenForAppend(coord_path, coord_wal.valid_bytes,
                                options.shard_options.fsync_mode));
   db->AttachCoordinatorLog(std::move(coord_writer), options);
-  for (TxnId gid : applied) {
-    (void)db->coord_log_->Append(WalRecord::DecisionEnd(gid));
-  }
 
   db->next_gid_.store(id_floor, std::memory_order_relaxed);
   db->recovered_ = true;
@@ -194,54 +170,28 @@ Status ShardedDatabase::Execute(
 
 ShardedDatabase::RecoveryReport ShardedDatabase::RecoverInDoubt() {
   RecoveryReport rep;
-  // gid -> (decision, participants resolved) so the coordinator's log can
-  // be cleaned up and its recovery counters updated per global txn.
+  // gid -> (decision, participants resolved), for the coordinator's
+  // recovery counters.
   std::map<TxnId, std::pair<bool, uint64_t>> resolved;
-  std::vector<CommitLog*> rolled_forward;  // shard logs holding new commits
   for (auto& shard : shards_) {
     Engine& engine = shard->engine();
-    bool shard_rolled_forward = false;
     for (TxnId gid : engine.InDoubtTransactions()) {
-      // Presumed abort: only an explicitly logged commit decision rolls an
-      // in-doubt participant forward.
-      const bool commit = coordinator_.DecisionFor(gid).value_or(false);
+      // Presumed abort: only a reached commit point rolls forward.
+      const bool commit = coordinator_.DecidedCommit(gid);
       Status s = commit ? engine.CommitPrepared(gid)
                         : engine.AbortPrepared(gid);
-      if (commit && s.IsSerializationFailure()) {
-        // A certifying participant re-validated at the decision and found
-        // its dangerous structure completed while in doubt: it aborted
-        // itself (terminal, nothing leaked).  The gid still resolves —
-        // recovery must not spin on it — but the participant is an abort,
-        // not a forward roll.
-        ++rep.decision_aborts;
-        coordinator_.CountDecisionAbort();
-        resolved[gid].first = true;
-        continue;
-      }
       if (!s.ok()) continue;  // raced with another resolver; nothing leaked
-      if (commit) {
-        ++rep.committed;
-        shard_rolled_forward = true;
-      } else {
-        ++rep.aborted;
-      }
+      ++(commit ? rep.committed : rep.aborted);
       auto& entry = resolved[gid];
       entry.first = commit;
       ++entry.second;
     }
-    if (shard_rolled_forward && shard->wal() != nullptr) {
-      rolled_forward.push_back(shard->wal());
-    }
   }
-  // CommitPrepared only buffers the participants' commit records, and no
-  // kDecisionEnd may become durable before them: sync every shard that
-  // rolled something forward before closing a decision.  A failed sync
-  // keeps every decision open for the next recovery to re-resolve.
-  bool synced = true;
-  for (CommitLog* wal : rolled_forward) synced = wal->SyncAll().ok() && synced;
+  // The resolutions' records are buffered, not synced: a crash that loses
+  // one leaves the same durable votes and records behind, and the next
+  // recovery decides the same way.
   for (const auto& [gid, outcome] : resolved) {
-    coordinator_.CountRecovery(outcome.first, outcome.second);
-    if (outcome.first && synced) coordinator_.ForgetDecision(gid);
+    coordinator_.ResolveInDoubt(gid, outcome.first, outcome.second);
   }
   return rep;
 }
@@ -347,7 +297,8 @@ Result<Transaction*> ShardedTransaction::Part(int shard) {
   if (!slot.has_value()) {
     // The same global id on every shard: each shard's history subscripts
     // the same global transaction identically, and in-doubt participants
-    // are resolvable against the coordinator log by id alone.
+    // are resolvable against the votes and the coordinator log by id
+    // alone.
     Database& site = db_->shard(shard);
     CRITIQUE_ASSIGN_OR_RETURN(Transaction t,
                               site.BeginWithId(gid_, BeginOptions{level_}));
@@ -439,9 +390,12 @@ Status ShardedTransaction::Commit() {
     return Status::TransactionAborted("sharded transaction finished");
   }
 
-  std::vector<Transaction*> open;
-  for (auto& part : parts_) {
-    if (part.has_value() && part->active()) open.push_back(&*part);
+  std::vector<TxnCoordinator::Participant> open;
+  for (size_t shard = 0; shard < parts_.size(); ++shard) {
+    auto& part = parts_[shard];
+    if (part.has_value() && part->active()) {
+      open.push_back({static_cast<uint32_t>(shard), &*part});
+    }
   }
 
   if (open.empty()) {  // read-nothing transaction: trivially committed
@@ -453,7 +407,7 @@ Status ShardedTransaction::Commit() {
     // Single-shard fast path: the shard's own commit is the whole
     // protocol.  A cooperative `kWouldBlock` leaves the handle usable for
     // the schedule to retry, exactly like `Transaction::Commit`.
-    Status s = open.front()->Commit();
+    Status s = open.front().txn->Commit();
     if (s.IsWouldBlock()) return s;
     active_ = false;
     if (s.ok()) {
@@ -464,9 +418,9 @@ Status ShardedTransaction::Commit() {
 
   Status s = db_->coordinator_.Commit(gid_, open);
   // On success or global abort every participant handle is finished.  On a
-  // failpoint "crash" (`kInternal`) prepared participants survive their
-  // handles: the rollback below is refused engine-side and they stay in
-  // doubt for RecoverInDoubt.
+  // "crash" (`kInternal`) prepared participants survive their handles: the
+  // rollback below is refused engine-side and they stay in doubt for
+  // RecoverInDoubt.
   AbortParts();
   return s;
 }

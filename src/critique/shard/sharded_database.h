@@ -46,11 +46,11 @@ struct ShardedDbOptions {
   uint64_t seed = 1;
 
   /// When non-empty, durability is on: shard `i` writes its WAL to
-  /// `<wal_dir>/shard-<i>.wal` and the coordinator's decision log becomes
-  /// persistent at `<wal_dir>/coordinator.wal` (the directory is created
-  /// if missing; construction truncates, `Recover` replays).  Group-commit
-  /// and fsync settings come from the per-shard `DbOptions` as usual; the
-  /// decision log reuses `shard_options`' fsync configuration.  Any
+  /// `<wal_dir>/shard-<i>.wal` and the coordinator writes its records to
+  /// `<wal_dir>/coordinator.wal` (the directory is created if missing;
+  /// construction truncates, `Recover` replays).  Group-commit and fsync
+  /// settings come from the per-shard `DbOptions` as usual; the
+  /// coordinator log reuses `shard_options`' fsync configuration.  Any
   /// `wal_path` set on the per-shard options directly is overridden.
   std::string wal_dir;
 };
@@ -70,9 +70,10 @@ struct ShardedDbOptions {
 ///  * single-shard transactions commit directly on their shard — no
 ///    coordinator, no extra latency (the fast path benches measure);
 ///  * cross-shard transactions run 2PC through the `TxnCoordinator`:
-///    prepare everywhere, log the decision, commit everywhere, with
+///    every vote and the coordinator's record made durable in one
+///    overlapped round (the commit point), then commit everywhere, with
 ///    presumed-abort recovery (`RecoverInDoubt`) for participants a
-///    crashed coordinator left in doubt.
+///    crash left in doubt.
 ///
 /// What 2PC does and does not give you (the cross-shard scenario family):
 /// atomicity of the commit itself — yes; a global *snapshot* — no.  Two
@@ -84,8 +85,8 @@ struct ShardedDbOptions {
 ///
 /// Thread-safety mirrors `Database`: with blocking-mode shards, drive the
 /// facade from as many threads as you like, one `ShardedTransaction` per
-/// thread.  Global ids, counters, and the coordinator log are atomic or
-/// mutex-guarded.  Note the per-shard deadlock detectors cannot see
+/// thread.  Global ids, counters, and the coordinator's state are atomic
+/// or mutex-guarded.  Note the per-shard deadlock detectors cannot see
 /// cross-shard waits-for cycles — a distributed deadlock is broken by the
 /// lock-wait timeout surfacing as a retryable failure, not by victim
 /// selection.
@@ -98,22 +99,15 @@ class ShardedDatabase {
   ShardedDatabase(const ShardedDatabase&) = delete;
   ShardedDatabase& operator=(const ShardedDatabase&) = delete;
 
-  /// Clean shutdown: syncs every shard log, closes the decisions whose
-  /// participant commit records that made durable, then flushes the
-  /// coordinator log — so a cleanly stopped facade leaves no open
-  /// decision behind.
-  ~ShardedDatabase();
-
   /// Rebuilds the facade from the WALs under `options.wal_dir` after a
   /// crash: every shard replays its redo log (`Database::Recover`), the
-  /// coordinator's decision table is reseeded from the still-open entries
-  /// of its persistent log (an open entry no shard holds a participant in
-  /// doubt for is already applied, and is closed instead), and the
-  /// global-id allocator advances past every recovered id.  Participants
-  /// a crashed coordinator left prepared come back *in doubt*; call
-  /// `RecoverInDoubt()` on the returned facade to resolve them against
-  /// the restored decisions (logged commit → roll forward, no decision →
-  /// presumed abort).
+  /// commit rule decides each in-doubt global transaction from the
+  /// coordinator's records and the shards' votes (committed iff its
+  /// record and every named shard's vote are durable and no shard logged
+  /// its abort), and the global-id allocator advances past every
+  /// recovered id.  Participants a crash left prepared come back *in
+  /// doubt*; call `RecoverInDoubt()` on the returned facade to resolve
+  /// them (proved committed → roll forward, otherwise presumed abort).
   /// The same `options` used to build the crashed instance must be passed
   /// (engine configuration is not persisted).
   static Result<std::unique_ptr<ShardedDatabase>> Recover(
@@ -122,8 +116,8 @@ class ShardedDatabase {
   /// True when this facade was built by `Recover`.
   bool recovered() const { return recovered_; }
 
-  /// The coordinator's persistent decision log; null when `wal_dir` was
-  /// empty (in-memory decisions, the historical default).
+  /// The coordinator's persistent log; null when `wal_dir` was empty (no
+  /// durability, the historical default).
   CommitLog* coordinator_log() { return coord_log_.get(); }
 
   int num_shards() const { return router_.num_shards(); }
@@ -186,7 +180,7 @@ class ShardedDatabase {
     return single_shard_commits_.load(std::memory_order_relaxed);
   }
 
-  /// The cross-shard commit protocol (stats, failpoints, decision log).
+  /// The cross-shard commit protocol (stats, failpoints).
   TxnCoordinator& coordinator() { return coordinator_; }
   const TxnCoordinator& coordinator() const { return coordinator_; }
 
@@ -194,20 +188,14 @@ class ShardedDatabase {
   struct RecoveryReport {
     uint64_t committed = 0;  ///< in-doubt participants rolled forward
     uint64_t aborted = 0;    ///< in-doubt participants presumed aborted
-    /// Participants whose logged *commit* decision was refused by the
-    /// engine's decision-phase re-validation (a certifying SSI
-    /// participant whose dangerous structure completed while in doubt);
-    /// the engine rolled them back — nothing leaks, the refusal is the
-    /// abort acknowledgement.
-    uint64_t decision_aborts = 0;
   };
 
-  /// Resolves every in-doubt participant on every shard against the
-  /// coordinator's decision log: a logged commit rolls the participant
-  /// forward; no logged decision means the coordinator never decided, and
-  /// presumed abort rolls it back — releasing its locks and pending
-  /// versions.  The logs of shards it rolled forward are synced before
-  /// their decisions are closed.  Idempotent; safe on a quiescent facade.
+  /// Resolves every in-doubt participant on every shard: one whose global
+  /// transaction reached its commit point (`TxnCoordinator::DecidedCommit`)
+  /// rolls forward; any other is presumed aborted — releasing its locks
+  /// and pending versions.  Nothing is synced: a lost resolution record is
+  /// re-decided from the same durable facts.  Idempotent; safe on a
+  /// quiescent facade.
   RecoveryReport RecoverInDoubt();
 
   /// Sum of every shard's engine counters (consistent per shard; the sum
@@ -260,9 +248,8 @@ class ShardedDatabase {
   ShardRouter router_;
   std::vector<std::unique_ptr<Database>> shards_;
   TxnCoordinator coordinator_;
-  /// The coordinator's persistent decision log (heap-allocated so the raw
-  /// pointer the coordinator holds stays stable); null when durability is
-  /// off.
+  /// The coordinator's persistent log (heap-allocated so the raw pointer
+  /// the coordinator holds stays stable); null when durability is off.
   std::unique_ptr<CommitLog> coord_log_;
   bool recovered_ = false;
   std::shared_ptr<const RetryPolicy> retry_;
@@ -341,8 +328,8 @@ class ShardedTransaction {
 
   /// Commits: directly on the single touched shard, or through the 2PC
   /// coordinator when cross-shard.  Retryable refusals mean every
-  /// participant has been rolled back.  `kInternal` means a coordinator
-  /// failpoint "crashed" mid-protocol and prepared participants are in
+  /// participant has been rolled back.  `kInternal` means a log or the
+  /// coordinator "crashed" mid-protocol and prepared participants are in
   /// doubt — resolve with `ShardedDatabase::RecoverInDoubt`.
   Status Commit();
 

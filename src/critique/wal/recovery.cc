@@ -1,5 +1,7 @@
 #include "critique/wal/recovery.h"
 
+#include <algorithm>
+#include <map>
 #include <utility>
 
 namespace critique {
@@ -44,7 +46,8 @@ std::string WalRecoveryStats::ToString() const {
          " max_txn=" + std::to_string(max_txn);
 }
 
-Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal) {
+Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal,
+                                   WalVotes* votes) {
   WalRecoveryStats stats;
   stats.records = wal.records.size();
   stats.torn_tail = wal.torn_tail;
@@ -79,6 +82,7 @@ Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal) {
         if (!vote.ok()) return ReplayError(rec, vote.status());
         phase[rec.txn] = ReplayPhase::kPrepared;
         ++stats.prepared_restored;
+        if (votes != nullptr) votes->prepared.push_back(rec.txn);
         break;
       }
       case WalRecordType::kCommit: {
@@ -110,6 +114,7 @@ Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal) {
           if (!s.ok()) return ReplayError(rec, s);
           --stats.prepared_restored;
           ++stats.aborted_discarded;
+          if (votes != nullptr) votes->aborted.push_back(rec.txn);
         }
         // Not prepared: presumed abort already covers it — the images
         // are simply dropped.
@@ -129,10 +134,13 @@ Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal) {
         }
         break;
       case WalRecordType::kDecision:
-      case WalRecordType::kDecisionEnd:
-        // Coordinator-log records; inert in an engine replay.
+        // A coordinator-log record; inert in an engine replay.
         break;
     }
+  }
+  if (votes != nullptr) {
+    std::sort(votes->prepared.begin(), votes->prepared.end());
+    std::sort(votes->aborted.begin(), votes->aborted.end());
   }
 
   for (const auto& [txn, ph] : phase) {
@@ -142,17 +150,25 @@ Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal) {
   return stats;
 }
 
-std::map<TxnId, bool> ExtractCoordinatorDecisions(
-    const std::vector<WalRecord>& records) {
-  std::map<TxnId, bool> decisions;
-  for (const WalRecord& rec : records) {
-    if (rec.type == WalRecordType::kDecision) {
-      decisions[rec.txn] = rec.commit_decision;
-    } else if (rec.type == WalRecordType::kDecisionEnd) {
-      decisions.erase(rec.txn);
+std::set<TxnId> CommittedInDoubt(const std::vector<WalRecord>& coordinator,
+                                 const std::vector<WalVotes>& votes,
+                                 const std::set<TxnId>& in_doubt) {
+  auto holds = [](const std::vector<TxnId>& ids, TxnId gid) {
+    return std::binary_search(ids.begin(), ids.end(), gid);
+  };
+  std::set<TxnId> committed;
+  for (const WalRecord& rec : coordinator) {
+    if (rec.type != WalRecordType::kDecision || in_doubt.count(rec.txn) == 0) {
+      continue;
     }
+    const bool commit = std::all_of(
+        rec.participants.begin(), rec.participants.end(), [&](uint32_t s) {
+          return s < votes.size() && holds(votes[s].prepared, rec.txn) &&
+                 !holds(votes[s].aborted, rec.txn);
+        });
+    if (commit) committed.insert(rec.txn);
   }
-  return decisions;
+  return committed;
 }
 
 }  // namespace critique

@@ -2,7 +2,7 @@
 #define CRITIQUE_WAL_RECOVERY_H_
 
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,6 +33,13 @@ struct WalRecoveryStats {
   std::string ToString() const;
 };
 
+/// The 2PC votes one participant log holds, by global id — what restart
+/// recovery needs from each shard to apply the commit rule.
+struct WalVotes {
+  std::vector<TxnId> prepared;  ///< ids with a `kPrepare`, sorted
+  std::vector<TxnId> aborted;   ///< of those, ids with a `kAbort`, sorted
+};
+
 /// Replays the intact prefix of a WAL into `engine` (fresh, quiescent, no
 /// sink attached — replay must not re-log itself).
 ///
@@ -47,14 +54,20 @@ struct WalRecoveryStats {
 /// orders publication, log order IS commit order, so sequential replay
 /// can never hit a lock conflict or a First-Committer-Wins refusal — any
 /// engine refusal during replay is log corruption and fails loudly.
-Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal);
+/// When `votes` is non-null it receives the log's 2PC votes.
+Result<WalRecoveryStats> ReplayWal(Engine& engine, const WalReadResult& wal,
+                                   WalVotes* votes = nullptr);
 
-/// Rebuilds a coordinator's decision map from its decision log:
-/// `kDecision` opens an entry, `kDecisionEnd` closes it (every
-/// participant's commit record was durable — nothing left to recover).
-/// Other record types are ignored.
-std::map<TxnId, bool> ExtractCoordinatorDecisions(
-    const std::vector<WalRecord>& records);
+/// The 2PC commit rule (parallel commit: CockroachDB's STAGING record,
+/// Cornus): global transaction G committed iff the coordinator log holds
+/// G's durable `kDecision`, every shard that record names holds G's
+/// durable `kPrepare`, and none of them holds G's `kAbort`.  Returns the
+/// ids in `in_doubt` that committed, judged from the coordinator log's
+/// records and each shard's votes (`votes[shard]`).  Ids outside
+/// `in_doubt` are skipped: nothing is left to decide for them.
+std::set<TxnId> CommittedInDoubt(const std::vector<WalRecord>& coordinator,
+                                 const std::vector<WalVotes>& votes,
+                                 const std::set<TxnId>& in_doubt);
 
 }  // namespace critique
 

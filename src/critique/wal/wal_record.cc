@@ -159,8 +159,6 @@ const char* WalRecordTypeName(WalRecordType t) {
       return "abort";
     case WalRecordType::kDecision:
       return "decision";
-    case WalRecordType::kDecisionEnd:
-      return "decision-end";
     case WalRecordType::kLoad:
       return "load";
   }
@@ -205,7 +203,6 @@ std::string EncodeWalRecord(const WalRecord& rec) {
     case WalRecordType::kBegin:
     case WalRecordType::kPrepare:
     case WalRecordType::kAbort:
-    case WalRecordType::kDecisionEnd:
       break;
     case WalRecordType::kWriteSet:
     case WalRecordType::kLoad:
@@ -220,7 +217,8 @@ std::string EncodeWalRecord(const WalRecord& rec) {
       PutU64(&out, rec.commit_ts);
       break;
     case WalRecordType::kDecision:
-      PutU8(&out, rec.commit_decision ? 1 : 0);
+      PutU32(&out, static_cast<uint32_t>(rec.participants.size()));
+      for (uint32_t shard : rec.participants) PutU32(&out, shard);
       break;
   }
   return out;
@@ -230,18 +228,12 @@ Result<WalRecord> DecodeWalRecord(const std::string& payload) {
   Cursor c(payload);
   WalRecord rec;
   const uint8_t type = c.U8();
-  if (type < static_cast<uint8_t>(WalRecordType::kBegin) ||
-      type > static_cast<uint8_t>(WalRecordType::kLoad)) {
-    return Status::InvalidArgument("wal: unknown record type " +
-                                   std::to_string(type));
-  }
   rec.type = static_cast<WalRecordType>(type);
   rec.txn = c.U64();
   switch (rec.type) {
     case WalRecordType::kBegin:
     case WalRecordType::kPrepare:
     case WalRecordType::kAbort:
-    case WalRecordType::kDecisionEnd:
       break;
     case WalRecordType::kWriteSet:
     case WalRecordType::kLoad: {
@@ -257,9 +249,19 @@ Result<WalRecord> DecodeWalRecord(const std::string& payload) {
     case WalRecordType::kCommit:
       rec.commit_ts = c.U64();
       break;
-    case WalRecordType::kDecision:
-      rec.commit_decision = c.U8() != 0;
+    case WalRecordType::kDecision: {
+      const uint32_t n = c.U32();
+      // One allocation per record: a count the payload cannot hold is
+      // corruption, refused before anything is reserved.
+      if (n > (payload.size() - c.pos) / 4) c.ok = false;
+      if (!c.ok) break;
+      rec.participants.resize(n);
+      for (uint32_t& shard : rec.participants) shard = c.U32();
       break;
+    }
+    default:
+      return Status::InvalidArgument("wal: unknown record type " +
+                                     std::to_string(type));
   }
   if (!c.ok) return Status::InvalidArgument("wal: truncated record payload");
   if (c.pos != payload.size()) {

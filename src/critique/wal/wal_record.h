@@ -45,12 +45,14 @@ enum class WalRecordType : uint8_t {
   /// plain aborts: presumed abort already covers every transaction
   /// without a terminal record.
   kAbort = 5,
-  /// Coordinator log only: the commit decision for global transaction
-  /// `txn` was made durable before phase 2 began.
+  /// Coordinator log only: global transaction `txn` reached phase 1 with
+  /// every participant voting yes; `participants` names their shards.
+  /// Appended before the votes are awaited and made durable in the same
+  /// overlapped round.  It is not a decision by itself: `txn` committed iff
+  /// this record and every named shard's `kPrepare` are durable and no
+  /// named shard's log holds its `kAbort` (the parallel-commit rule).
   kDecision = 6,
-  /// Coordinator log only: every participant of `txn` acknowledged the
-  /// decision; the entry is closed and recovery may ignore it.
-  kDecisionEnd = 7,
+  // 7 was the retired decision-end record: never written, refused on read.
   /// A bootstrap `Load` (outside any transaction; `txn` is 0 and
   /// meaningless).  A redo-only log must carry the loaded base rows too,
   /// or recovery would rebuild a database missing every row no
@@ -78,8 +80,8 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kBegin;
   TxnId txn = 0;
   Timestamp commit_ts = kInvalidTimestamp;  ///< kCommit only
-  std::vector<WalWriteImage> images;        ///< kWriteSet only
-  bool commit_decision = false;             ///< kDecision only
+  std::vector<WalWriteImage> images;        ///< kWriteSet / kLoad only
+  std::vector<uint32_t> participants;       ///< kDecision only: shard ids
 
   static WalRecord Begin(TxnId txn) {
     return Make(WalRecordType::kBegin, txn);
@@ -100,13 +102,10 @@ struct WalRecord {
   static WalRecord Abort(TxnId txn) {
     return Make(WalRecordType::kAbort, txn);
   }
-  static WalRecord Decision(TxnId gid, bool commit) {
+  static WalRecord Decision(TxnId gid, std::vector<uint32_t> participants) {
     WalRecord r = Make(WalRecordType::kDecision, gid);
-    r.commit_decision = commit;
+    r.participants = std::move(participants);
     return r;
-  }
-  static WalRecord DecisionEnd(TxnId gid) {
-    return Make(WalRecordType::kDecisionEnd, gid);
   }
   static WalRecord LoadRow(ItemId id, Row row) {
     WalRecord r = Make(WalRecordType::kLoad, 0);

@@ -8,8 +8,7 @@
 
 namespace critique {
 
-/// \brief The durability sink engines (and the 2PC coordinator) emit redo
-/// records into.
+/// \brief The durability sink engines emit redo records into.
 ///
 /// Two-step protocol, so latched engine sections stay cheap:
 ///
@@ -23,15 +22,15 @@ namespace critique {
 /// A 2PC vote splits the steps across layers: `Engine::Prepare` appends
 /// the vote and reports its LSN, and the caller runs step 2 —
 /// `Transaction::Prepare` for one participant, or the coordinator for all
-/// of them at once (`CommitLog::WaitDurableAll`, whose device rounds
-/// overlap), before any participant counts as prepared.
+/// of them and its own `kDecision` at once (`CommitLog::WaitDurableAll`,
+/// whose device rounds overlap), before any participant counts as
+/// prepared.
 ///
 /// One commit skips step 2: a prepared 2PC participant's slim `kCommit`
 /// (`Engine::CommitPrepared`) is appended but never awaited, because the
-/// coordinator's durable `kDecision` is the commit point — a lost
-/// participant record is re-derived from the decision by recovery.  The
-/// coordinator in turn appends `kDecisionEnd` only once every
-/// participant's log has synced past that `kCommit`.
+/// global commit point is already durable — every vote plus the
+/// coordinator's `kDecision`, which joins the votes' overlapped round — so
+/// a lost participant record is re-derived from those by recovery.
 ///
 /// `Append` returning 0 means the log has died (a crash failpoint); the
 /// matching `WaitDurable(0)` reports the failure.  Thread-safe.
@@ -45,11 +44,6 @@ class WalSink {
   /// Blocks until every record at or below `lsn` is durable.  `lsn` 0
   /// (a dead-log append) answers the log's terminal status.
   virtual Status WaitDurable(uint64_t lsn) = 0;
-
-  /// Append + WaitDurable in one call (coordinator decisions).
-  Status AppendDurable(const WalRecord& rec) {
-    return WaitDurable(Append(rec));
-  }
 };
 
 }  // namespace critique

@@ -16,9 +16,14 @@ namespace critique {
 
 /// What "make it durable" means for a sync of the log device.
 enum class FsyncMode {
-  /// No durability barrier: buffered records reach the file only at
-  /// `SyncTo`-less shutdown (`Close`).  Ack-before-durable — benches
-  /// measuring pure engine cost with the log off the critical path.
+  /// No durability barrier: `CommitLog` acks every wait at once and runs
+  /// no round for it, so `CommitLog::durable_lsn()` reports the appended
+  /// LSN.  Buffered records are written into the stdio stream, unflushed,
+  /// only by an explicit round (`SyncAll`, which the `CommitLog`
+  /// destructor runs), and reach the file when the stdio buffer fills or
+  /// when the writer is destroyed (`FileCloser`).  Ack-before-durable —
+  /// benches measuring pure engine cost with the log off the critical
+  /// path.
   kNone,
   /// Write + flush the stdio stream per sync.  Honest ordering (a crash
   /// of *this process* loses nothing synced) without modeling device

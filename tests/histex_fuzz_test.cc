@@ -57,10 +57,20 @@ void CheckRun(HistexConfig cfg) {
   } else {
     // A cross-shard transaction is certified once per participant shard.
     EXPECT_GE(r.report.commits_certified, r.committed) << cfg.ToString();
+    // The sharded oracles: every global id is all-or-nothing across the
+    // shards' recorded histories, and every shard's own checker is clean.
+    // The run must actually reach 2PC for either to mean anything.
+    EXPECT_GT(r.cross_shard_commits, 0u) << cfg.ToString();
+    EXPECT_EQ(r.torn_global_txns, 0u) << cfg.ToString();
+    ASSERT_EQ(r.shard_violations.size(), static_cast<size_t>(cfg.shards));
+    for (int s = 0; s < cfg.shards; ++s) {
+      EXPECT_EQ(r.shard_violations[static_cast<size_t>(s)], 0u)
+          << "shard " << s << ": " << cfg.ToString();
+    }
   }
   // Satellite invariant: the abort-split counters account for every
   // serialization abort, at every level mix and shard count.
-  EXPECT_EQ(r.stats.fcw_aborts + r.stats.ssi_aborts + r.stats.in_doubt_aborts,
+  EXPECT_EQ(r.stats.fcw_aborts + r.stats.ssi_aborts,
             r.stats.serialization_aborts)
       << cfg.ToString();
 }

@@ -209,8 +209,7 @@ TEST(MixedLevelTest, AbortSplitCountersSumUnderMixedLevels) {
   }
   EngineStats s = db.StatsSnapshot();
   EXPECT_GT(s.serialization_aborts, 0u);
-  EXPECT_EQ(s.fcw_aborts + s.ssi_aborts + s.in_doubt_aborts,
-            s.serialization_aborts);
+  EXPECT_EQ(s.fcw_aborts + s.ssi_aborts, s.serialization_aborts);
   EXPECT_EQ(db.checker()->Report().violations, 0u)
       << db.checker()->Report().ToString();
 }

@@ -9,13 +9,11 @@
 //    it dropped, and tags aborts with the paper-taxonomy reason — the SSI
 //    dangerous-structure test drives a real Cahill pivot through the SSI
 //    engine and reads the reason back off the completer's trace.
-//  * EngineStats: the serialization-abort split (fcw / ssi / in-doubt)
-//    must sum back to the aggregate it breaks down.
+//  * EngineStats: the serialization-abort split (fcw / ssi) must sum back
+//    to the aggregate it breaks down.
 //  * Database::DebugDump: a session wedged on a lock conflict must name
 //    its blocker and the waits-for edge, deterministically.
-//  * TxnCoordinator gauges: `coord.pending_ends` counts the committed
-//    decisions still waiting for their participants' commit records to
-//    become durable, and drops to 0 once the shard logs sync.
+//  * TxnCoordinator gauges count cross-shard commits on a durable facade.
 
 #include <gtest/gtest.h>
 
@@ -213,7 +211,6 @@ TEST(ObsDatabaseTest, FirstCommitterWinsAbortIsTaggedAndSplit) {
   EXPECT_EQ(stats.serialization_aborts, 1u);
   EXPECT_EQ(stats.fcw_aborts, 1u);
   EXPECT_EQ(stats.ssi_aborts, 0u);
-  EXPECT_EQ(stats.in_doubt_aborts, 0u);
 
   ASSERT_NE(db.tracer(), nullptr);
   const auto events = db.tracer()->Dump(2);
@@ -255,10 +252,8 @@ TEST(ObsDatabaseTest, SsiDangerousStructureAbortIsTaggedAndSplit) {
   EXPECT_EQ(stats.serialization_aborts, 1u);
   EXPECT_EQ(stats.ssi_aborts, 1u);
   EXPECT_EQ(stats.fcw_aborts, 0u);
-  EXPECT_EQ(stats.in_doubt_aborts, 0u);
   // The split is a breakdown, never a second ledger.
-  EXPECT_EQ(stats.fcw_aborts + stats.ssi_aborts + stats.in_doubt_aborts,
-            stats.serialization_aborts);
+  EXPECT_EQ(stats.fcw_aborts + stats.ssi_aborts, stats.serialization_aborts);
 
   ASSERT_NE(db.tracer(), nullptr);
   const auto events = db.tracer()->Dump(1);
@@ -307,45 +302,12 @@ TEST(ObsDatabaseTest, DebugDumpNamesBlockerAndWaitsForEdge) {
 // 2PC coordinator gauges
 // ---------------------------------------------------------------------------
 
-TEST(ObsCoordinatorTest, PendingEndsGaugeCountsDecisionsAwaitingDurability) {
-  const std::string dir = testing::TempDir() + "critique_obs_pending_ends";
+TEST(ObsCoordinatorTest, GaugesCountCrossShardCommits) {
+  const std::string dir = testing::TempDir() + "critique_obs_coord_gauges";
   std::filesystem::remove_all(dir);
   ShardedDbOptions opt(2, IsolationLevel::kSerializable);
   opt.wal_dir = dir;
   ShardedDatabase db(opt);
-  obs::MetricsRegistry reg;
-  db.coordinator().RegisterMetrics(reg, "coord.");
-  EXPECT_NE(reg.ToJson().find("\"coord.pending_ends\":0"), std::string::npos);
-
-  ItemId x, y;
-  for (int i = 0; x.empty() || y.empty(); ++i) {
-    const ItemId id = "k" + std::to_string(i);
-    if (db.ShardOf(id) == 0 && x.empty()) x = id;
-    if (db.ShardOf(id) == 1 && y.empty()) y = id;
-  }
-  ASSERT_TRUE(db.Load(x, Value(int64_t{1})).ok());
-  ASSERT_TRUE(db.Load(y, Value(int64_t{1})).ok());
-  ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
-                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(int64_t{2})));
-                  return t.Put(y, Value(int64_t{2}));
-                }).ok());
-
-  // Committed and acked, but neither participant's commit record has
-  // synced: the decision waits for its kDecisionEnd.
-  std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"coord.pending_ends\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"coord.committed\":1"), std::string::npos) << json;
-
-  for (int s = 0; s < db.num_shards(); ++s) {
-    ASSERT_TRUE(db.shard(s).wal()->SyncAll().ok());
-  }
-  db.coordinator().CloseCoveredDecisions();
-  json = reg.ToJson();
-  EXPECT_NE(json.find("\"coord.pending_ends\":0"), std::string::npos) << json;
-}
-
-TEST(ObsCoordinatorTest, PendingEndsGaugeStaysZeroWithoutADecisionLog) {
-  ShardedDatabase db(2, IsolationLevel::kSerializable);
   obs::MetricsRegistry reg;
   db.coordinator().RegisterMetrics(reg, "coord.");
   ItemId x, y;
@@ -359,8 +321,14 @@ TEST(ObsCoordinatorTest, PendingEndsGaugeStaysZeroWithoutADecisionLog) {
                   return t.Put(y, Value(int64_t{2}));
                 }).ok());
   const std::string json = reg.ToJson();
+  EXPECT_NE(json.find("\"coord.started\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"coord.committed\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"coord.pending_ends\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"coord.aborted\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"coord.prepare_us\":{\"count\":1"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"coord.decision_us\":{\"count\":1"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // work never comes back, torn tails are chopped, prepared-but-undecided
 // participants are restored in doubt and resolved by presumed abort —
 // and the sharded crash matrix: a "kill -9" injected at every WAL stage
-// of the 2PC decision pipeline, with zero lost committed transactions
-// and nothing leaked after recovery at every point.
+// of the 2PC commit pipeline, with zero lost committed transactions and
+// nothing leaked after recovery at every point.
 //
 // The crash model: a crash image is a byte-for-byte copy of the WAL file
 // taken while the instance is still running.  Everything a committer was
@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -371,31 +372,32 @@ std::string ShardedCrashImage(const std::string& dir) {
 
 struct CrashCase {
   const char* name;
-  WalFailpoint wal_fp;          // on the coordinator's decision log
+  WalFailpoint wal_fp;          // on the coordinator log
   CoordinatorFailpoint coord_fp;
   bool decision_survives;       // does recovery find a durable commit?
   bool acked;                   // did the doomed Commit answer OK?
 };
 
 const CrashCase kCrashMatrix[] = {
-    // The decision append dies before buffering: no decision ever existed.
+    // The record's append dies before buffering: it never existed, while
+    // both votes become durable.
     {"pre_append", WalFailpoint::kPreAppend, CoordinatorFailpoint::kNone,
      false, false},
-    // Appended but the sync dies before the device write: the buffered
-    // decision never reaches the file — still no durable decision.
+    // Appended but the coordinator log's round dies before the device
+    // write: the record never reaches the file — no commit point.
     {"pre_sync", WalFailpoint::kPreSync, CoordinatorFailpoint::kNone, false,
      false},
-    // Crash after prepare, before the decision reaches the log at all.
+    // The coordinator dies before its record is durable; the votes are.
     {"before_decision", WalFailpoint::kNone,
      CoordinatorFailpoint::kBeforeDecision, false, false},
-    // The decision is durable; the crash hits before any participant
-    // hears it.  Recovery must roll the whole transaction forward.
+    // The round completed — record and votes durable — and the crash hits
+    // before any participant hears it.  Recovery rolls both forward.
     {"after_decision", WalFailpoint::kNone,
      CoordinatorFailpoint::kAfterDecision, true, false},
     // The commit was acked — every participant published — but the crash
     // hits before any participant log syncs again, so their commit
-    // records are lost.  The durable decision is the commit point: it is
-    // still open, and recovery rolls both participants forward from it.
+    // records are lost.  The durable record and votes are the commit
+    // point, and recovery rolls both participants forward from them.
     {"after_ack", WalFailpoint::kNone, CoordinatorFailpoint::kNone, true,
      true},
 };
@@ -465,9 +467,10 @@ TEST_P(ShardedCrashMatrixTest, NoLostCommitsNothingLeaked) {
   }
 
   // A second crash right after recovery — once the coordinator log synced,
-  // as any later decision would make it — taken before any new traffic
-  // syncs the shard logs.  RecoverInDoubt synced its roll-forwards before
-  // closing their decisions, so this image must recover the same state.
+  // as any later commit would make it — taken before any new traffic
+  // syncs the shard logs.  RecoverInDoubt's resolution records are only
+  // buffered, so this image must recover the same state, decided again
+  // from the same votes and records.
   ASSERT_TRUE(rec->coordinator_log()->SyncAll().ok());
   ShardedDbOptions ropt2 = opt;
   ropt2.wal_dir = ShardedCrashImage(ropt.wal_dir);
@@ -608,11 +611,12 @@ TEST_P(ShardedVoteCrashTest, OnlyTheDurableVoteIsAbortedAndNothingLeaks) {
   EXPECT_TRUE(db.shard(live).engine().InDoubtTransactions().empty());
   EXPECT_EQ(db.shard(dead).engine().InDoubtTransactions().size(), 1u);
 
-  // The kill, then recovery.  No decision was logged for the doomed
-  // transfer, so its durable vote is restored in doubt and presumed
-  // aborted.  The earlier transfer's commit record on the dead log never
-  // synced either: its participant there is restored in doubt too, and
-  // rolls forward from the decision that is still open.
+  // The kill, then recovery.  The coordinator's record for the doomed
+  // transfer is durable but its vote on the dead log is not, so the commit
+  // rule aborts it: the durable vote is restored in doubt and aborted.
+  // The earlier transfer's commit record on the dead log never synced
+  // either: its participant there is restored in doubt too, and rolls
+  // forward from its durable record and votes.
   ShardedDbOptions ropt = opt;
   ropt.wal_dir = ShardedCrashImage(dir);
   Result<std::unique_ptr<ShardedDatabase>> r = ShardedDatabase::Recover(ropt);
@@ -718,15 +722,15 @@ TEST_P(ShardedRecoveryGroupCommitTest, AckedTransfersFromEveryThreadSurvive) {
   // The crash, at a random point once every thread is under way.  Each
   // log dies at its next sync, one after another, which leaves the state
   // of a crash of the first component followed by the others:
-  //  * coordinator first: no decision becomes durable any more, so what a
-  //    shard log still syncs is a prepare presumed abort undoes or the
-  //    commit of a decision that is already durable;
+  //  * coordinator first: no record becomes durable any more, so what a
+  //    shard log still syncs is a vote the commit rule aborts or the
+  //    commit of a transaction whose commit point is already durable;
   //  * shards first: no participant record becomes durable any more, so
-  //    what the coordinator still syncs is a decision over durable
-  //    prepares — or a decision end, which must not close a decision
-  //    whose participant commits died unsynced.
+  //    what the coordinator still syncs is a record whose votes are all
+  //    durable already — a commit point — or one the commit rule aborts
+  //    for a missing vote.
   // (Copying the three live files one after another would not be a crash
-  // image: a decision could close between the copies.)
+  // image: a commit point could be reached between the copies.)
   for (int t = 0; t < kThreads; ++t) {
     while (acked[t].load() == 0 && stopped.load() == 0) {
       std::this_thread::yield();
@@ -771,7 +775,7 @@ TEST_P(ShardedRecoveryGroupCommitTest, AckedTransfersFromEveryThreadSurvive) {
                   }).ok());
     EXPECT_EQ(vf + vt, 2 * kStart) << "thread " << t << ": money conserved";
     // Every acked transfer survived; at most the one in flight when the
-    // logs died may have reached a durable decision without its ack.
+    // logs died may have reached a durable commit point without its ack.
     EXPECT_GE(kStart - vf, acked[t].load()) << "thread " << t;
     EXPECT_LE(kStart - vf, acked[t].load() + 1) << "thread " << t;
   }
@@ -786,37 +790,187 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Coordinator decision-log lifecycle and API guards
+// The commit point's edges: three crash cells
 // ---------------------------------------------------------------------------
 
-struct DecisionRecords {
-  uint64_t decisions = 0;
-  uint64_t ends = 0;
-};
-
-// Counts the decision records a coordinator log file holds.
-DecisionRecords CountDecisionRecords(const std::string& path) {
-  DecisionRecords out;
+// Counts the records of `type` a log file holds.
+size_t CountRecords(const std::string& path, WalRecordType type) {
   Result<WalReadResult> r = WalReader::ReadFile(path);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
-  if (!r.ok()) return out;
-  for (const WalRecord& rec : r.value().records) {
-    if (rec.type == WalRecordType::kDecision) ++out.decisions;
-    if (rec.type == WalRecordType::kDecisionEnd) ++out.ends;
+  if (!r.ok()) return 0;
+  return static_cast<size_t>(std::count_if(
+      r.value().records.begin(), r.value().records.end(),
+      [type](const WalRecord& rec) { return rec.type == type; }));
+}
+
+// A global transaction committed iff its coordinator record and every
+// vote are durable and no participant log holds its kAbort.  Each cell
+// crashes a transfer at one edge of that rule.
+enum class CommitPointCell {
+  // The coordinator record is durable, shard 1's vote is lost: abort.
+  kVoteLost,
+  // Shard 1's log died mid-round but its device wrote the vote anyway,
+  // and the live participant took AbortPrepared, whose kAbort a dependent
+  // commit made durable: abort.
+  kVoteOnDiskLiveAborted,
+  // The round completed and the commit was acked, but neither
+  // participant's kCommit ever reaches its log: commit.
+  kCommitRecordsLost,
+};
+
+std::string CellName(CommitPointCell cell) {
+  switch (cell) {
+    case CommitPointCell::kVoteLost:
+      return "vote_lost";
+    case CommitPointCell::kVoteOnDiskLiveAborted:
+      return "vote_on_disk_live_aborted";
+    case CommitPointCell::kCommitRecordsLost:
+      return "commit_records_lost";
   }
-  return out;
+  return "?";
 }
 
-// Syncs a live coordinator log (buffered ends included), then counts.
-DecisionRecords ReadDecisionRecords(CommitLog& log) {
-  EXPECT_TRUE(log.SyncAll().ok());
-  return CountDecisionRecords(log.path());
-}
+class ShardedCrashMatrixCommitPointTest
+    : public testing::TestWithParam<std::tuple<CommitPointCell,
+                                               IsolationLevel>> {};
 
-TEST(ShardedRecoveryTest, DecidedEntriesAreClosedInTheDecisionLog) {
-  const std::string dir = TmpPath("decision_lifecycle");
+TEST_P(ShardedCrashMatrixCommitPointTest, RecoveryAppliesTheCommitRule) {
+  const CommitPointCell cell = std::get<0>(GetParam());
+  const IsolationLevel level = std::get<1>(GetParam());
+  const bool commits = cell == CommitPointCell::kCommitRecordsLost;
+
+  const std::string dir =
+      TmpPath("commit_point_" + CellName(cell) + "_" + LevelTag(level));
   fs::remove_all(dir);
-  ShardedDbOptions opt(2, IsolationLevel::kSerializable);
+  ShardedDbOptions opt(2, level);
+  opt.wal_dir = dir;
+  opt.shard_options.record_history = true;  // shard histories are judged
+  ShardedDatabase db(opt);
+
+  ItemId x, y;
+  std::tie(x, y) = ItemPerShard(db, "acct");
+  ASSERT_TRUE(db.Load(x, Value(100)).ok());
+  ASSERT_TRUE(db.Load(y, Value(100)).ok());
+  ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
+                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(90)));
+                  return t.Put(y, Value(110));
+                }).ok());
+  // The earlier transfer is made fully durable, so each cell judges the
+  // doomed transfer alone (the vote crash cells cover a lost earlier
+  // commit record).
+  for (int s = 0; s < db.num_shards(); ++s) {
+    ASSERT_TRUE(db.shard(s).wal()->SyncAll().ok());
+  }
+
+  if (!commits) db.shard(1).wal()->set_failpoint(WalFailpoint::kPreSync);
+  TxnId gid = 0;
+  {
+    ShardedTransaction t = db.Begin();
+    gid = t.id();
+    ASSERT_TRUE(t.Put(x, Value(65)).ok());
+    ASSERT_TRUE(t.Put(y, Value(135)).ok());
+    const Status s = t.Commit();
+    if (commits) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    } else {
+      EXPECT_TRUE(s.IsInternal()) << s.ToString();
+    }
+  }
+  // Every cell leaves the coordinator's record for the doomed transfer
+  // durable: the votes and the logs' later fate decide.
+  EXPECT_EQ(CountRecords(db.coordinator_log()->path(),
+                         WalRecordType::kDecision),
+            2u);
+
+  int64_t want_x = commits ? 65 : 90;
+  const int64_t want_y = commits ? 135 : 110;
+  if (cell == CommitPointCell::kVoteOnDiskLiveAborted) {
+    // A commit that depends on the live participant's abort — it rewrites
+    // the item the abort released — syncs shard 0's log, and log order
+    // makes the kAbort durable before it.
+    ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
+                    return t.Put(x, Value(80));
+                  }).ok());
+    want_x = 80;
+    EXPECT_EQ(CountRecords(db.shard(0).wal()->path(), WalRecordType::kAbort),
+              1u);
+  }
+  if (commits) {
+    // No participant log syncs again: both commit records die buffered.
+    for (int s = 0; s < db.num_shards(); ++s) {
+      db.shard(s).wal()->set_failpoint(WalFailpoint::kPreSync);
+      EXPECT_FALSE(db.shard(s).wal()->SyncAll().ok());
+    }
+  }
+
+  ShardedDbOptions ropt = opt;
+  ropt.wal_dir = ShardedCrashImage(dir);
+  if (cell == CommitPointCell::kVoteOnDiskLiveAborted) {
+    // The dead log's device wrote what its round staged — the doomed
+    // vote — although the round reported failure.
+    std::string bytes;
+    FrameWalRecord(WalRecord::WriteSet(gid, {{y, Row::Scalar(Value(135))}}),
+                   &bytes);
+    FrameWalRecord(WalRecord::Prepare(gid), &bytes);
+    std::ofstream(ropt.wal_dir + "/shard-1.wal",
+                  std::ios::binary | std::ios::app)
+        << bytes;
+  }
+
+  Result<std::unique_ptr<ShardedDatabase>> r = ShardedDatabase::Recover(ropt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::unique_ptr<ShardedDatabase> rec = std::move(r).value();
+  EXPECT_EQ(rec->coordinator().DecidedCommit(gid), commits);
+  const ShardedDatabase::RecoveryReport rep = rec->RecoverInDoubt();
+  EXPECT_EQ(rep.committed, commits ? 2u : 0u);
+  EXPECT_EQ(rep.aborted, commits ? 0u : 1u)
+      << "the one durable vote with no kAbort beside it";
+
+  int64_t vx = -1, vy = -1;
+  ASSERT_TRUE(rec->Execute([&](ShardedTransaction& t) -> Status {
+                   CRITIQUE_ASSIGN_OR_RETURN(Value rx, t.GetScalar(x));
+                   CRITIQUE_ASSIGN_OR_RETURN(Value ry, t.GetScalar(y));
+                   vx = rx.AsInt();
+                   vy = ry.AsInt();
+                   return Status::OK();
+                 }).ok());
+  EXPECT_EQ(vx, want_x);
+  EXPECT_EQ(vy, want_y);
+  for (int s = 0; s < rec->num_shards(); ++s) {
+    EXPECT_TRUE(rec->shard(s).engine().InDoubtTransactions().empty())
+        << "shard " << s;
+  }
+  ASSERT_TRUE(rec->Execute([&](ShardedTransaction& t) -> Status {
+                  CRITIQUE_RETURN_NOT_OK(t.Put(x, Value(1)));
+                  return t.Put(y, Value(2));
+                }).ok())
+      << "recovered shards must be fully writable (no leaked locks)";
+  for (int s = 0; s < rec->num_shards(); ++s) {
+    EXPECT_TRUE(IsSerializable(rec->shard(s).history())) << "shard " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CommitPoint, ShardedCrashMatrixCommitPointTest,
+    testing::Combine(testing::Values(CommitPointCell::kVoteLost,
+                                     CommitPointCell::kVoteOnDiskLiveAborted,
+                                     CommitPointCell::kCommitRecordsLost),
+                     testing::Values(IsolationLevel::kSerializable,
+                                     IsolationLevel::kSnapshotIsolation)),
+    [](const testing::TestParamInfo<std::tuple<CommitPointCell,
+                                               IsolationLevel>>& info) {
+      return CellName(std::get<0>(info.param)) + "_" +
+             LevelTag(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// The coordinator log's lifecycle and API guards
+// ---------------------------------------------------------------------------
+
+TEST(ShardedRecoveryTest, CoordinatorLogHoldsOneRecordPerCrossShardCommit) {
+  const std::string dir = TmpPath("coordinator_records");
+  fs::remove_all(dir);
+  ShardedDbOptions opt(2, IsolationLevel::kSnapshotIsolation);
   opt.wal_dir = dir;
   ShardedDatabase db(opt);
 
@@ -831,42 +985,37 @@ TEST(ShardedRecoveryTest, DecidedEntriesAreClosedInTheDecisionLog) {
     });
   };
   ASSERT_TRUE(transfer(2).ok());
-
-  // The commit is acked, but each participant's commit record is only
-  // buffered: the entry must stay open while either is unsynced — a
-  // durable end next to a lost participant commit would let presumed
-  // abort roll back an acked transaction.
-  ASSERT_NE(db.coordinator_log(), nullptr);
-  EXPECT_EQ(db.coordinator().pending_ends(), 1u);
-  DecisionRecords log = ReadDecisionRecords(*db.coordinator_log());
-  EXPECT_EQ(log.decisions, 1u);
-  EXPECT_EQ(log.ends, 0u) << "closed before any participant commit synced";
-
-  ASSERT_TRUE(db.shard(0).wal()->SyncAll().ok());
-  db.coordinator().CloseCoveredDecisions();
-  EXPECT_EQ(ReadDecisionRecords(*db.coordinator_log()).ends, 0u)
-      << "closed while shard 1's commit record was still unsynced";
-
-  // Every participant log synced: the sweep closes the entry.
-  ASSERT_TRUE(db.shard(1).wal()->SyncAll().ok());
-  db.coordinator().CloseCoveredDecisions();
-  EXPECT_EQ(db.coordinator().pending_ends(), 0u);
-  log = ReadDecisionRecords(*db.coordinator_log());
-  EXPECT_EQ(log.decisions, 1u);
-  EXPECT_EQ(log.ends, 1u) << "a decision its participants cover is closed";
-
-  // In steady state no explicit sweep is needed: the next round's
-  // prepares sync both shard logs, and its own sweep closes the previous
-  // round's entry while parking its own.
   ASSERT_TRUE(transfer(3).ok());
-  ASSERT_TRUE(transfer(4).ok());
-  EXPECT_EQ(db.coordinator().pending_ends(), 1u);
-  log = ReadDecisionRecords(*db.coordinator_log());
-  EXPECT_EQ(log.decisions, 3u);
-  EXPECT_EQ(log.ends, 2u);
+  // A single-shard commit needs no coordinator record.
+  ASSERT_TRUE(db.Execute([&](ShardedTransaction& t) -> Status {
+                  return t.Put(x, Value(4));
+                }).ok());
+  // A global abort at phase 1 appends none either: the refusal comes
+  // before any record is written.
+  {
+    ShardedTransaction t1 = db.Begin();
+    ShardedTransaction t2 = db.Begin();
+    ASSERT_TRUE(t1.Put(x, Value(5)).ok());
+    ASSERT_TRUE(t1.Put(y, Value(5)).ok());
+    ASSERT_TRUE(t2.Put(x, Value(6)).ok());
+    ASSERT_TRUE(t2.Put(y, Value(6)).ok());
+    ASSERT_TRUE(t1.Commit().ok());
+    EXPECT_TRUE(t2.Commit().IsSerializationFailure());
+  }
+
+  // Acked means durable: no extra sync is needed to read them back.
+  Result<WalReadResult> log = WalReader::ReadFile(db.coordinator_log()->path());
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log.value().records.size(), 3u);
+  for (const WalRecord& rec : log.value().records) {
+    EXPECT_EQ(rec.type, WalRecordType::kDecision);
+    EXPECT_EQ(rec.participants, (std::vector<uint32_t>{0, 1}));
+  }
+  EXPECT_EQ(db.coordinator_log()->stats().syncs, 3u)
+      << "one coordinator round per cross-shard commit";
 }
 
-TEST(ShardedRecoveryTest, CleanShutdownClosesEveryDecision) {
+TEST(ShardedRecoveryTest, CleanShutdownLeavesNothingInDoubt) {
   const std::string dir = TmpPath("clean_shutdown");
   fs::remove_all(dir);
   ShardedDbOptions opt(2, IsolationLevel::kSnapshotIsolation);
@@ -883,15 +1032,10 @@ TEST(ShardedRecoveryTest, CleanShutdownClosesEveryDecision) {
                       return t.Put(y, Value(50 + i));
                     }).ok());
     }
-    EXPECT_GE(db.coordinator().pending_ends(), 1u);
-  }  // clean shutdown
+  }  // clean shutdown: every log flushes what it buffered
 
-  const DecisionRecords log = CountDecisionRecords(dir + "/coordinator.wal");
-  EXPECT_EQ(log.decisions, 5u);
-  EXPECT_EQ(log.ends, log.decisions)
-      << "a clean shutdown leaves no open decision";
-
-  // And the restart agrees: nothing in doubt, every transfer applied.
+  EXPECT_EQ(CountRecords(dir + "/coordinator.wal", WalRecordType::kDecision),
+            5u);
   Result<std::unique_ptr<ShardedDatabase>> r = ShardedDatabase::Recover(opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::unique_ptr<ShardedDatabase> rec = std::move(r).value();
@@ -911,8 +1055,8 @@ TEST(ShardedRecoveryTest, CleanShutdownClosesEveryDecision) {
                 }).ok());
 }
 
-TEST(ShardedRecoveryTest, RecoverClosesDecisionsWhoseParticipantsReplayed) {
-  const std::string dir = TmpPath("applied_decision");
+TEST(ShardedRecoveryTest, RecoverIgnoresRecordsWhoseParticipantsReplayed) {
+  const std::string dir = TmpPath("applied_record");
   fs::remove_all(dir);
   ShardedDbOptions opt(2, IsolationLevel::kSerializable);
   opt.wal_dir = dir;
@@ -929,25 +1073,22 @@ TEST(ShardedRecoveryTest, RecoverClosesDecisionsWhoseParticipantsReplayed) {
     ASSERT_TRUE(t.Put(y, Value(2)).ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  // Both participants' commits reach their logs, but the crash hits
-  // before any sweep appends the decision's end.
+  // Both participants' commits reach their logs before the crash.
   for (int s = 0; s < db.num_shards(); ++s) {
     ASSERT_TRUE(db.shard(s).wal()->SyncAll().ok());
   }
   ShardedDbOptions ropt = opt;
   ropt.wal_dir = ShardedCrashImage(dir);
-  ASSERT_EQ(CountDecisionRecords(ropt.wal_dir + "/coordinator.wal").ends, 0u);
 
   Result<std::unique_ptr<ShardedDatabase>> r = ShardedDatabase::Recover(ropt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::unique_ptr<ShardedDatabase> rec = std::move(r).value();
-  EXPECT_FALSE(rec->coordinator().DecisionFor(gid).has_value())
-      << "no participant is in doubt: the decision is already applied";
-  const DecisionRecords log = ReadDecisionRecords(*rec->coordinator_log());
-  EXPECT_EQ(log.decisions, 1u);
-  EXPECT_EQ(log.ends, 1u) << "recovery closes the applied decision";
+  EXPECT_FALSE(rec->coordinator().DecidedCommit(gid))
+      << "no participant is in doubt: nothing is left to decide";
   const ShardedDatabase::RecoveryReport rep = rec->RecoverInDoubt();
   EXPECT_EQ(rep.committed + rep.aborted, 0u);
+  // The id allocator resumes past every recorded global id.
+  EXPECT_GT(rec->Begin().id(), gid);
 }
 
 TEST(ShardedRecoveryTest, RecoverRequiresAWalLocation) {

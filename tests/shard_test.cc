@@ -32,6 +32,7 @@
 #include "critique/shard/shard_scenarios.h"
 #include "critique/shard/sharded_database.h"
 #include "critique/wal/commit_log.h"
+#include "critique/wal/wal_writer.h"
 #include "critique/workload/parallel_driver.h"
 #include "critique/workload/workload.h"
 
@@ -401,14 +402,14 @@ TEST(InDoubtRecoveryTest, CoordinatorCrashAfterDecisionRecoversForward) {
     EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
   }
 
-  // The decision was logged as commit, so recovery rolls both forward.
-  ASSERT_TRUE(db.coordinator().DecisionFor(gid).value_or(false));
+  // The commit point was reached, so recovery rolls both forward.
+  ASSERT_TRUE(db.coordinator().DecidedCommit(gid));
   auto rep = db.RecoverInDoubt();
   EXPECT_EQ(rep.committed, 2u);
   EXPECT_EQ(rep.aborted, 0u);
   EXPECT_EQ(db.coordinator().stats().recovered_commits, 2u);
-  // All participants acknowledged; presumed abort forgets the decision.
-  EXPECT_FALSE(db.coordinator().DecisionFor(gid).has_value());
+  // All participants acknowledged; the coordinator forgets the gid.
+  EXPECT_FALSE(db.coordinator().DecidedCommit(gid));
 
   ShardedTransaction after = db.Begin();
   EXPECT_EQ(after.GetScalar(x)->AsInt(), 11);
@@ -492,24 +493,23 @@ TEST(InDoubtRecoveryTest, HeterogeneousShardsSurviveACrashAfterDecision) {
 }
 
 // ---------------------------------------------------------------------------
-// The SSI prepare window (commit-pipeline stage 2 at the decision phase)
+// The SSI prepare window: prepared means pinned
 // ---------------------------------------------------------------------------
 //
-// An SSI participant validates at Prepare; rw-antidependencies that close
-// a dangerous structure (Cahill et al. 2008) around it *while it is in
-// doubt* — the Ports & Grittner prepared-transaction hazard — can only be
-// seen by the re-validation CommitPrepared runs.  These tests pin the
-// whole contract: the completer of a structure whose pivot is merely
-// *prepared* is admitted (the prepared side absorbs the abort at its
-// decision), the refusal is a terminal abort acknowledgement (nothing
-// leaks, retryable status), and both the coordinator's inline phase 2 and
-// crash recovery plumb it as a decision abort.
+// An SSI participant validates at Prepare.  rw-antidependencies that would
+// close a dangerous structure (Cahill et al. 2008) around it *while it is
+// in doubt* — the Ports & Grittner prepared-transaction hazard — are
+// refused at the active transaction that forms them, as in PostgreSQL: the
+// prepared participant counts as committed, so its decision cannot fail.
+// These tests pin that contract: the completer is refused (retryable), the
+// prepared pivot commits at its decision — directly, through the
+// coordinator's phase 2, and through crash recovery — and every history
+// stays serializable.
 
 // Builds the dangerous structure around an in-doubt participant P on one
 // SSI database: P reads `xr` and writes `xw`; T3 overwrites `xr` and
 // commits first (P -rw-> T3); then T1 reads the old `xw` (T1 -rw-> P) and
-// commits.  On return P is a completed pivot that must abort at its
-// decision.
+// tries to commit, which would close the structure through the pinned P.
 void CompleteStructureAroundPrepared(Database& db, const ItemId& xr,
                                      const ItemId& xw) {
   Transaction t3 = db.Begin();
@@ -519,12 +519,13 @@ void CompleteStructureAroundPrepared(Database& db, const ItemId& xr,
   auto r = t1.GetScalar(xw);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->AsInt(), 0) << "P's pending write must stay invisible";
-  ASSERT_TRUE(t1.Commit().ok())
-      << "the completer is admitted: the merely-prepared pivot absorbs "
-         "the abort at its decision phase";
+  const Status s = t1.Commit();
+  EXPECT_TRUE(s.IsSerializationFailure())
+      << "the completer is refused: the prepared pivot is pinned; "
+      << s.ToString();
 }
 
-TEST(SsiPreparedWindowTest, StructureCompletedInDoubtAbortsAtCommitPrepared) {
+TEST(SsiPreparedWindowTest, CompleterIsRefusedAndPreparedPivotCommits) {
   Database db(Recording(IsolationLevel::kSerializableSI));
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
@@ -537,29 +538,55 @@ TEST(SsiPreparedWindowTest, StructureCompletedInDoubtAbortsAtCommitPrepared) {
   CompleteStructureAroundPrepared(db, "xr", "xw");
 
   Status decision = p.CommitPrepared();
-  EXPECT_TRUE(decision.IsSerializationFailure()) << decision.ToString();
-  EXPECT_FALSE(p.active()) << "the refusal is an abort acknowledgement";
+  EXPECT_TRUE(decision.ok()) << decision.ToString();
+  EXPECT_FALSE(p.active());
   EXPECT_TRUE(db.engine().InDoubtTransactions().empty()) << "nothing leaks";
 
-  auto* si = dynamic_cast<SnapshotIsolationEngine*>(&db.engine());
-  ASSERT_NE(si, nullptr);
-  EXPECT_EQ(si->commit_pipeline_stats().decision_aborts, 1u);
-
-  // P's write rolled back; the committed projection stays one-copy
-  // serializable — the point of refusing the decision.
+  // P's write is published and the refused completer left nothing: the
+  // committed projection stays one-copy serializable.
   Transaction audit = db.Begin();
-  EXPECT_EQ(audit.GetScalar("xw")->AsInt(), 0);
+  EXPECT_EQ(audit.GetScalar("xw")->AsInt(), 1);
   EXPECT_EQ(audit.GetScalar("xr")->AsInt(), 1);
   EXPECT_TRUE(audit.Commit().ok());
   EXPECT_TRUE(IsMVSerializable(db.history()))
       << MVSerializationGraph::Build(db.history()).ToString();
 }
 
-TEST(SsiPreparedWindowTest, CoordinatorPlumbsInlineDecisionAbort) {
+TEST(SsiPreparedWindowTest, FirstCommitterAroundAPreparedPivotIsRefused) {
+  // The other order: T1 closes P's in-edge first (admitted: no
+  // out-neighbour of P has committed), then T3 would become the
+  // out-neighbour that commits before the pinned pivot — T3 is refused.
+  Database db(Recording(IsolationLevel::kSerializableSI));
+  ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
+  ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
+
+  Transaction p = db.Begin();
+  ASSERT_TRUE(p.Get("xr").ok());
+  ASSERT_TRUE(p.Put("xw", Value(int64_t{1})).ok());
+  ASSERT_TRUE(p.Prepare().ok());
+
+  Transaction t1 = db.Begin();
+  ASSERT_TRUE(t1.Get("xw").ok());  // T1 -rw-> P
+  ASSERT_TRUE(t1.Commit().ok());
+  Transaction t3 = db.Begin();
+  ASSERT_TRUE(t3.Put("xr", Value(int64_t{1})).ok());  // P -rw-> T3
+  const Status s = t3.Commit();
+  EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
+
+  EXPECT_TRUE(p.CommitPrepared().ok());
+  Transaction audit = db.Begin();
+  EXPECT_EQ(audit.GetScalar("xw")->AsInt(), 1);
+  EXPECT_EQ(audit.GetScalar("xr")->AsInt(), 0);
+  EXPECT_TRUE(audit.Commit().ok());
+  EXPECT_TRUE(IsMVSerializable(db.history()))
+      << MVSerializationGraph::Build(db.history()).ToString();
+}
+
+TEST(SsiPreparedWindowTest, CoordinatorCommitsThePinnedParticipant) {
   // The same hazard through TxnCoordinator::Commit itself: the structure
-  // completes inside the in-doubt window (deterministic via the
-  // coordinator's failpoint hook), phase 2's CommitPrepared refuses, and
-  // the coordinator turns it into a retryable global abort.
+  // would complete inside the in-doubt window (deterministic via the
+  // coordinator's failpoint hook); the completer is refused there, and
+  // phase 2 commits the participant.
   Database db(Recording(IsolationLevel::kSerializableSI));
   ASSERT_TRUE(db.Load("xr", Value(int64_t{0})).ok());
   ASSERT_TRUE(db.Load("xw", Value(int64_t{0})).ok());
@@ -574,69 +601,62 @@ TEST(SsiPreparedWindowTest, CoordinatorPlumbsInlineDecisionAbort) {
     CompleteStructureAroundPrepared(db, "xr", "xw");
   });
   const TxnId gid = p.id();
-  Status s = coordinator.Commit(gid, {&p});
+  Status s = coordinator.Commit(gid, {{0, &p}});
   coordinator.set_in_doubt_hook(nullptr);
 
-  EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
+  EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_FALSE(p.active());
-  EXPECT_EQ(coordinator.stats().decision_aborts, 1u);
-  EXPECT_EQ(coordinator.stats().aborted, 1u);
-  EXPECT_EQ(coordinator.stats().committed, 0u);
-  EXPECT_FALSE(coordinator.DecisionFor(gid).has_value())
-      << "the refused decision must not linger in the log";
+  EXPECT_EQ(coordinator.stats().committed, 1u);
+  EXPECT_EQ(coordinator.stats().aborted, 0u);
+  EXPECT_FALSE(coordinator.DecidedCommit(gid))
+      << "nothing lingers once every participant is told";
   EXPECT_TRUE(db.engine().InDoubtTransactions().empty());
   EXPECT_TRUE(IsMVSerializable(db.history()));
 }
 
-TEST(SsiPreparedWindowTest, PartiallyAppliedDecisionIsNotRetryable) {
-  // Two participants, one of which completes a dangerous structure while
-  // in doubt: the clean one commits at the decision, the doomed one
-  // refuses.  The decision is now *partially applied*, so the
-  // coordinator must answer non-retryable kInternal — a retryable status
-  // would let the session layer silently re-apply the committed
-  // participant's effects.
+TEST(SsiPreparedWindowTest, EveryParticipantCommitsTheDecision) {
+  // Two participants, one of which sits in the middle of a structure
+  // another transaction tries to complete while it is in doubt.  Before
+  // prepared participants were pinned, that one refused its decision and
+  // the other committed: a partially applied global transaction.  Now
+  // both commit.
   Database clean{DbOptions(IsolationLevel::kSerializableSI)};
-  Database doomed{DbOptions(IsolationLevel::kSerializableSI)};
+  Database pinned{DbOptions(IsolationLevel::kSerializableSI)};
   ASSERT_TRUE(clean.Load("c", Value(int64_t{0})).ok());
-  ASSERT_TRUE(doomed.Load("xr", Value(int64_t{0})).ok());
-  ASSERT_TRUE(doomed.Load("xw", Value(int64_t{0})).ok());
+  ASSERT_TRUE(pinned.Load("xr", Value(int64_t{0})).ok());
+  ASSERT_TRUE(pinned.Load("xw", Value(int64_t{0})).ok());
 
   Transaction pc = clean.Begin();
   ASSERT_TRUE(pc.Put("c", Value(int64_t{1})).ok());
-  Transaction pd = doomed.Begin();
-  ASSERT_TRUE(pd.Get("xr").ok());
-  ASSERT_TRUE(pd.Put("xw", Value(int64_t{1})).ok());
+  Transaction pp = pinned.Begin();
+  ASSERT_TRUE(pp.Get("xr").ok());
+  ASSERT_TRUE(pp.Put("xw", Value(int64_t{1})).ok());
 
   TxnCoordinator coordinator;
   coordinator.set_in_doubt_hook([&](TxnId gid) {
     (void)gid;
-    CompleteStructureAroundPrepared(doomed, "xr", "xw");
+    CompleteStructureAroundPrepared(pinned, "xr", "xw");
   });
-  Status s = coordinator.Commit(/*gid=*/1, {&pc, &pd});
+  Status s = coordinator.Commit(/*gid=*/1, {{0, &pc}, {1, &pp}});
   coordinator.set_in_doubt_hook(nullptr);
 
-  EXPECT_TRUE(s.IsInternal()) << s.ToString();
-  EXPECT_EQ(coordinator.stats().decision_aborts, 1u);
-  EXPECT_EQ(coordinator.stats().committed, 0u);
-  EXPECT_EQ(coordinator.stats().aborted, 1u);
-  // The clean participant's effect is durable, the doomed one rolled
-  // back — the documented (counted, non-silent) atomicity cost.
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(coordinator.stats().committed, 1u);
+  EXPECT_EQ(coordinator.stats().aborted, 0u);
   Transaction a1 = clean.Begin();
   EXPECT_EQ(a1.GetScalar("c")->AsInt(), 1);
   EXPECT_TRUE(a1.Commit().ok());
-  Transaction a2 = doomed.Begin();
-  EXPECT_EQ(a2.GetScalar("xw")->AsInt(), 0);
+  Transaction a2 = pinned.Begin();
+  EXPECT_EQ(a2.GetScalar("xw")->AsInt(), 1);
   EXPECT_TRUE(a2.Commit().ok());
 }
 
-TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
-  // Cross-shard flavor: a two-shard SSI transaction crashes after the
-  // commit decision is logged; while in doubt, the dangerous structure
-  // completes on one participant's shard.  Recovery rolls the clean
-  // participant forward and records the refused one as a decision abort —
-  // each shard's own history stays serializable, which is exactly what
-  // the refusing engine enforces (the cross-shard atomicity cost is the
-  // documented coordinator caveat).
+TEST(SsiPreparedWindowTest, RecoveryRollsThePinnedParticipantForward) {
+  // Cross-shard flavor: a two-shard SSI transaction crashes after its
+  // commit point; while it is in doubt, a structure through it is
+  // attempted on one participant's shard and the completer is refused.
+  // Recovery rolls both participants forward, and each shard's history
+  // stays serializable.
   ShardedDatabase db(RecordingShards(2, IsolationLevel::kSerializableSI));
   auto pair = PickCrossShardPair(db.router());
   ASSERT_TRUE(pair.ok());
@@ -666,7 +686,7 @@ TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
     db.coordinator().set_failpoint(CoordinatorFailpoint::kNone);
   }
 
-  // While G is in doubt, complete the structure on its xr/xw shard with
+  // While G is in doubt, attempt the structure on its xr/xw shard with
   // two single-shard (fast-path) transactions — through the facade, so
   // global ids stay in sync with the shard sessions.
   {
@@ -677,25 +697,25 @@ TEST(SsiPreparedWindowTest, RecoveryCountsDecisionAbortAcrossShards) {
     auto r = t1.GetScalar(xw);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->AsInt(), 0) << "G's pending write must stay invisible";
-    ASSERT_TRUE(t1.Commit().ok());
+    const Status s = t1.Commit();
+    EXPECT_TRUE(s.IsSerializationFailure()) << s.ToString();
   }
 
   auto rep = db.RecoverInDoubt();
-  EXPECT_EQ(rep.decision_aborts, 1u);  // the completed-pivot participant
-  EXPECT_EQ(rep.committed, 1u);        // the clean shard rolled forward
+  EXPECT_EQ(rep.committed, 2u);  // both participants roll forward
   EXPECT_EQ(rep.aborted, 0u);
-  EXPECT_EQ(db.coordinator().stats().decision_aborts, 1u);
+  EXPECT_EQ(db.coordinator().stats().recovered_commits, 2u);
   for (int s = 0; s < db.num_shards(); ++s) {
     EXPECT_TRUE(db.shard(s).engine().InDoubtTransactions().empty());
     EXPECT_TRUE(IsMVSerializable(db.shard(s).history())) << "shard " << s;
   }
   // Recovery converged; a second pass finds nothing.
   auto again = db.RecoverInDoubt();
-  EXPECT_EQ(again.committed + again.aborted + again.decision_aborts, 0u);
+  EXPECT_EQ(again.committed + again.aborted, 0u);
 
   ShardedTransaction audit = db.Begin();
-  EXPECT_EQ(audit.GetScalar(xw)->AsInt(), 0);  // refused participant undone
-  EXPECT_EQ(audit.GetScalar(w)->AsInt(), 1);   // clean participant forward
+  EXPECT_EQ(audit.GetScalar(xw)->AsInt(), 1);
+  EXPECT_EQ(audit.GetScalar(w)->AsInt(), 1);
   EXPECT_TRUE(audit.Commit().ok());
 }
 
@@ -788,9 +808,16 @@ TEST(VoteOverlapTest, CrossShardCommitWaitsOneVoteRound) {
   ShardedTransaction txn = db.Begin();
   ASSERT_TRUE(txn.Put(pair->first, Value(4)).ok());
   ASSERT_TRUE(txn.Put(pair->second, Value(6)).ok());
+  const auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(txn.Commit().ok());
+  const auto commit_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
 
-  // Phase 1 made both votes durable in one device round, not two.
+  // The whole commit — both votes and the coordinator's record — waited
+  // one device round, not one per log and not a second for a decision.
+  EXPECT_GE(static_cast<uint64_t>(commit_us), kLatencyUs);
+  EXPECT_LT(static_cast<uint64_t>(commit_us), 2 * kLatencyUs);
   const obs::HistogramSnapshot prepare =
       db.coordinator().prepare_histogram().Snapshot();
   ASSERT_EQ(prepare.count, 1u);
@@ -800,8 +827,9 @@ TEST(VoteOverlapTest, CrossShardCommitWaitsOneVoteRound) {
                                         db.coordinator_log()};
   for (size_t i = 0; i < logs.size(); ++i) {
     const GroupCommitStats st = logs[i]->stats();
-    // A participant log syncs its vote round only (the slim commit is
-    // buffered); the coordinator log syncs the decision.
+    // Each log syncs once, in the same overlapped round: a participant
+    // log its vote (the slim commit is buffered), the coordinator log its
+    // record.
     EXPECT_EQ(st.syncs, 1u) << "log " << i << ": " << st;
     EXPECT_EQ(st.syncs + st.batched, st.sync_waits) << "log " << i << ": "
                                                      << st;
@@ -809,6 +837,77 @@ TEST(VoteOverlapTest, CrossShardCommitWaitsOneVoteRound) {
     const obs::HistogramSnapshot fsync = logs[i]->fsync_histogram().Snapshot();
     ASSERT_EQ(fsync.count, 1u) << "log " << i;
     EXPECT_GE(fsync.sum, kLatencyUs) << "log " << i;
+  }
+}
+
+// Counts the records of `type` a log file holds.
+size_t CountRecords(const std::string& path, WalRecordType type) {
+  Result<WalReadResult> r = WalReader::ReadFile(path);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return 0;
+  return static_cast<size_t>(std::count_if(
+      r.value().records.begin(), r.value().records.end(),
+      [type](const WalRecord& rec) { return rec.type == type; }));
+}
+
+TEST(VoteOverlapTest, ContendedCoordinatorLogCoversEveryAckedCommit) {
+  // Two clients run cross-shard transfers at once, so their records meet
+  // at the coordinator log's device token: one wait leads a round while
+  // the other parks behind it (or rides it).  Every acked commit must find
+  // its record and both its votes durable, whichever way the token went.
+  constexpr int kClients = 2;
+  constexpr int kTransfersPerClient = 40;
+  constexpr int64_t kStart = 1000;
+  ShardedDbOptions opt = DurableShards(2, "coordinator_contention",
+                                       std::chrono::microseconds(2000));
+  opt.shard_options.mode = ConcurrencyMode::kBlocking;
+  ShardedDatabase db(opt);
+
+  // from[c] on shard 0, to[c] on shard 1: each client's own accounts.
+  std::vector<ItemId> from, to;
+  for (int i = 0; from.size() < kClients || to.size() < kClients; ++i) {
+    const ItemId id = "c" + std::to_string(i);
+    std::vector<ItemId>& side = db.ShardOf(id) == 0 ? from : to;
+    if (side.size() < kClients) side.push_back(id);
+  }
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(db.Load(from[c], Value(kStart)).ok());
+    ASSERT_TRUE(db.Load(to[c], Value(kStart)).ok());
+  }
+
+  std::atomic<int> ready{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (int64_t moved = 1; moved <= kTransfersPerClient; ++moved) {
+        const Status s = db.Execute([&](ShardedTransaction& txn) -> Status {
+          CRITIQUE_RETURN_NOT_OK(txn.Put(from[c], Value(kStart - moved)));
+          return txn.Put(to[c], Value(kStart + moved));
+        });
+        if (!s.ok() && failed.fetch_add(1) == 0) {
+          ADD_FAILURE() << "client " << c << ": " << s.ToString();
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  ASSERT_EQ(failed.load(), 0);
+
+  constexpr size_t kCommits = kClients * kTransfersPerClient;
+  EXPECT_EQ(db.coordinator().stats().committed, kCommits);
+  const GroupCommitStats cs = db.coordinator_log()->stats();
+  EXPECT_EQ(cs.appends, kCommits) << "one record per cross-shard commit";
+  EXPECT_EQ(cs.syncs + cs.batched, cs.sync_waits) << cs;
+  // Acked means durable: the files already hold every record and vote.
+  EXPECT_EQ(CountRecords(db.coordinator_log()->path(), WalRecordType::kDecision),
+            kCommits);
+  for (int s = 0; s < db.num_shards(); ++s) {
+    EXPECT_EQ(CountRecords(db.shard(s).wal()->path(), WalRecordType::kPrepare),
+              kCommits)
+        << "shard " << s;
   }
 }
 

@@ -48,8 +48,7 @@ std::vector<WalRecord> SampleRecords() {
   recs.push_back(WalRecord::Prepare(3));
   recs.push_back(WalRecord::Commit(3, 17));
   recs.push_back(WalRecord::Abort(4));
-  recs.push_back(WalRecord::Decision(9, true));
-  recs.push_back(WalRecord::DecisionEnd(9));
+  recs.push_back(WalRecord::Decision(9, {0, 2}));
   recs.push_back(WalRecord::LoadRow("w", Row::Scalar(Value("boot"))));
   return recs;
 }
@@ -59,7 +58,7 @@ void ExpectRecordEq(const WalRecord& want, const WalRecord& got,
   EXPECT_EQ(want.type, got.type) << where;
   EXPECT_EQ(want.txn, got.txn) << where;
   EXPECT_EQ(want.commit_ts, got.commit_ts) << where;
-  EXPECT_EQ(want.commit_decision, got.commit_decision) << where;
+  EXPECT_EQ(want.participants, got.participants) << where;
   ASSERT_EQ(want.images.size(), got.images.size()) << where;
   for (size_t i = 0; i < want.images.size(); ++i) {
     EXPECT_EQ(want.images[i].id, got.images[i].id) << where;
@@ -95,6 +94,9 @@ TEST(WalTest, DecodeRejectsStructuralDefects) {
   // Unknown record type.
   std::string bad = payload;
   bad[0] = static_cast<char>(0x7f);
+  EXPECT_FALSE(DecodeWalRecord(bad).ok());
+  // The retired decision-end type (7) is unknown too.
+  bad[0] = static_cast<char>(7);
   EXPECT_FALSE(DecodeWalRecord(bad).ok());
   // Empty payload.
   EXPECT_FALSE(DecodeWalRecord("").ok());
@@ -230,13 +232,18 @@ TEST(WalTest, OpenForAppendChopsTheTornTailAndAppendsBehindIt) {
 // CommitLog: sync accounting
 // ---------------------------------------------------------------------------
 
+// Append + WaitDurable in one call.
+Status AppendDurable(CommitLog& log, const WalRecord& rec) {
+  return log.WaitDurable(log.Append(rec));
+}
+
 TEST(WalTest, SingleCommitModePaysOneSyncPerWait) {
   const std::string path = TmpPath("single_commit.wal");
   Result<WalWriter> w = WalWriter::Create(path);
   ASSERT_TRUE(w.ok());
   CommitLog log(std::move(w).value(), CommitLog::Options{});
   for (int i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(log.AppendDurable(WalRecord::Commit(i, 0)).ok());
+    ASSERT_TRUE(AppendDurable(log, WalRecord::Commit(i, 0)).ok());
   }
   const GroupCommitStats s = log.stats();
   EXPECT_EQ(s.appends, 3u);
@@ -285,7 +292,7 @@ TEST(WalTest, GroupCommitManyThreadsAllDurableFewerSyncsThanAppends) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
         EXPECT_TRUE(
-            log.AppendDurable(WalRecord::Commit(t * 1000 + i, 0)).ok());
+            AppendDurable(log, WalRecord::Commit(t * 1000 + i, 0)).ok());
       }
     });
   }
@@ -456,7 +463,7 @@ TEST(WalTest, PreAppendFailpointLosesTheRecordAndKillsTheLog) {
   ASSERT_TRUE(w.ok());
   {
     CommitLog log(std::move(w).value(), CommitLog::Options{});
-    ASSERT_TRUE(log.AppendDurable(WalRecord::Commit(1, 0)).ok());
+    ASSERT_TRUE(AppendDurable(log, WalRecord::Commit(1, 0)).ok());
 
     log.set_failpoint(WalFailpoint::kPreAppend);
     EXPECT_EQ(log.Append(WalRecord::Commit(2, 0)), 0u);
@@ -475,7 +482,7 @@ TEST(WalTest, PreSyncFailpointLosesTheUnsyncedSuffix) {
   ASSERT_TRUE(w.ok());
   {
     CommitLog log(std::move(w).value(), CommitLog::Options{});
-    ASSERT_TRUE(log.AppendDurable(WalRecord::Commit(1, 0)).ok());
+    ASSERT_TRUE(AppendDurable(log, WalRecord::Commit(1, 0)).ok());
 
     log.set_failpoint(WalFailpoint::kPreSync);
     const uint64_t lsn = log.Append(WalRecord::Commit(2, 0));
