@@ -9,8 +9,8 @@
 //   mt_disjoint      T threads on disjoint key ranges, TryAcquire/Release
 //                    — latch contention, the headline striping number
 //   mt_blocking      T threads, blocking Acquire on a small hot set with
-//                    ReleaseAll transactions — cv handoff + waits-for
-//                    probes under the global slow path
+//                    ReleaseAll transactions — grant-on-release handoff
+//                    + waits-for probes under the global slow path
 //   pred_scan        1 thread acquiring/releasing a predicate lock while
 //                    H item locks are held — the all-buckets global view
 //                    a predicate pays for (striping's known worst path)
@@ -128,8 +128,8 @@ double RunMtDisjoint(size_t stripes, const Config& cfg) {
 
 // T threads of two-lock "transactions" over a small hot set, blocking
 // protocol: Acquire both (ascending key order, so waits resolve), then
-// ReleaseAll.  Exercises parking, notification, and the global deadlock
-// probe path.
+// ReleaseAll.  Exercises queueing, grant on release, and the global
+// deadlock probe path.
 void RunMtBlocking(size_t stripes, const Config& cfg, WorkloadResult& out) {
   LockManager lm(stripes);
   const int64_t hot = std::max<int64_t>(4, cfg.threads * 2);
@@ -149,11 +149,11 @@ void RunMtBlocking(size_t stripes, const Config& cfg, WorkloadResult& out) {
         if (a > b) std::swap(a, b);
         auto h1 = lm.Acquire(
             LockSpec::WriteItem(txn, Key(a), std::nullopt, std::nullopt),
-            std::chrono::milliseconds(100), std::chrono::milliseconds(5));
+            std::chrono::milliseconds(100));
         if (!h1.ok()) continue;  // deadlock victim / timeout: give up
         auto h2 = lm.Acquire(
             LockSpec::WriteItem(txn, Key(b), std::nullopt, std::nullopt),
-            std::chrono::milliseconds(100), std::chrono::milliseconds(5));
+            std::chrono::milliseconds(100));
         (void)h2;
         lm.ReleaseAll(txn);
       }

@@ -32,9 +32,14 @@
 #            hang nor fail an Execute; a cross-shard commit that waits
 #            one device round for its votes and the coordinator's
 #            record; two clients' commits contending for the
-#            coordinator log's token) STRESS_RUNS times (default 30).
-#            Zero failures required; any data race, non-serializable
-#            committed history, hang or failed Execute fails the loop.
+#            coordinator log's token), plus the lock queue's handoffs
+#            (the wakeup-hook and deadlock tests, the blocking lock stress,
+#            the session executor's park/wakeup handoff, a waiter granted
+#            when the waiter ahead of it times out, and a predicate waiter
+#            granted by an item release in another stripe) STRESS_RUNS
+#            times (default 30).  Zero failures required; any data race,
+#            non-serializable committed history, hang or failed Execute
+#            fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
 #            matrix: the WAL format/pipeline suite plus every
 #            kill-and-recover test (single-site, group commit, and the
@@ -182,15 +187,16 @@ if [[ "$STRESS" -eq 1 ]]; then
   # The stress loop: the SSI commit-pipeline regression pin, the
   # deadlock-victim doom-and-wake handoff, the group-commit device-token
   # handoff (including a handed-off round that dies with waiters parked
-  # behind it) and the overlapped vote wait's token ordering, with the
-  # coordinator log's record in the same round.  One gtest process repeats the
+  # behind it), the overlapped vote wait's token ordering, with the
+  # coordinator log's record in the same round, and the lock queue's
+  # grant-on-release handoffs.  One gtest process repeats the
   # tests so every iteration reuses the warmed TSan runtime;
   # --gtest_break_on_failure turns the first failure into a non-zero
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens:VoteOverlapTest.CrossShardCommitWaitsOneVoteRound:VoteOverlapTest.ContendedCoordinatorLogCoversEveryAckedCommit' \
+    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens:VoteOverlapTest.CrossShardCommitWaitsOneVoteRound:VoteOverlapTest.ContendedCoordinatorLogCoversEveryAckedCommit:WakeupHookTest.*:LockStripingStressTest.*:DeadlockTest.*:SessionExecutorTest.ParkWakeupHandoffNoLostWakeups:LockStripingTest.ItemReleaseGrantsAPredicateWaiterInAnotherStripe' \
     --gtest_repeat="$RUNS" --gtest_break_on_failure
   echo "check.sh: stress loop green ($RUNS TSan runs)"
   exit 0

@@ -29,7 +29,6 @@ Database::Database(std::unique_ptr<Engine> engine, DbOptions options)
   EngineConcurrency c;
   c.blocking_locks = options.mode == ConcurrencyMode::kBlocking;
   c.lock_wait_timeout = options.lock_wait_timeout;
-  c.deadlock_check_interval = options.deadlock_check_interval;
   c.lock_stripes = options.lock_stripes;
   engine_->SetConcurrency(c);
   engine_->SetVersionGc({options.version_gc, options.version_gc_interval});

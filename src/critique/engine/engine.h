@@ -67,19 +67,14 @@ std::ostream& operator<<(std::ostream& os, const EngineStats& stats);
 /// How an engine resolves lock conflicts; set through
 /// `Engine::SetConcurrency` before any session starts.
 struct EngineConcurrency {
-  /// When true, lock conflicts park the calling thread (condition-variable
-  /// wait with deadlock detection) instead of answering `kWouldBlock`.
+  /// When true, lock conflicts park the calling thread in the item's lock
+  /// queue (with deadlock detection) instead of answering `kWouldBlock`.
   bool blocking_locks = false;
 
   /// Blocking mode only: how long a lock wait may last before the engine
   /// gives up and answers `kWouldBlock` ("lock wait timeout"), which the
   /// session layer treats as a retryable whole-transaction failure.
   std::chrono::milliseconds lock_wait_timeout{250};
-
-  /// Blocking mode only: how often a parked lock waiter re-runs deadlock
-  /// detection even when no release notification arrived (the bound that
-  /// catches cycles formed while threads sleep).
-  std::chrono::milliseconds deadlock_check_interval{50};
 
   /// How many independently latched buckets the engine's lock table is
   /// hash-partitioned into (lock-based engines only; 1 = the old global
@@ -88,10 +83,10 @@ struct EngineConcurrency {
 
   /// Cooperative mode only: release-notification hook for lock-based
   /// engines (`LockManager::SetWakeupHook`).  When set, every operation
-  /// that answers `kWouldBlock` has first registered the transaction for
-  /// exactly one wakeup — the hook fires with its TxnId once a conflicting
-  /// lock is released, so a scheduler can park the session instead of
-  /// polling through timed retries.  The hook runs on the releasing
+  /// that answers `kWouldBlock` has first queued its lock request — the
+  /// hook fires with its TxnId once a release grants that request, so a
+  /// scheduler can park the session instead of polling through timed
+  /// retries.  The hook runs on the releasing
   /// thread, outside lock-table latches but possibly under engine latches:
   /// it must only hand the id to a queue, never call back into the engine.
   /// Engines without a lock table ignore it (they never answer
@@ -610,8 +605,7 @@ class Engine {
     Result<LockHandle> r = [&]() -> Result<LockHandle> {
       if (!concurrency_.blocking_locks) return lm.TryAcquire(spec);
       lk.unlock();
-      auto waited =
-          lm.Acquire(spec, timeout, concurrency_.deadlock_check_interval);
+      auto waited = lm.Acquire(spec, timeout);
       lk.lock();
       return waited;
     }();

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <ostream>
+#include <set>
 
 namespace critique {
 
@@ -124,11 +125,10 @@ bool LockManager::SetStripeCount(size_t stripes) {
   stripes = std::max<size_t>(1, std::min(stripes, kMaxStripes));
   {
     auto all = LockAllBuckets();
-    std::lock_guard<std::mutex> gl(graph_mu_);
     for (const auto& b : buckets_) {
-      if (!b->held.empty() || b->waiters != 0) return false;
+      if (!b->held.empty() || !b->waiting.empty()) return false;
     }
-    if (!pred_held_.empty() || !waiting_.empty()) return false;
+    if (!preds_.held.empty() || !preds_.waiting.empty()) return false;
   }
   // Idle (and, per contract, quiescent: configuration happens before any
   // session starts), so rebuilding the stripe vector is safe.
@@ -141,138 +141,10 @@ bool LockManager::SetStripeCount(size_t stripes) {
 }
 
 void LockManager::SetWakeupHook(std::function<void(TxnId)> hook) {
-  // Quiescent-configuration contract (see the header): grabbing every
-  // latch is belt-and-braces so a hook swap can never tear a concurrent
-  // release's probe/invoke pair.
+  // Grant passes read the hook under a bucket latch; holding every latch
+  // orders this write before all of them.
   auto all = LockAllBuckets();
-  std::lock_guard<std::mutex> gl(graph_mu_);
   wakeup_hook_ = std::move(hook);
-  has_wakeup_hook_.store(static_cast<bool>(wakeup_hook_),
-                         std::memory_order_release);
-}
-
-bool LockManager::StickyMatches(const StickySeq& s, const LockSpec& spec) {
-  if (s.is_item != spec.is_item || s.mode != spec.mode) return false;
-  return spec.is_item ? s.key == spec.item : s.key == spec.pred->ToString();
-}
-
-void LockManager::RegisterCoopWaiterLocked(const LockSpec& spec) {
-  DeregisterCoopLocked(spec.txn);  // at most one live registration per txn
-  // Seniority is per request, not per registration: a woken waiter that
-  // still conflicts (one of several S holders released) re-registers with
-  // its original seq, keeping its FIFO place instead of queueing behind
-  // arrivals that came while it was being woken.
-  uint64_t seq;
-  auto sticky = coop_sticky_.find(spec.txn);
-  if (sticky != coop_sticky_.end() && StickyMatches(sticky->second, spec)) {
-    seq = sticky->second.seq;
-  } else {
-    seq = ++coop_next_seq_;
-    coop_sticky_[spec.txn] =
-        StickySeq{seq, spec.is_item, spec.mode,
-                  spec.is_item ? spec.item : spec.pred->ToString()};
-  }
-  coop_seq_[spec.txn] = seq;
-  coop_waiter_count_.fetch_add(1, std::memory_order_relaxed);
-  // Deadlock detection recomputes a registered waiter's edges live from
-  // this spec, exactly like a thread parked inside Acquire.
-  waiting_[spec.txn] = spec;
-  // Drop the txn's previous entries from the target list first: a reused
-  // seq would otherwise revive the stale entry of the last episode (same
-  // txn, same seq passes the liveness check) and wake the session twice.
-  // Same-request re-registration always targets the same list, so the
-  // other lists need no sweep — their entries carry retired seqs.
-  auto& list = spec.is_item ? buckets_[BucketOf(spec.item)]->coop_waiters
-                            : coop_pred_waiters_;
-  list.erase(
-      std::remove_if(list.begin(), list.end(),
-                     [&](const CoopWaiter& w) { return w.txn == spec.txn; }),
-      list.end());
-  list.push_back(
-      CoopWaiter{spec.txn, seq, spec, std::chrono::steady_clock::now()});
-  stat_coop_parks_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void LockManager::DeregisterCoopLocked(TxnId txn) {
-  auto it = coop_seq_.find(txn);
-  if (it == coop_seq_.end()) return;
-  coop_seq_.erase(it);
-  coop_waiter_count_.fetch_sub(1, std::memory_order_relaxed);
-  waiting_.erase(txn);
-  EraseEdgesLocked(txn);
-}
-
-void LockManager::CollectCoopWakeupsLocked(const LockSpec& released,
-                                           Bucket* bucket,
-                                           std::vector<TxnId>& out) {
-  // Prune stale entries, then gather live waiters the released lock may
-  // have been blocking.
-  std::vector<const CoopWaiter*> cand;
-  auto scan = [&](std::vector<CoopWaiter>& list) {
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](const CoopWaiter& w) {
-                                auto live = coop_seq_.find(w.txn);
-                                return live == coop_seq_.end() ||
-                                       live->second != w.seq;
-                              }),
-               list.end());
-    for (const CoopWaiter& w : list) {
-      if (SpecsConflict(released, w.spec)) cand.push_back(&w);
-    }
-  };
-  if (bucket != nullptr) {
-    scan(bucket->coop_waiters);
-  } else {
-    for (const auto& b : buckets_) scan(b->coop_waiters);
-  }
-  scan(coop_pred_waiters_);
-  if (cand.empty()) return;
-  std::sort(cand.begin(), cand.end(),
-            [](const CoopWaiter* a, const CoopWaiter* b) {
-              return a->seq < b->seq;
-            });
-  // FIFO per conflict group: waiters on the same item form one queue —
-  // wake its head and, when the head wants S, the later S waiters up to
-  // the first X (readers admit together; a writer drains alone).  The
-  // suppressed rest keep their registrations: the woken head either
-  // acquires the item (its later release resumes the queue) or hits a
-  // deadlock verdict, which implies a surviving conflicting holder whose
-  // release does.  Predicate waiters are each their own group — a
-  // predicate's conflicts span items, so suppressing one behind a waiter
-  // on a single item could strand it.
-  std::vector<const CoopWaiter*> woken;
-  std::map<ItemId, bool> group_closed;  // item -> stop admitting
-  for (const CoopWaiter* w : cand) {
-    if (!w->spec.is_item) {
-      woken.push_back(w);
-      continue;
-    }
-    auto [it, is_head] = group_closed.emplace(w->spec.item, false);
-    if (is_head) {
-      woken.push_back(w);
-      it->second = w->spec.mode == LockMode::kExclusive;
-    } else if (!it->second) {
-      if (w->spec.mode == LockMode::kShared) {
-        woken.push_back(w);
-      } else {
-        it->second = true;
-      }
-    }
-  }
-  const bool timing = obs::MetricsEnabled() && !woken.empty();
-  const auto now = timing ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-  for (const CoopWaiter* w : woken) {
-    if (timing) {
-      park_wakeup_hist_.Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                                w->parked_at)
-              .count()));
-    }
-    TxnId t = w->txn;
-    DeregisterCoopLocked(t);  // leaves the lists untouched; w stays valid
-    out.push_back(t);
-  }
 }
 
 void LockManager::NotifyCoopWaiters(const std::vector<TxnId>& wake) {
@@ -323,61 +195,149 @@ bool LockManager::SpecsConflict(const LockSpec& held,
   return PredicateCoversItem(pred_side, item_side);
 }
 
-std::vector<TxnId> LockManager::BlockersBucketLocked(
-    const Bucket& b, const LockSpec& spec) const {
-  std::vector<TxnId> out;
-  for (const auto& h : b.held) {
-    if (SpecsConflict(h.spec, spec)) AddUnique(out, h.spec.txn);
-  }
-  // The predicate side table is safely readable under this bucket's
-  // latch: any mutator holds every bucket latch, including this one.
-  for (const auto& h : pred_held_) {
-    if (SpecsConflict(h.spec, spec)) AddUnique(out, h.spec.txn);
-  }
-  return out;
+std::pair<LockManager::Queue*, uint64_t> LockManager::QueueOf(
+    const LockSpec& spec) {
+  if (!spec.is_item) return {&preds_, kPredTag};
+  const size_t bi = BucketOf(spec.item);
+  return {buckets_[bi].get(), bi + 1};
 }
 
-std::vector<TxnId> LockManager::BlockersGlobalLocked(
-    const LockSpec& spec) const {
+bool LockManager::HolderLocked(const Queue& q, const LockSpec& spec) {
+  auto mine = [&](const LockSpec& s) {
+    return s.txn == spec.txn && s.item == spec.item;
+  };
+  return std::any_of(
+             q.held.begin(), q.held.end(),
+             [&](const HeldLock& h) { return mine(h.spec); }) ||
+         std::any_of(q.waiting.begin(), q.waiting.end(), [&](const Waiter& w) {
+           return w.granted && mine(w.spec);
+         });
+}
+
+bool LockManager::BlockedLocked(const LockSpec& spec, const Waiter* until,
+                                std::vector<TxnId>* out) const {
+  bool blocked = false;
+  auto hit = [&](const LockSpec& other) {  // true means "stop scanning"
+    if (!SpecsConflict(other, spec)) return false;
+    blocked = true;
+    if (out == nullptr) return true;
+    AddUnique(*out, other.txn);
+    return false;
+  };
+  // The holders of `q` and, with `waiters`, its waiters before `until`.
+  auto scan = [&](const Queue& q, bool waiters) {
+    for (const HeldLock& h : q.held) {
+      if (hit(h.spec)) return true;
+    }
+    for (const Waiter& w : q.waiting) {
+      waiters = waiters && &w != until;
+      if ((w.granted || waiters) && hit(w.spec)) return true;
+    }
+    return false;
+  };
   if (spec.is_item) {
-    // Item locks on the same item always share a bucket, so the global
-    // view still only needs that bucket plus the predicate table.
-    return BlockersBucketLocked(*buckets_[BucketOf(spec.item)], spec);
-  }
-  std::vector<TxnId> out;
-  for (const auto& b : buckets_) {
-    for (const auto& h : b->held) {
-      if (SpecsConflict(h.spec, spec)) AddUnique(out, h.spec.txn);
+    if (scan(*buckets_[BucketOf(spec.item)], true)) return true;
+  } else {
+    for (const auto& b : buckets_) {
+      if (scan(*b, false)) return true;
     }
   }
-  for (const auto& h : pred_held_) {
-    if (SpecsConflict(h.spec, spec)) AddUnique(out, h.spec.txn);
+  // The predicate queue is safely readable under any bucket latch: every
+  // mutator holds them all.
+  scan(preds_, false);
+  return blocked;
+}
+
+bool LockManager::GrantableLocked(const Queue& q, const LockSpec& spec,
+                                  std::vector<TxnId>* out) const {
+  const bool holder = spec.is_item && HolderLocked(q, spec);
+  return !BlockedLocked(spec, holder ? FrontLocked(q) : nullptr, out);
+}
+
+LockHandle LockManager::NewHandle(uint64_t tag) {
+  return (next_seq_.fetch_add(1, std::memory_order_relaxed)
+          << kBucketTagBits) |
+         tag;
+}
+
+LockHandle LockManager::HoldLocked(Queue& q, uint64_t tag,
+                                   const LockSpec& spec) {
+  const LockHandle handle = NewHandle(tag);
+  stat_acquired_.fetch_add(1, std::memory_order_relaxed);
+  q.held.push_back(HeldLock{handle, spec});
+  return handle;
+}
+
+void LockManager::GrantWaitersLocked(Queue& q, std::vector<TxnId>& wake) {
+  // One forward pass suffices: a grant only adds a holder, so it can block
+  // a later waiter but never unblock an earlier one.
+  for (auto it = q.waiting.begin(); it != q.waiting.end();) {
+    if (it->granted || BlockedLocked(it->spec, &*it, nullptr)) {
+      ++it;
+      continue;
+    }
+    stat_acquired_.fetch_add(1, std::memory_order_relaxed);
+    if (it->slot != nullptr) {
+      it->slot->state = WaitSlot::State::kGranted;
+      it->slot->cv.notify_one();
+      q.held.push_back(HeldLock{it->handle, std::move(it->spec)});
+      it = q.waiting.erase(it);
+      continue;
+    }
+    it->granted = true;
+    if (obs::MetricsEnabled()) {
+      park_wakeup_hist_.Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - it->queued_at)
+              .count()));
+    }
+    if (wakeup_hook_) wake.push_back(it->spec.txn);
+    ++it;
   }
+}
+
+void LockManager::GrantAllLocked(std::vector<TxnId>& wake) {
+  for (const auto& b : buckets_) GrantWaitersLocked(*b, wake);
+  GrantWaitersLocked(preds_, wake);
+}
+
+bool LockManager::PredWaitersLocked() const {
+  return std::any_of(preds_.waiting.begin(), preds_.waiting.end(),
+                     [](const Waiter& w) { return !w.granted; });
+}
+
+void LockManager::RemoveLocked(Queue& q, std::list<Waiter>::iterator it,
+                               std::vector<TxnId>& wake) {
+  q.waiting.erase(it);
+  GrantWaitersLocked(q, wake);
+}
+
+LockManager::WaitIndex LockManager::IndexWaitersLocked() {
+  WaitIndex out;
+  auto add = [&](Queue& q) {
+    for (auto it = q.waiting.begin(); it != q.waiting.end(); ++it) {
+      if (!it->granted) out.emplace(it->spec.txn, WaitRef{&q, it});
+    }
+  };
+  for (const auto& b : buckets_) add(*b);
+  add(preds_);
   return out;
 }
 
-std::vector<TxnId> LockManager::FindCycleLocked(TxnId requester) const {
-  // DFS from the requester; a path back to the requester is a cycle that
-  // the newly recorded edges just closed.  Parked waiters' edges are
-  // recomputed live from their waiting spec (legal here: the global view
-  // holds every bucket latch) — their waits_for_ entries can be stale
-  // (recorded before releases that happened while they slept).  A doomed
-  // waiter is leaving: its edges close no cycle that still needs a victim.
+std::vector<TxnId> LockManager::FindCycleLocked(
+    TxnId requester, const WaitIndex& waiting) const {
+  // DFS from the requester over live edges; a path back to it is a cycle
+  // its request just closed.
   std::set<TxnId> visited;
   std::vector<TxnId> path{requester};
-  auto successors = [&](TxnId u) -> std::set<TxnId> {
-    if (doomed_.count(u) != 0) return {};
-    auto w = waiting_.find(u);
-    if (w != waiting_.end()) {
-      std::vector<TxnId> live = BlockersGlobalLocked(w->second);
-      AddSeniorWaitersLocked(w->second, live);
-      return std::set<TxnId>(live.begin(), live.end());
-    }
-    auto it = waits_for_.find(u);
-    return it == waits_for_.end() ? std::set<TxnId>{} : it->second;
-  };
   std::function<bool(TxnId)> reaches = [&](TxnId u) -> bool {
-    for (TxnId v : successors(u)) {
+    std::vector<TxnId> next;
+    auto [lo, hi] = waiting.equal_range(u);
+    for (auto it = lo; it != hi; ++it) {
+      const Waiter& w = *it->second.it;
+      BlockedLocked(w.spec, &w, &next);
+    }
+    for (TxnId v : next) {
       if (v == requester) return true;
       if (!visited.insert(v).second) continue;
       path.push_back(v);
@@ -395,86 +355,63 @@ TxnId LockManager::SeniorityLocked(TxnId txn) const {
   return it == seniority_.end() ? txn : it->second;
 }
 
-TxnId LockManager::PickVictimLocked(const std::vector<TxnId>& cycle) const {
-  const TxnId requester = cycle.front();
-  TxnId junior = requester;
-  TxnId junior_key = SeniorityLocked(requester);
-  bool tie = false;
-  for (size_t i = 1; i < cycle.size(); ++i) {
-    const TxnId key = SeniorityLocked(cycle[i]);
-    if (key > junior_key) {
-      junior = cycle[i];
-      junior_key = key;
-      tie = false;
-    } else if (key == junior_key) {
-      tie = true;
-    }
-  }
-  if (junior == requester || tie) return requester;
-  // Only a thread parked in Acquire can be woken to answer the doom; a
-  // cooperative registration (also in waiting_) has no thread to wake.
-  const bool parked =
-      waiting_.count(junior) != 0 && coop_seq_.count(junior) == 0;
-  return parked ? junior : requester;
-}
-
-void LockManager::AddSeniorWaitersLocked(const LockSpec& spec,
-                                         std::vector<TxnId>& out) const {
-  if (!spec.is_item) return;
-  const TxnId key = SeniorityLocked(spec.txn);
-  for (const auto& [txn, want] : waiting_) {
-    if (!want.is_item || want.item != spec.item || !SpecsConflict(want, spec) ||
-        doomed_.count(txn) != 0 || coop_seq_.count(txn) != 0) {
-      continue;
-    }
-    if (SeniorityLocked(txn) < key) AddUnique(out, txn);
-  }
-}
-
 void LockManager::InheritSeniority(TxnId txn, TxnId first_attempt) {
-  std::lock_guard<std::mutex> gl(graph_mu_);
+  std::lock_guard<std::mutex> bl(buckets_[0]->mu);
   seniority_[txn] = first_attempt;
 }
 
-void LockManager::EraseEdgesLocked(TxnId txn) {
-  if (waits_for_.erase(txn) != 0) {
-    edge_txns_.fetch_sub(1, std::memory_order_relaxed);
+Result<LockHandle> LockManager::EnqueueLocked(const LockSpec& spec,
+                                              WaitSlot* slot,
+                                              std::vector<TxnId>& blockers,
+                                              std::vector<TxnId>& wake) {
+  auto [q, tag] = QueueOf(spec);
+  if (GrantableLocked(*q, spec, &blockers)) return HoldLocked(*q, tag, spec);
+  // A holder's request goes ahead of every waiter; a fresh one joins the
+  // back of the queue.
+  const LockHandle handle = NewHandle(tag);
+  auto own = q->waiting.insert(
+      spec.is_item && HolderLocked(*q, spec) ? q->waiting.begin()
+                                             : q->waiting.end(),
+      Waiter{handle, spec, slot, false, std::chrono::steady_clock::now()});
+  for (;;) {
+    const WaitIndex waiting = IndexWaitersLocked();
+    const std::vector<TxnId> cycle = FindCycleLocked(spec.txn, waiting);
+    if (cycle.empty()) return handle;
+    // A parked Acquire sacrifices the cycle's most junior member when that
+    // member is itself parked; everyone else is its own victim.
+    TxnId junior = spec.txn;
+    if (slot != nullptr) {
+      TxnId key = SeniorityLocked(spec.txn);
+      bool tie = false;
+      for (size_t i = 1; i < cycle.size(); ++i) {
+        const TxnId k = SeniorityLocked(cycle[i]);
+        if (k > key) {
+          junior = cycle[i];
+          key = k;
+          tie = false;
+        } else if (k == key) {
+          tie = true;
+        }
+      }
+      if (tie) junior = spec.txn;
+    }
+    const WaitRef* doomed = nullptr;
+    auto [lo, hi] = waiting.equal_range(junior);
+    for (auto it = lo; it != hi && junior != spec.txn; ++it) {
+      if (it->second.it->slot != nullptr) doomed = &it->second;
+    }
+    if (doomed == nullptr) {
+      // Still queued: a request in a cycle waits for someone.
+      RemoveLocked(*q, own, wake);
+      stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) +
+                              " waits on" + JoinTxns(blockers));
+    }
+    WaitSlot* victim = doomed->it->slot;
+    victim->state = WaitSlot::State::kDoomed;
+    victim->cv.notify_one();
+    RemoveLocked(*doomed->queue, doomed->it, wake);
   }
-}
-
-void LockManager::RecordEdgesLocked(TxnId txn,
-                                    const std::vector<TxnId>& blockers) {
-  EraseEdgesLocked(txn);
-  auto& targets = waits_for_[txn];
-  for (TxnId b : blockers) targets.insert(b);
-  edge_txns_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void LockManager::MaybeClearStaleEdges(TxnId txn) {
-  // Only this transaction's own (single) driving thread records its
-  // edges, so a relaxed zero here proves we have none — the conflict-free
-  // hot path never touches the graph mutex.
-  if (edge_txns_.load(std::memory_order_relaxed) == 0) return;
-  std::lock_guard<std::mutex> gl(graph_mu_);
-  EraseEdgesLocked(txn);
-}
-
-LockHandle LockManager::GrantItemLocked(size_t bi, const LockSpec& spec) {
-  LockHandle h = (next_seq_.fetch_add(1, std::memory_order_relaxed)
-                  << kBucketTagBits) |
-                 (static_cast<LockHandle>(bi) + 1);
-  buckets_[bi]->held.push_back(HeldLock{h, spec});
-  stat_acquired_.fetch_add(1, std::memory_order_relaxed);
-  return h;
-}
-
-LockHandle LockManager::GrantPredLocked(const LockSpec& spec) {
-  LockHandle h = (next_seq_.fetch_add(1, std::memory_order_relaxed)
-                  << kBucketTagBits) |
-                 kPredTag;
-  pred_held_.push_back(HeldLock{h, spec});
-  stat_acquired_.fetch_add(1, std::memory_order_relaxed);
-  return h;
 }
 
 std::string LockManager::Describe(const LockSpec& spec) {
@@ -489,368 +426,260 @@ std::string LockManager::JoinTxns(const std::vector<TxnId>& txns) {
 }
 
 Result<LockHandle> LockManager::TryAcquire(const LockSpec& spec) {
-  if (spec.is_item) {
-    // Fast path: one bucket latch, one bucket scan (plus the — normally
-    // empty — predicate table).
-    const size_t bi = BucketOf(spec.item);
-    std::unique_lock<std::mutex> bl(buckets_[bi]->mu);
-    std::vector<TxnId> blockers = BlockersBucketLocked(*buckets_[bi], spec);
-    if (blockers.empty()) {
-      MaybeClearStaleEdges(spec.txn);  // fresh picture: drop stale edges
-      return GrantItemLocked(bi, spec);
+  std::vector<TxnId> blockers;
+  std::vector<TxnId> wake;
+  bool gave_back = false;
+  // The caller's retry claims its own request (see the header).  Answers,
+  // or returns nullopt when the request must be made afresh.
+  auto claim = [&](Queue& q) -> std::optional<Result<LockHandle>> {
+    auto it = std::find_if(q.waiting.begin(), q.waiting.end(),
+                           [&](const Waiter& w) {
+      return w.slot == nullptr && w.spec.txn == spec.txn &&
+             w.spec.mode == spec.mode &&
+             (spec.is_item ? w.spec.item == spec.item
+                           : *w.spec.pred == *spec.pred);
+    });
+    if (it == q.waiting.end()) return std::nullopt;
+    it->spec = spec;  // the retry's row images replace the queued ones
+    if (!BlockedLocked(spec, it->granted ? FrontLocked(q) : &*it,
+                       &blockers)) {
+      if (!it->granted) stat_acquired_.fetch_add(1, std::memory_order_relaxed);
+      const LockHandle handle = it->handle;
+      q.held.push_back(HeldLock{handle, std::move(it->spec)});
+      q.waiting.erase(it);
+      return handle;
     }
-  }
-  // Conflict (or predicate spec): take the global view so the conflict
-  // decision, the recorded edges, and deadlock detection are one atomic
-  // picture.
-  auto all = LockAllBuckets();
-  std::lock_guard<std::mutex> gl(graph_mu_);
-  std::vector<TxnId> blockers = BlockersGlobalLocked(spec);
-  if (blockers.empty()) {
-    if (coop_waiter_count_.load(std::memory_order_relaxed) > 0) {
-      DeregisterCoopLocked(spec.txn);  // re-run raced the wakeup: cancel
+    if (!it->granted) {
+      stat_blocked_.fetch_add(1, std::memory_order_relaxed);
+      return Status::WouldBlock(Describe(spec) + " locked by" +
+                                JoinTxns(blockers));
     }
-    coop_sticky_.erase(spec.txn);  // request granted: seniority retired
-    EraseEdgesLocked(spec.txn);
-    return spec.is_item ? GrantItemLocked(BucketOf(spec.item), spec)
-                        : GrantPredLocked(spec);
-  }
-  // Register for a wakeup BEFORE recording edges: registration clears any
-  // previous registration, and that cleanup also erases the txn's edges.
-  // Registration and the WouldBlock answer happen under the same latches,
-  // so the conflicting holders cannot release in between — the wakeup
-  // cannot be lost.
-  const bool coop_hook = has_wakeup_hook_.load(std::memory_order_acquire);
-  if (coop_hook) RegisterCoopWaiterLocked(spec);
-  RecordEdgesLocked(spec.txn, blockers);
-  if (!FindCycleLocked(spec.txn).empty()) {
-    stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-    if (coop_hook) DeregisterCoopLocked(spec.txn);
-    EraseEdgesLocked(spec.txn);
-    return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) +
-                            " waits on" + JoinTxns(blockers));
-  }
-  stat_blocked_.fetch_add(1, std::memory_order_relaxed);
-  return Status::WouldBlock(Describe(spec) + " locked by" + JoinTxns(blockers));
+    // Granted under images a predicate holder covers once refreshed.
+    RemoveLocked(q, it, wake);
+    stat_released_.fetch_add(1, std::memory_order_relaxed);
+    blockers.clear();
+    gave_back = true;
+    return std::nullopt;
+  };
+  Result<LockHandle> r = [&]() -> Result<LockHandle> {
+    if (spec.is_item) {
+      // Fast path: one bucket latch, one bucket scan (plus the — normally
+      // empty — predicate queue).
+      const size_t bi = BucketOf(spec.item);
+      Bucket& b = *buckets_[bi];
+      std::lock_guard<std::mutex> bl(b.mu);
+      if (auto answer = claim(b)) return *answer;
+      if (GrantableLocked(b, spec, nullptr)) return HoldLocked(b, bi + 1, spec);
+    }
+    // Conflict (or predicate spec): the global view, so the grant decision,
+    // the queueing and the deadlock probe are one atomic picture.
+    auto all = LockAllBuckets();
+    if (gave_back) GrantWaitersLocked(preds_, wake);
+    if (!spec.is_item) {
+      if (auto answer = claim(preds_)) return *answer;
+    }
+    Result<LockHandle> q = EnqueueLocked(spec, nullptr, blockers, wake);
+    if (!q.ok() || blockers.empty()) return q;
+    stat_blocked_.fetch_add(1, std::memory_order_relaxed);
+    stat_coop_parks_.fetch_add(1, std::memory_order_relaxed);
+    return Status::WouldBlock(Describe(spec) + " locked by" +
+                              JoinTxns(blockers));
+  }();
+  NotifyCoopWaiters(wake);  // outside every lock-table latch
+  return r;
 }
 
 Result<LockHandle> LockManager::Acquire(const LockSpec& spec,
-                                        std::chrono::milliseconds timeout,
-                                        std::chrono::milliseconds recheck) {
-  // Waiters sleep in bounded slices on their bucket's condition variable:
-  // every relevant release notifies it, and the slice bound guarantees the
-  // global deadlock probe re-runs even if a wake-up is lost to scheduling,
-  // so a cycle formed while this thread slept (its recorded edges going
-  // stale) can never hang the run.
-  const std::chrono::milliseconds kRecheckSlice =
-      recheck.count() > 0 ? recheck : std::chrono::milliseconds(50);
+                                        std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-
-  // Predicate waiters park on bucket 0 by convention; see the class
-  // comment for the (slice-bounded) notification contract.
   const size_t bi = spec.is_item ? BucketOf(spec.item) : 0;
-  Bucket& park = *buckets_[bi];
-  bool counted_wait = false;
-  bool registered = false;
-  // Set when the first conflict is seen; the wait histogram records the
-  // whole episode (sleeps + rechecks) once, on whatever exit ends it.
-  std::chrono::steady_clock::time_point wait_start{};
-  auto record_wait = [&] {
-    if (!counted_wait || !obs::MetricsEnabled()) return;
+  Bucket& park = *buckets_[bi];  // predicate waiters sleep on bucket 0
+  if (spec.is_item) {
+    std::lock_guard<std::mutex> bl(park.mu);
+    if (GrantableLocked(park, spec, nullptr)) {
+      return HoldLocked(park, bi + 1, spec);
+    }
+  }
+  WaitSlot slot;
+  std::vector<TxnId> blockers;
+  std::vector<TxnId> wake;
+  Result<LockHandle> r = [&] {
+    auto all = LockAllBuckets();
+    return EnqueueLocked(spec, &slot, blockers, wake);
+  }();
+  NotifyCoopWaiters(wake);
+  if (!r.ok() || blockers.empty()) return r;
+  stat_blocked_.fetch_add(1, std::memory_order_relaxed);
+  const auto wait_start = std::chrono::steady_clock::now();
+
+  wake.clear();
+  std::unique_lock<std::mutex> bl(park.mu);
+  while (slot.state == WaitSlot::State::kWaiting &&
+         slot.cv.wait_until(bl, deadline) == std::cv_status::no_timeout) {
+  }
+  std::vector<std::unique_lock<std::mutex>> all;
+  if (slot.state == WaitSlot::State::kWaiting && !spec.is_item) {
+    bl.unlock();  // a predicate request leaves its queue under every latch
+    all = LockAllBuckets();
+  }
+  const WaitSlot::State state = slot.state;
+  if (state == WaitSlot::State::kWaiting) {
+    Queue& q = spec.is_item ? static_cast<Queue&>(park) : preds_;
+    auto own = std::find_if(q.waiting.begin(), q.waiting.end(),
+                            [&](const Waiter& w) { return w.handle == *r; });
+    blockers.clear();
+    BlockedLocked(spec, &*own, &blockers);
+    RemoveLocked(q, own, wake);
+  }
+  if (bl.owns_lock()) bl.unlock();
+  all.clear();
+  NotifyCoopWaiters(wake);
+  if (obs::MetricsEnabled()) {
     wait_hist_.Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - wait_start)
             .count()));
-  };
-
-  // Requires graph_mu_; undoes the waiter registration and edges.
-  auto deregister_locked = [&] {
-    if (registered) {
-      waiting_.erase(spec.txn);
-      doomed_.erase(spec.txn);
-      if (!spec.is_item) pred_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      parked_count_.fetch_sub(1, std::memory_order_relaxed);
-      registered = false;
-    }
-    EraseEdgesLocked(spec.txn);
-  };
-
-  // Requires graph_mu_; this transaction is a deadlock victim.
-  auto deadlock_locked = [&](const std::string& why) -> Result<LockHandle> {
-    stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-    deregister_locked();
-    record_wait();
-    return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) + why);
-  };
-  const char* kDoomed = " is the junior member of a waits-for cycle";
-
-  std::unique_lock<std::mutex> bl(park.mu, std::defer_lock);
-  for (;;) {
-    if (spec.is_item) {
-      // Bucket-local attempt (reused with the latch still held right
-      // after a wake-up).
-      if (!bl.owns_lock()) bl.lock();
-      std::vector<TxnId> blockers = BlockersBucketLocked(park, spec);
-      if (blockers.empty()) {
-        // Registration takes every bucket latch, so under this one a zero
-        // count proves nobody is parked to queue behind.
-        if (registered || edge_txns_.load(std::memory_order_relaxed) > 0 ||
-            parked_count_.load(std::memory_order_relaxed) > 0) {
-          std::lock_guard<std::mutex> gl(graph_mu_);
-          if (doomed_.count(spec.txn) != 0) return deadlock_locked(kDoomed);
-          AddSeniorWaitersLocked(spec, blockers);
-          if (blockers.empty()) deregister_locked();
-        }
-        if (blockers.empty()) {
-          record_wait();
-          return GrantItemLocked(bi, spec);
-        }
-      }
-      bl.unlock();
-    }
-
-    // Conflict: global view for the grant/edges/deadlock decision.
-    auto all = LockAllBuckets();
-    std::unique_lock<std::mutex> gl(graph_mu_);
-    if (doomed_.count(spec.txn) != 0) return deadlock_locked(kDoomed);
-    std::vector<TxnId> blockers = BlockersGlobalLocked(spec);
-    AddSeniorWaitersLocked(spec, blockers);
-    if (blockers.empty()) {
-      deregister_locked();
-      record_wait();
-      return spec.is_item ? GrantItemLocked(bi, spec) : GrantPredLocked(spec);
-    }
-    if (!registered) {
-      waiting_[spec.txn] = spec;  // deadlock detection reads our edges live
-      if (!spec.is_item) pred_waiters_.fetch_add(1, std::memory_order_relaxed);
-      parked_count_.fetch_add(1, std::memory_order_relaxed);
-      registered = true;
-    }
-    RecordEdgesLocked(spec.txn, blockers);
-    const std::vector<TxnId> cycle = FindCycleLocked(spec.txn);
-    if (!cycle.empty()) {
-      const TxnId victim = PickVictimLocked(cycle);
-      if (victim == spec.txn) {
-        return deadlock_locked(" waits on" + JoinTxns(blockers));
-      }
-      // A more junior member is parked: doom it and keep waiting for the
-      // locks its rollback releases.
-      doomed_.insert(victim);
-      const LockSpec& vs = waiting_.at(victim);
-      buckets_[vs.is_item ? BucketOf(vs.item) : 0]->cv.notify_all();
-    }
-    if (!counted_wait) {
-      stat_blocked_.fetch_add(1, std::memory_order_relaxed);
-      counted_wait = true;  // one wait episode, however many re-checks
-      wait_start = std::chrono::steady_clock::now();
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      deregister_locked();
-      record_wait();
-      return Status::WouldBlock(
-          "lock wait timeout (" + std::to_string(timeout.count()) +
-          "ms): " + Describe(spec) + " locked by" + JoinTxns(blockers));
-    }
-
-    // Park on the bucket: keep its latch, drop everything else (graph
-    // first, then the other buckets — unlock order is unconstrained).
-    ++park.waiters;
-    gl.unlock();
-    bl = std::move(all[bi]);
-    for (auto& l : all) {
-      if (l.owns_lock()) l.unlock();
-    }
-    park.cv.wait_for(bl, std::min<std::chrono::steady_clock::duration>(
-                             deadline - now, kRecheckSlice));
-    --park.waiters;
-    if (!spec.is_item) bl.unlock();  // predicate retry goes straight global
   }
+  if (state == WaitSlot::State::kGranted) return r;
+  if (state == WaitSlot::State::kDoomed) {
+    stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
+    return Status::Deadlock("deadlock: T" + std::to_string(spec.txn) +
+                            " is the junior member of a waits-for cycle");
+  }
+  stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  return Status::WouldBlock("lock wait timeout (" +
+                            std::to_string(timeout.count()) + "ms): " +
+                            Describe(spec) + " locked by" + JoinTxns(blockers));
 }
 
 void LockManager::Release(LockHandle handle) {
   if (handle == 0) return;
   const uint64_t tag = handle & ((1u << kBucketTagBits) - 1);
-  bool erased = false;
   std::vector<TxnId> wake;
+  auto erase = [&](Queue& q) {
+    auto it =
+        std::find_if(q.held.begin(), q.held.end(),
+                     [&](const HeldLock& h) { return h.handle == handle; });
+    if (it == q.held.end()) return false;
+    q.held.erase(it);
+    GrantWaitersLocked(q, wake);
+    return true;
+  };
+  bool erased = false;
   if (tag == kPredTag) {
-    // Predicate release: side-table mutation needs the global view; every
-    // bucket's waiters might have been blocked by it.
+    // A predicate may have blocked waiters in every queue.
     auto all = LockAllBuckets();
-    auto it = std::find_if(
-        pred_held_.begin(), pred_held_.end(),
-        [&](const HeldLock& h) { return h.handle == handle; });
-    if (it != pred_held_.end()) {
-      LockSpec released = std::move(it->spec);
-      pred_held_.erase(it);
-      erased = true;
-      for (const auto& b : buckets_) {
-        if (b->waiters > 0) b->cv.notify_all();
-      }
-      if (coop_waiter_count_.load(std::memory_order_relaxed) > 0) {
-        std::lock_guard<std::mutex> gl(graph_mu_);
-        CollectCoopWakeupsLocked(released, nullptr, wake);
-      }
-    }
+    erased = erase(preds_);
+    if (erased) GrantAllLocked(wake);
   } else {
     const size_t bi = static_cast<size_t>(tag) - 1;
     if (bi >= buckets_.size()) return;
-    Bucket& b = *buckets_[bi];
-    std::lock_guard<std::mutex> bl(b.mu);
-    auto it = std::find_if(b.held.begin(), b.held.end(), [&](const HeldLock& h) {
-      return h.handle == handle;
-    });
-    if (it != b.held.end()) {
-      LockSpec released = std::move(it->spec);
-      b.held.erase(it);
-      erased = true;
-      if (b.waiters > 0) b.cv.notify_all();
-      if (coop_waiter_count_.load(std::memory_order_relaxed) > 0) {
-        // Bucket-before-graph is the latch order, so this nests cleanly;
-        // an item's cooperative waiters all live in this bucket's list,
-        // and the (graph-guarded) predicate wait list is scanned too.
-        std::lock_guard<std::mutex> gl(graph_mu_);
-        CollectCoopWakeupsLocked(released, &b, wake);
-      }
+    bool pred_pass = false;
+    {
+      std::lock_guard<std::mutex> bl(buckets_[bi]->mu);
+      erased = erase(*buckets_[bi]);
+      pred_pass = erased && PredWaitersLocked();
+    }
+    if (pred_pass) {
+      auto all = LockAllBuckets();
+      GrantWaitersLocked(preds_, wake);
     }
   }
-  if (erased) {
-    stat_released_.fetch_add(1, std::memory_order_relaxed);
-    // A parked predicate waiter (on bucket 0) may be blocked by an item
-    // lock in any bucket; this unlatched poke can race with its pre-wait
-    // window, which the recheck slice bounds.
-    if (tag != kPredTag && pred_waiters_.load(std::memory_order_relaxed) > 0) {
-      buckets_[0]->cv.notify_all();
-    }
-  }
+  if (erased) stat_released_.fetch_add(1, std::memory_order_relaxed);
   NotifyCoopWaiters(wake);  // outside every lock-table latch
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  size_t erased = 0;
+  std::vector<TxnId> wake;
+  size_t released = 0;
+  // Drops every request of `txn` from `q`; true when there was one.
+  auto drop = [&](Queue& q) {
+    const size_t held = q.held.size();
+    q.held.erase(std::remove_if(q.held.begin(), q.held.end(),
+                                [&](const HeldLock& h) {
+                                  return h.spec.txn == txn;
+                                }),
+                 q.held.end());
+    released += held - q.held.size();
+    bool any = held != q.held.size();
+    for (auto it = q.waiting.begin(); it != q.waiting.end();) {
+      if (it->spec.txn != txn) {
+        ++it;
+        continue;
+      }
+      released += it->granted;
+      any = true;
+      it = q.waiting.erase(it);
+    }
+    return any;
+  };
   bool any_pred = false;
   {
     std::lock_guard<std::mutex> bl(buckets_[0]->mu);
-    any_pred = !pred_held_.empty();
+    any_pred = !preds_.held.empty() || !preds_.waiting.empty();
   }
-  std::vector<TxnId> wake;
-  // Whether cooperative waiters may need waking.  Re-read under the
-  // latches before every erase, never cached across them: a first
-  // registration happens under all bucket latches, so a read taken while
-  // holding any bucket latch is ordered against it — but a read taken
-  // before the latches could miss a waiter that registered in between,
-  // dropping its conflicting lock without collecting the wakeup (a
-  // hook-driven session would park forever).  Mirrors Release().
-  bool coop = false;
-  // Hand-rolled compaction (remove_if would need a side-effecting
-  // predicate) that also hands back the released specs when cooperative
-  // waiters may need waking.
-  std::vector<LockSpec> dropped;
-  auto erase_from = [&](std::vector<HeldLock>& held) {
-    size_t kept = 0;
-    for (size_t i = 0; i < held.size(); ++i) {
-      if (held[i].spec.txn == txn) {
-        if (coop) dropped.push_back(std::move(held[i].spec));
-      } else {
-        if (kept != i) held[kept] = std::move(held[i]);
-        ++kept;
-      }
-    }
-    const size_t n = held.size() - kept;
-    held.resize(kept);
-    return n;
-  };
   if (any_pred) {
     // The transaction may hold predicate locks: take the global view once.
     auto all = LockAllBuckets();
-    coop = coop_waiter_count_.load(std::memory_order_relaxed) > 0;
-    for (const auto& b : buckets_) {
-      size_t n = erase_from(b->held);
-      erased += n;
-      if (n != 0 && b->waiters > 0) b->cv.notify_all();
-    }
-    size_t n = erase_from(pred_held_);
-    erased += n;
-    if (n != 0) {
-      for (const auto& b : buckets_) {
-        if (b->waiters > 0) b->cv.notify_all();
-      }
-    }
-    if (coop && !dropped.empty()) {
-      std::lock_guard<std::mutex> gl(graph_mu_);
-      for (const LockSpec& spec : dropped) {
-        CollectCoopWakeupsLocked(spec, nullptr, wake);
-      }
-    }
-  } else {
-    // Common case (no predicate locks anywhere): one bucket at a time.
-    for (const auto& b : buckets_) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      coop = coop_waiter_count_.load(std::memory_order_relaxed) > 0;
-      dropped.clear();
-      size_t n = erase_from(b->held);
-      erased += n;
-      if (n != 0 && b->waiters > 0) b->cv.notify_all();
-      if (coop && !dropped.empty()) {
-        std::lock_guard<std::mutex> gl(graph_mu_);
-        for (const LockSpec& spec : dropped) {
-          CollectCoopWakeupsLocked(spec, b.get(), wake);
-        }
-      }
-    }
-  }
-  stat_released_.fetch_add(erased, std::memory_order_relaxed);
-  if (erased != 0 && pred_waiters_.load(std::memory_order_relaxed) > 0) {
-    buckets_[0]->cv.notify_all();
-  }
-  {
-    // Clear the transaction's own registration (a parked session being
-    // rolled back must not linger in the wait lists), its edges, and edges
-    // other transactions recorded against it (they will recompute on their
-    // next attempt/recheck).
-    std::lock_guard<std::mutex> gl(graph_mu_);
-    DeregisterCoopLocked(txn);
-    coop_sticky_.erase(txn);
+    for (const auto& b : buckets_) drop(*b);
+    drop(preds_);
     seniority_.erase(txn);
-    EraseEdgesLocked(txn);
-    for (auto it = waits_for_.begin(); it != waits_for_.end();) {
-      it->second.erase(txn);
-      if (it->second.empty()) {
-        it = waits_for_.erase(it);
-        edge_txns_.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        ++it;
+    GrantAllLocked(wake);
+  } else {
+    // Common case (no predicate requests anywhere): one bucket at a time.
+    // A predicate request queued meanwhile is granted under every latch.
+    bool pred_pass = false;
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+      Bucket& b = *buckets_[i];
+      std::lock_guard<std::mutex> bl(b.mu);
+      if (i == 0) seniority_.erase(txn);
+      if (drop(b)) {
+        GrantWaitersLocked(b, wake);
+        pred_pass |= PredWaitersLocked();
       }
     }
+    if (pred_pass) {
+      auto all = LockAllBuckets();
+      GrantWaitersLocked(preds_, wake);
+    }
   }
+  stat_released_.fetch_add(released, std::memory_order_relaxed);
   NotifyCoopWaiters(wake);  // outside every lock-table latch
 }
 
 std::vector<TxnId> LockManager::Blockers(const LockSpec& spec) const {
   auto all = LockAllBuckets();
-  return BlockersGlobalLocked(spec);
+  std::vector<TxnId> out;
+  // Holders only: waiters before the front of the item's queue are none.
+  const Queue& q = spec.is_item ? *buckets_[BucketOf(spec.item)] : preds_;
+  BlockedLocked(spec, FrontLocked(q), &out);
+  return out;
 }
 
 size_t LockManager::HeldCount() const {
   size_t n = 0;
+  auto count_in = [&](const Queue& q) {
+    n += q.held.size();
+    for (const Waiter& w : q.waiting) n += w.granted;
+  };
   for (const auto& b : buckets_) {
     std::lock_guard<std::mutex> bl(b->mu);
-    n += b->held.size();
-    if (&b == &buckets_.front()) n += pred_held_.size();
+    count_in(*b);
+    if (&b == &buckets_.front()) count_in(preds_);
   }
   return n;
 }
 
 size_t LockManager::HeldCountBy(TxnId txn) const {
   size_t n = 0;
-  auto count_in = [&](const std::vector<HeldLock>& held) {
-    for (const auto& h : held) n += (h.spec.txn == txn);
+  auto count_in = [&](const Queue& q) {
+    for (const HeldLock& h : q.held) n += h.spec.txn == txn;
+    for (const Waiter& w : q.waiting) n += w.granted && w.spec.txn == txn;
   };
   for (const auto& b : buckets_) {
     std::lock_guard<std::mutex> bl(b->mu);
-    count_in(b->held);
-    if (&b == &buckets_.front()) count_in(pred_held_);
+    count_in(*b);
+    if (&b == &buckets_.front()) count_in(preds_);
   }
   return n;
 }
@@ -868,29 +697,30 @@ LockStats LockManager::stats() const {
 }
 
 LockDebugSnapshot LockManager::DebugSnapshot() const {
-  // The global view plus the graph mutex: holders, waiters, and edges are
-  // one atomic picture — exactly what diagnosing a wedged session needs.
+  // The global view: holders, waiters, and edges are one atomic picture —
+  // exactly what diagnosing a wedged session needs.
   LockDebugSnapshot snap;
   auto all = LockAllBuckets();
-  std::lock_guard<std::mutex> gl(graph_mu_);
-  auto add_held = [&](const std::vector<HeldLock>& held) {
-    for (const HeldLock& h : held) {
-      snap.held.push_back(LockDebugSnapshot::HeldEntry{
-          h.spec.txn, h.spec.mode, Describe(h.spec)});
+  auto add = [&](const Queue& q) {
+    auto held = [&](const LockSpec& s) {
+      snap.held.push_back(
+          LockDebugSnapshot::HeldEntry{s.txn, s.mode, Describe(s)});
+    };
+    for (const HeldLock& h : q.held) held(h.spec);
+    for (const Waiter& w : q.waiting) {
+      if (w.granted) {
+        held(w.spec);
+        continue;
+      }
+      snap.waiters.push_back(LockDebugSnapshot::WaiterEntry{
+          w.spec.txn, w.spec.mode, Describe(w.spec), w.slot == nullptr});
+      std::vector<TxnId> to;
+      BlockedLocked(w.spec, &w, &to);
+      for (TxnId t : to) snap.waits_for.emplace_back(w.spec.txn, t);
     }
   };
-  for (const auto& b : buckets_) add_held(b->held);
-  add_held(pred_held_);
-  // `waiting_` covers both protocols: threads parked in Acquire and
-  // cooperative registrations (RegisterCoopWaiterLocked adds them so
-  // deadlock detection sees their edges live).
-  for (const auto& [txn, spec] : waiting_) {
-    snap.waiters.push_back(LockDebugSnapshot::WaiterEntry{
-        txn, spec.mode, Describe(spec), coop_seq_.count(txn) != 0});
-  }
-  for (const auto& [from, targets] : waits_for_) {
-    for (TxnId to : targets) snap.waits_for.emplace_back(from, to);
-  }
+  for (const auto& b : buckets_) add(*b);
+  add(preds_);
   return snap;
 }
 

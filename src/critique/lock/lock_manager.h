@@ -6,11 +6,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -73,8 +73,8 @@ struct LockStats {
   uint64_t deadlocks = 0;
   uint64_t released = 0;
   uint64_t timeouts = 0;  ///< blocking acquires that hit the wait timeout
-  uint64_t coop_parks = 0;  ///< cooperative waiters registered for a wakeup
-  uint64_t wakeups = 0;     ///< release notifications delivered to the hook
+  uint64_t coop_parks = 0;  ///< cooperative requests queued (WouldBlock)
+  uint64_t wakeups = 0;     ///< grant notifications delivered to the hook
 
   /// One line: "acquired=12 blocked=3 deadlocks=0 ...".
   std::string ToString() const;
@@ -95,7 +95,7 @@ struct LockDebugSnapshot {
     TxnId txn = 0;
     LockMode mode = LockMode::kShared;
     std::string what;
-    bool cooperative = false;  ///< registered for a hook wakeup (vs parked)
+    bool cooperative = false;  ///< a queued TryAcquire (vs a parked thread)
   };
   std::vector<HeldEntry> held;
   std::vector<WaiterEntry> waiters;
@@ -106,73 +106,49 @@ struct LockDebugSnapshot {
   std::string ToString() const;
 };
 
-/// \brief A striped lock table with item and predicate locks, a waits-for
-/// graph, and deterministic deadlock handling.
+/// \brief A striped lock table with item and predicate locks, one request
+/// queue per locked item, grant on release, and deterministic deadlock
+/// handling.
 ///
-/// Layout: held item locks are hash-partitioned across `stripe_count()`
-/// independently latched buckets (the data-item hash picks the bucket, so
-/// two locks on the same item always meet in the same bucket).  The
-/// conflict-free fast path — by far the common case — touches exactly one
-/// bucket mutex and scans only that bucket's held locks, so disjoint
-/// acquires in different buckets neither contend nor lengthen each other's
-/// conflict scans.  Three kinds of state are deliberately *not* striped
-/// and are reached only on slow paths:
+/// Every item has one queue, as in Gray & Reuter's lock manager: its granted
+/// group, then its waiting requests in FIFO order.  A request that nothing
+/// blocks is granted at once.  A fresh request waits behind the conflicting
+/// holders and behind every earlier waiter whose mode is incompatible with
+/// it.  A holder's compatible re-request is granted at once; a holder's
+/// upgrade that conflicts waits ahead of every other waiter.  A release (or
+/// `ReleaseAll`) grants, in queue order, each waiter that nothing blocks any
+/// more, and wakes exactly those: a parked `Acquire` through its own wait
+/// slot, a cooperative requester through the wakeup hook.
 ///
-///  * predicate locks, which can conflict with an item in any bucket, live
-///    in a side table mutated only while every bucket latch is held
-///    (ascending order) and readable under any single bucket latch — so
-///    the fast path can still check them without extra locking;
-///  * the waits-for graph (`waits_for_` / `waiting_`) sits behind one
-///    graph mutex, touched only when a conflict was actually found;
-///  * deadlock detection takes the global view (all bucket latches, then
-///    the graph mutex) so it can recompute parked waiters' edges live —
-///    it runs only on the conflict path (cooperative `TryAcquire`) or when
-///    a parked waiter's bucket-local recheck timeout fires (blocking
-///    `Acquire`), never on a granted acquire.
+/// Layout: the queues are hash-partitioned across `stripe_count()`
+/// independently latched buckets (two requests on the same item always meet
+/// in the same bucket), so a conflict-free acquire or release touches one
+/// bucket latch and scans one bucket.  Predicate requests, which can
+/// conflict with an item in any bucket, live in a side table mutated only
+/// while every bucket latch is held (ascending order) and readable under any
+/// single one.  A predicate waiter waits for its conflicting holders only;
+/// an item release that a predicate waiter was blocked by re-runs the
+/// predicate grant pass under every latch.
 ///
-/// Latch order (strict, everywhere): bucket 0 < bucket 1 < ... <
-/// bucket N-1 < graph mutex.  Waiters park on their item's bucket
-/// condition variable (predicate waiters park on bucket 0 by convention);
-/// releases notify the affected bucket, and cross-bucket notifications
-/// that cannot be made race-free without a global latch are bounded by the
-/// recheck slice — a waiter never sleeps past it without re-running the
-/// full conflict check.
+/// Deadlock detection runs once per wait, when the request is queued, under
+/// every bucket latch.  Its waits-for edges are computed live from the
+/// queues: a waiter waits for its blockers as defined above.  Edges form
+/// only when a request is queued (the probe runs) or granted (the grantee
+/// waits for nothing), so every cycle is found by the probe of the request
+/// that closed it.  Victims:
 ///
-/// Two acquisition protocols share the conflict/waits-for core:
+///  * `TryAcquire`: the requester, always.  Its request leaves the queue and
+///    it answers `Deadlock`; the engine aborts it.
+///  * `Acquire`: the cycle's most *junior* member.  A transaction's
+///    seniority is its id — lower is older — unless `InheritSeniority` gave
+///    it an earlier one (an `Execute` restart keeps its first attempt's).
+///    When the requester is the most junior, or seniorities tie, or the
+///    junior is not a parked `Acquire`, the requester is the victim.
+///    Otherwise the junior's request leaves its queue and its wait slot
+///    answers `Deadlock`; the probe repeats until no cycle runs through the
+///    requester.  Each victim is counted once, when it answers.
 ///
-///  * `TryAcquire` never blocks the calling thread.  On conflict it records
-///    waits-for edges from the requester to every conflicting holder and
-///    answers `WouldBlock` — unless granting the wait would close a cycle,
-///    in which case it answers `Deadlock` and the caller (the engine)
-///    aborts the requesting transaction (deterministic requester-as-victim
-///    policy, which holds for `TryAcquire` only).  Cooperative runners
-///    retry `WouldBlock` steps when other transactions make progress.
-///  * `Acquire` parks the calling thread on its bucket's condition variable
-///    until the conflict clears, the wait would close a waits-for cycle
-///    (`Deadlock`, see below), or `timeout` elapses (`WouldBlock` carrying
-///    a lock-wait-timeout message — the caller treats it like any other
-///    retryable conflict).  Every relevant release notifies the bucket,
-///    and each waiter re-runs global deadlock detection when its recheck
-///    slice fires, so cycles formed while threads sleep are still caught.
-///
-/// Blocking victim selection aborts the most *junior* member of the cycle
-/// it finds.  A transaction's seniority is its id — lower is older —
-/// unless `InheritSeniority` gave it an earlier one (an `Execute` restart
-/// keeps its first attempt's).  When the requester is the most junior, or
-/// seniorities tie, the requester is the victim.  Otherwise the junior
-/// member, parked in `Acquire`, is *doomed*: the requester notifies its
-/// bucket and keeps waiting, and the doomed waiter answers `Deadlock` as
-/// soon as it wakes, so its engine rolls it back through the usual path.
-/// Each victim is counted once, when it answers.  A doomed waiter's edges
-/// no longer count in later probes: it is already on its way out.
-///
-/// Seniority also orders grants: an `Acquire` that no holder blocks still
-/// waits behind a parked, more senior `Acquire` waiter for a conflicting
-/// mode on the same item, and that queue edge counts in cycle probes.
-/// Otherwise a junior restarted after losing a deadlock can re-take the
-/// shared lock an older waiter is upgrading past before that waiter wakes,
-/// form the same cycle, lose again, and exhaust its restarts while the
-/// senior sleeps.  `TryAcquire` never parks, so it queues behind nobody.
+/// Latch order (strict, everywhere): bucket 0 < bucket 1 < ... < bucket N-1.
 ///
 /// Thread-safe; at most one in-flight acquire per transaction at a time
 /// (a transaction is one session driven by one thread).
@@ -192,7 +168,7 @@ class LockManager {
   /// locks held, no waiters, and no concurrent calls of any kind; the
   /// engines satisfy this by calling it only from `SetConcurrency`,
   /// before any session starts.  Returns false (changing nothing) when
-  /// locks or waiters exist, but that refusal is a best-effort guard for
+  /// requests exist, but that refusal is a best-effort guard for
   /// sequential misuse only: a call racing other operations is undefined
   /// behaviour (the bucket vector, mutexes included, is rebuilt).
   bool SetStripeCount(size_t stripes);
@@ -200,59 +176,48 @@ class LockManager {
   /// Number of hash buckets the item-lock table is partitioned into.
   size_t stripe_count() const { return buckets_.size(); }
 
-  /// Non-blocking acquire; see class comment for the protocol.
+  /// Non-blocking acquire.  A conflicting request joins its queue and
+  /// answers `WouldBlock` (or `Deadlock`, see the class comment).  The
+  /// caller's retry with the same transaction, target and mode claims that
+  /// request, granted or still queued, and its row images replace the
+  /// queued ones; a granted request whose new images conflict with a
+  /// predicate holder is given back and requested afresh.  `ReleaseAll`
+  /// removes a request nobody claimed.
   Result<LockHandle> TryAcquire(const LockSpec& spec);
 
-  /// Blocking acquire; see class comment for the protocol.  `recheck`
-  /// bounds how long a parked waiter may sleep before re-running deadlock
-  /// detection even without a release notification (the engine exposes it
-  /// as `EngineConcurrency::deadlock_check_interval`).
-  Result<LockHandle> Acquire(
-      const LockSpec& spec, std::chrono::milliseconds timeout,
-      std::chrono::milliseconds recheck = std::chrono::milliseconds(50));
+  /// Blocking acquire: a conflicting request joins its queue and the
+  /// calling thread sleeps on its own wait slot until a release grants the
+  /// request, a deadlock probe dooms it (`Deadlock`), or `timeout` elapses
+  /// (`WouldBlock` carrying a lock-wait-timeout message — the caller treats
+  /// it like any other retryable conflict).
+  Result<LockHandle> Acquire(const LockSpec& spec,
+                             std::chrono::milliseconds timeout);
 
   /// \brief Installs the cooperative release-notification hook (the sched
   /// layer's event-driven park/wakeup path; nullptr uninstalls).
   ///
-  /// With a hook installed, a `TryAcquire` that answers `WouldBlock`
-  /// registers the requester on its item's bucket wait list (predicate
-  /// specs on a global list) *under the same latches as the conflict
-  /// decision itself* — the atomicity that makes the path lost-wakeup
-  /// free: no release can slip between "conflict seen" and "waiter
-  /// visible".  Registrations are one-shot and FIFO.  When a conflicting
-  /// lock is released, the manager removes the longest-waiting conflicting
-  /// waiter — plus, when that head waiter wants Shared mode, every later
-  /// conflicting Shared waiter up to the first Exclusive one (reader
-  /// batching) — and invokes the hook once per removed waiter, outside
-  /// every lock-table latch.  A woken requester either acquires on its
-  /// retry or re-registers against whoever still holds the item, so a
-  /// conflicting holder always exists while anyone waits and the
-  /// notification chain never breaks; FIFO order is what keeps a hot item
-  /// from starving old waiters behind fresh arrivals.  Seniority is
-  /// assigned once per request: a woken waiter that re-registers for the
-  /// same unchanged request keeps its original place in the queue, so
-  /// reader churn cannot rotate an upgrade/X waiter to the back every
-  /// time one release of several wakes it prematurely.
-  ///
-  /// `ReleaseAll(txn)` cancels `txn`'s own registration (an aborted
-  /// requester never gets a stale notification) and wakes waiters for
-  /// every lock it drops.  A deadlock verdict never leaves a
-  /// registration behind (the victim retries through rollback, not
-  /// wakeup).  The hook may run under a caller's engine latch — releases
-  /// happen inside engine operations — and must not call back into the
-  /// lock manager; enqueueing the waiter with its own scheduler is the
-  /// intended body.
+  /// With a hook installed, a release that grants a queued `TryAcquire`
+  /// request invokes the hook once with its transaction, outside every
+  /// lock-table latch; the woken session's retry claims the granted lock.
+  /// Queue order is FIFO per item (readers behind a reader head are granted
+  /// together, up to the first writer), so a hot item cannot starve an old
+  /// waiter behind fresh arrivals.  A request removed without a grant — by
+  /// `ReleaseAll` or a deadlock verdict — wakes nobody.  The hook may run
+  /// under a caller's engine latch — releases happen inside engine
+  /// operations — and must not call back into the lock manager; enqueueing
+  /// the waiter with its own scheduler is the intended body.
   ///
   /// Precondition: quiescent, exactly as `SetStripeCount` (install before
-  /// any session starts).  Without a hook — the default — nothing is
-  /// registered and every path keeps its old cost.
+  /// any session starts).
   void SetWakeupHook(std::function<void(TxnId)> hook);
 
-  /// Releases one granted lock (no-op on unknown handles).
+  /// Releases one granted lock (no-op on unknown handles) and grants the
+  /// waiters it was blocking.
   void Release(LockHandle handle);
 
-  /// Releases everything `txn` holds and clears its waits-for edges and
-  /// inherited seniority (commit/abort time for long locks).
+  /// Releases everything `txn` holds, removes its queued requests, forgets
+  /// its inherited seniority (commit/abort time for long locks), and grants
+  /// the waiters its locks were blocking.
   void ReleaseAll(TxnId txn);
 
   /// Makes `txn` compete in blocking victim selection with the seniority
@@ -260,7 +225,7 @@ class LockManager {
   /// Call before `txn` requests any lock.
   void InheritSeniority(TxnId txn, TxnId first_attempt);
 
-  /// Transactions currently blocking `spec` (diagnostics).
+  /// Transactions holding locks that conflict with `spec` (diagnostics).
   std::vector<TxnId> Blockers(const LockSpec& spec) const;
 
   /// Number of locks currently held (all transactions).
@@ -279,8 +244,8 @@ class LockManager {
   /// wait episode (conflict-free acquires never touch the clock).
   const obs::Histogram& wait_histogram() const { return wait_hist_; }
 
-  /// Cooperative park -> wakeup-collection latency, microseconds per
-  /// delivered wakeup (the event-driven analogue of `wait_histogram`).
+  /// Cooperative queue -> grant latency, microseconds per granted
+  /// `TryAcquire` request (the event-driven analogue of `wait_histogram`).
   const obs::Histogram& park_wakeup_histogram() const {
     return park_wakeup_hist_;
   }
@@ -288,45 +253,61 @@ class LockManager {
  private:
   /// Handles carry their bucket in the low byte (0 = the predicate side
   /// table, i+1 = bucket i), so `Release` goes straight to the right
-  /// latch.  The cap keeps the global view (all bucket latches + the
-  /// graph mutex + a caller's engine latch) comfortably under
-  /// ThreadSanitizer's 64-locks-held-per-thread limit, so the TSan gate
-  /// can certify the slow path too; past ~the core count extra stripes
-  /// buy nothing anyway.
+  /// latch.  The cap keeps the global view (all bucket latches + a
+  /// caller's engine latch) comfortably under ThreadSanitizer's
+  /// 64-locks-held-per-thread limit, so the TSan gate can certify the slow
+  /// path too; past ~the core count extra stripes buy nothing anyway.
   static constexpr size_t kMaxStripes = 48;
   static constexpr uint64_t kBucketTagBits = 8;
   static constexpr uint64_t kPredTag = 0;
 
+  /// A parked `Acquire`'s wait slot, on the waiting thread's stack.  Whoever
+  /// grants or dooms the request sets `state` and signals `cv` while
+  /// holding the latch the waiter sleeps with (its item's bucket; bucket 0
+  /// for a predicate).
+  struct WaitSlot {
+    enum class State { kWaiting, kGranted, kDoomed };
+    State state = State::kWaiting;
+    std::condition_variable cv;
+  };
+
+  /// A lock handed to its caller.
   struct HeldLock {
     LockHandle handle;
     LockSpec spec;
   };
 
-  /// A cooperative waiter registered for one wakeup (see SetWakeupHook).
-  /// An entry is live iff `coop_seq_.at(txn) == seq`: deregistration only
-  /// touches the graph-side maps, and stale list entries are pruned the
-  /// next time their list is scanned for wakeups (lazy invalidation keeps
-  /// `ReleaseAll` off buckets it would otherwise have to latch purely to
-  /// remove a registration).
-  struct CoopWaiter {
-    TxnId txn;
-    uint64_t seq;
+  /// A request not yet handed to its caller: a queued one, or a
+  /// `TryAcquire` request granted while its caller was away (it counts as
+  /// held until the caller's retry claims it).
+  struct Waiter {
+    LockHandle handle;
     LockSpec spec;
-    /// Registration time, for the park -> wakeup latency histogram.
-    std::chrono::steady_clock::time_point parked_at;
+    WaitSlot* slot = nullptr;  ///< a parked `Acquire`'s; nullptr: TryAcquire
+    bool granted = false;      ///< TryAcquire only
+    /// When a TryAcquire request was queued (park -> wakeup histogram).
+    std::chrono::steady_clock::time_point queued_at{};
   };
 
-  /// One stripe: a latch, the item locks hashed here, and the condition
-  /// variable its blocked acquirers park on.
-  struct Bucket {
-    mutable std::mutex mu;
-    std::condition_variable cv;
+  /// The requests on one bucket's items, or on predicates.  The waiters on
+  /// one item, in list order, are that item's queue.  A list, so no
+  /// capacity outlives a wait.
+  struct Queue {
     std::vector<HeldLock> held;
-    int waiters = 0;  ///< parked Acquire calls (guarded by mu)
-    /// Cooperative waiters on items hashed here, in registration order
-    /// (guarded by mu for the list, graph_mu_ for liveness).
-    std::vector<CoopWaiter> coop_waiters;
+    std::list<Waiter> waiting;
   };
+
+  /// One stripe: a latch and the queues of the items hashed here.
+  struct Bucket : Queue {
+    mutable std::mutex mu;
+  };
+
+  /// A queued request, located for a deadlock probe.
+  struct WaitRef {
+    Queue* queue;
+    std::list<Waiter>::iterator it;
+  };
+  using WaitIndex = std::multimap<TxnId, WaitRef>;
 
   size_t BucketOf(const ItemId& id) const;
 
@@ -335,73 +316,74 @@ class LockManager {
 
   bool SpecsConflict(const LockSpec& held, const LockSpec& want) const;
 
-  /// Conflicting holders of an item spec, scanning only its bucket plus
-  /// the predicate side table.  Requires that bucket's latch.
-  std::vector<TxnId> BlockersBucketLocked(const Bucket& b,
-                                          const LockSpec& spec) const;
+  /// The queue `spec` belongs to and the tag its handles carry.
+  std::pair<Queue*, uint64_t> QueueOf(const LockSpec& spec);
 
-  /// Conflicting holders under the global view (any spec kind).  Requires
-  /// every bucket latch.
-  std::vector<TxnId> BlockersGlobalLocked(const LockSpec& spec) const;
+  /// Does `spec.txn` hold `spec.item` in `q` (claimed or not)?
+  static bool HolderLocked(const Queue& q, const LockSpec& spec);
+
+  /// Does anything block `spec`?  Its blockers are the conflicting holders
+  /// and, for an item request, the incompatible waiters queued before
+  /// `until` in its bucket (every waiter when `until` is nullptr).  With
+  /// `out`, collects every blocking transaction; without, stops at the
+  /// first.  An item spec needs its bucket's latch, a predicate spec every
+  /// latch.
+  bool BlockedLocked(const LockSpec& spec, const Waiter* until,
+                     std::vector<TxnId>* out) const;
+
+  /// `BlockedLocked`'s `until` for a request that waits for no waiter.
+  static const Waiter* FrontLocked(const Queue& q) {
+    return q.waiting.empty() ? nullptr : &q.waiting.front();
+  }
+
+  /// Would a new request for `spec` in `q` be granted now?  A holder's
+  /// request waits for no waiter, a fresh one for every incompatible one.
+  /// Collects the blockers into `out` as `BlockedLocked` does.
+  bool GrantableLocked(const Queue& q, const LockSpec& spec,
+                       std::vector<TxnId>* out) const;
+
+  /// A fresh handle whose low byte is `tag`.
+  LockHandle NewHandle(uint64_t tag);
+
+  /// Grants `spec` at once into `q`'s held locks.
+  LockHandle HoldLocked(Queue& q, uint64_t tag, const LockSpec& spec);
+
+  /// Grants, in queue order, every waiter in `q` that nothing blocks any
+  /// more: a parked `Acquire` through its slot, a `TryAcquire` request
+  /// through the hook (its transaction appended to `wake`).  Needs `q`'s
+  /// latch (every latch for the predicate queue).
+  void GrantWaitersLocked(Queue& q, std::vector<TxnId>& wake);
+
+  /// Both grant passes over every queue.  Requires every latch.
+  void GrantAllLocked(std::vector<TxnId>& wake);
+
+  /// Does a waiting predicate request exist?  Requires any bucket latch.
+  bool PredWaitersLocked() const;
+
+  /// Erases a waiter and grants the waiters it was blocking.
+  void RemoveLocked(Queue& q, std::list<Waiter>::iterator it,
+                    std::vector<TxnId>& wake);
+
+  /// Conflict path shared by both acquires, under every latch: grants
+  /// `spec` when nothing blocks it, else queues it, with its blockers in
+  /// `blockers`, and probes for deadlocks (see the class comment).  A
+  /// `slot` marks a parked `Acquire`.  Returns the request's handle —
+  /// granted at once iff `blockers` stays empty — or `Deadlock`.
+  Result<LockHandle> EnqueueLocked(const LockSpec& spec, WaitSlot* slot,
+                                   std::vector<TxnId>& blockers,
+                                   std::vector<TxnId>& wake);
+
+  /// Every waiting request by transaction.  Requires every latch.
+  WaitIndex IndexWaitersLocked();
 
   /// Cycle probe from `requester`: the members of one waits-for cycle
   /// through it, `requester` first, or empty when none.  Requires every
-  /// bucket latch plus the graph mutex: parked waiters' edges are
-  /// recomputed live from their waiting spec instead of trusting
-  /// `waits_for_`, whose recorded edges go stale while a thread sleeps.
-  /// Doomed waiters have no edges.
-  std::vector<TxnId> FindCycleLocked(TxnId requester) const;
+  /// latch.
+  std::vector<TxnId> FindCycleLocked(TxnId requester,
+                                     const WaitIndex& waiting) const;
 
-  /// The blocking victim for `cycle` (see the class comment): its most
-  /// junior member when that is a parked `Acquire` waiter other than the
-  /// requester `cycle[0]`, else the requester.  Requires the graph mutex.
-  TxnId PickVictimLocked(const std::vector<TxnId>& cycle) const;
-
-  /// `txn`'s seniority key (lower is older).  Requires the graph mutex.
+  /// `txn`'s seniority key (lower is older).  Requires bucket 0's latch.
   TxnId SeniorityLocked(TxnId txn) const;
-
-  /// Adds to `out` every parked `Acquire` waiter, not doomed, that wants a
-  /// mode conflicting with `spec` on the same item and is more senior than
-  /// `spec.txn` — the waiters an item `Acquire` queues behind (see the
-  /// class comment).  Requires the graph mutex.
-  void AddSeniorWaitersLocked(const LockSpec& spec,
-                              std::vector<TxnId>& out) const;
-
-  /// Removes `txn`'s outgoing edges.  Requires the graph mutex.
-  void EraseEdgesLocked(TxnId txn);
-
-  /// Rewrites `txn`'s outgoing edges to `blockers`.  Requires the graph
-  /// mutex.
-  void RecordEdgesLocked(TxnId txn, const std::vector<TxnId>& blockers);
-
-  /// Drops `txn`'s stale cooperative edges after a granted fast-path
-  /// acquire, when any edges exist at all (the atomic probe keeps the
-  /// conflict-free hot path off the graph mutex entirely).
-  void MaybeClearStaleEdges(TxnId txn);
-
-  /// Grants an item lock into bucket `bi` (its latch held) or — with every
-  /// bucket latch held — a predicate lock into the side table.
-  LockHandle GrantItemLocked(size_t bi, const LockSpec& spec);
-  LockHandle GrantPredLocked(const LockSpec& spec);
-
-  /// Registers `spec.txn` for one cooperative wakeup (at most one live
-  /// registration per transaction).  Requires every bucket latch plus the
-  /// graph mutex — the conflict path of `TryAcquire` holds both, which is
-  /// what makes registration atomic with the `WouldBlock` answer.
-  void RegisterCoopWaiterLocked(const LockSpec& spec);
-
-  /// Drops `txn`'s live registration, waiting entry, and edges (no-op
-  /// without one).  Requires the graph mutex; the list entry goes stale
-  /// and is pruned lazily.
-  void DeregisterCoopLocked(TxnId txn);
-
-  /// FIFO wakeup selection for one released `spec`: scans `bucket`'s wait
-  /// list (nullptr = every bucket's; the caller holds the corresponding
-  /// latches) plus the predicate wait list, prunes stale entries,
-  /// deregisters the chosen waiters, and appends them to `out`.  Requires
-  /// the graph mutex.
-  void CollectCoopWakeupsLocked(const LockSpec& released, Bucket* bucket,
-                                std::vector<TxnId>& out);
 
   /// Delivers collected wakeups to the hook.  Call with NO latches held.
   void NotifyCoopWaiters(const std::vector<TxnId>& wake);
@@ -410,77 +392,26 @@ class LockManager {
   static std::string Describe(const LockSpec& spec);
   static std::string JoinTxns(const std::vector<TxnId>& txns);
 
-  /// The stripes.  unique_ptr because Bucket (mutex + condvar) is neither
-  /// movable nor copyable; the vector itself is resized only by
-  /// `SetStripeCount` on an idle manager.
+  /// The stripes.  unique_ptr because Bucket (a mutex) is neither movable
+  /// nor copyable; the vector itself is resized only by `SetStripeCount` on
+  /// an idle manager.
   std::vector<std::unique_ptr<Bucket>> buckets_;
 
-  /// Predicate locks: mutated only with every bucket latch held, readable
-  /// under any single bucket latch (any reader's latch is among the
-  /// mutator's held set).
-  std::vector<HeldLock> pred_held_;
+  /// Predicate requests: mutated only with every bucket latch held,
+  /// readable under any single bucket latch (any reader's latch is among
+  /// the mutator's held set).
+  Queue preds_;
 
-  /// Parked Acquire calls with predicate specs (they park on bucket 0;
-  /// item releases in other buckets poke bucket 0 when this is non-zero).
-  std::atomic<int> pred_waiters_{0};
-
-  /// Graph mutex: guards waits_for_, waiting_, doomed_ and seniority_.
-  /// Always taken after bucket latches, never before.
-  mutable std::mutex graph_mu_;
-  std::map<TxnId, std::set<TxnId>> waits_for_;
-  /// Requests currently parked in `Acquire`, for live edge recompute.
-  std::map<TxnId, LockSpec> waiting_;
-  /// Parked `Acquire` waiters chosen as deadlock victims by another
-  /// transaction's probe; each answers `Deadlock` when it wakes.
-  std::set<TxnId> doomed_;
   /// Inherited seniority: txn -> the id it competes as (see
-  /// `InheritSeniority`); cleared by `ReleaseAll`.
+  /// `InheritSeniority`); cleared by `ReleaseAll`.  Guarded by bucket 0's
+  /// latch, which every deadlock probe holds.
   std::map<TxnId, TxnId> seniority_;
-  /// Number of transactions with recorded edges (== waits_for_.size(),
-  /// maintained under graph_mu_): the fast path's "is the graph empty?"
-  /// probe.
-  std::atomic<int> edge_txns_{0};
-  /// Parked `Acquire` registrations in `waiting_` (maintained under
-  /// graph_mu_ and, on registration, every bucket latch): the fast path's
-  /// "is anyone queued?" probe.  Edges are no substitute: a waiter whose
-  /// blockers all released has none until it rechecks.
-  std::atomic<int> parked_count_{0};
 
   std::atomic<LockHandle> next_seq_{1};
 
-  // --- cooperative release notification (SetWakeupHook) --------------------
-
-  /// Cooperative waiters with predicate specs (guarded by graph_mu_).
-  std::vector<CoopWaiter> coop_pred_waiters_;
-  /// Live registrations: txn -> its current seq stamp (guarded by
-  /// graph_mu_) — the membership test stale list entries are pruned
-  /// against.
-  std::map<TxnId, uint64_t> coop_seq_;
-  /// Wait-episode seniority memory (guarded by graph_mu_).  A wakeup
-  /// deregisters its waiter before the retry proves anything; when the
-  /// retry still conflicts and re-registers *the same request*, the
-  /// remembered seq is reused so the waiter keeps its FIFO place instead
-  /// of rotating to the back of the queue.  An entry outlives its
-  /// registration on purpose and is retired when the request is — at a
-  /// conflict-path grant or at ReleaseAll (the bucket-local fast-path
-  /// grant skips the graph mutex and leaves it for ReleaseAll).
-  struct StickySeq {
-    uint64_t seq;
-    bool is_item;
-    LockMode mode;
-    std::string key;  ///< the item id, or the predicate's ToString form
-  };
-  std::map<TxnId, StickySeq> coop_sticky_;
-  /// Does `spec` re-issue the request `s` remembers?
-  static bool StickyMatches(const StickySeq& s, const LockSpec& spec);
-  uint64_t coop_next_seq_ = 0;  ///< guarded by graph_mu_
-  /// Fast probe ("anyone registered at all?") so releases skip the graph
-  /// mutex when the hook is unused or nobody waits.
-  std::atomic<int> coop_waiter_count_{0};
-  /// Written only by SetWakeupHook on a quiescent manager; invoked by
-  /// releases after probing has_wakeup_hook_.
+  /// Written only by SetWakeupHook (under every latch, on a quiescent
+  /// manager); read by grant passes under a latch.
   std::function<void(TxnId)> wakeup_hook_;
-  std::atomic<bool> has_wakeup_hook_{false};
 
   std::atomic<uint64_t> stat_acquired_{0};
   std::atomic<uint64_t> stat_blocked_{0};
@@ -491,7 +422,7 @@ class LockManager {
   std::atomic<uint64_t> stat_wakeups_{0};
 
   obs::Histogram wait_hist_;         ///< blocking-acquire wait episodes (us)
-  obs::Histogram park_wakeup_hist_;  ///< cooperative park -> wakeup (us)
+  obs::Histogram park_wakeup_hist_;  ///< cooperative queue -> grant (us)
 };
 
 }  // namespace critique

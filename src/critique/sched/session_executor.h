@@ -79,12 +79,11 @@ std::ostream& operator<<(std::ostream& os, const SessionExecutorStats& stats);
 /// `Transaction` and a step index, and after each step the task yields
 /// back to a per-worker run queue (work stealing keeps the workers busy).
 /// A step answered `kWouldBlock` *parks* the session — no thread waits on
-/// it — and the lock manager's release-notification hook
-/// (`Database::SetLockWakeupHook`) re-enqueues it the moment a conflicting
-/// lock is released; there is no polling anywhere on the lock-wait path.
-/// Wait order is FIFO per contended item (the lock manager wakes the
-/// oldest registered waiter first), so a hot key cannot starve parked
-/// sessions.  Retryable aborts — deadlock victim, First-Committer-Wins /
+/// it — and the lock manager's grant hook (`Database::SetLockWakeupHook`)
+/// re-enqueues it the moment a release grants its queued lock request;
+/// there is no polling anywhere on the lock-wait path.  Grant order is
+/// FIFO per contended item (the lock manager grants the oldest queued
+/// request first), so a hot key cannot starve parked sessions.  Retryable aborts — deadlock victim, First-Committer-Wins /
 /// SSI refusal — roll the session back and re-submit it through the
 /// database's `RetryPolicy` (honoring `RetryDelay` via a timer, not a
 /// sleeping worker).  Commits compose with group commit naturally: the

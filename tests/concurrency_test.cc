@@ -81,17 +81,13 @@ TEST(LockManagerBlockingTest, TimeoutAnswersWouldBlock) {
 }
 
 TEST(LockManagerBlockingTest, CustomDbOptionsTimeoutAndCheckInterval) {
-  // The knobs ride DbOptions end to end: a short custom lock-wait timeout
-  // must answer kWouldBlock in roughly that time (not the 250ms default),
-  // and the custom deadlock-check interval must reach the engine.
+  // The knob rides DbOptions end to end: a short custom lock-wait timeout
+  // must answer kWouldBlock in roughly that time (not the 250ms default).
   DbOptions opts(IsolationLevel::kSerializable);
   opts.mode = ConcurrencyMode::kBlocking;
   opts.lock_wait_timeout = milliseconds(120);
-  opts.deadlock_check_interval = milliseconds(10);
   Database db(opts);
   EXPECT_EQ(db.engine().concurrency().lock_wait_timeout, milliseconds(120));
-  EXPECT_EQ(db.engine().concurrency().deadlock_check_interval,
-            milliseconds(10));
   ASSERT_TRUE(db.Load("x", Value(1)).ok());
 
   Transaction holder = db.Begin();

@@ -24,8 +24,8 @@ namespace {
 
 using std::chrono::milliseconds;
 
-// Long budgets: the tests must be decided by dooming, never by a timeout
-// or a recheck slice.
+// Long budgets: the tests must be decided by dooming or a grant, never by
+// a timeout.
 constexpr milliseconds kWait{10000};
 
 bool ParkedWaiter(const LockManager& lm, TxnId txn) {
@@ -50,15 +50,13 @@ UpgradeRace RaceUpgrades(LockManager& lm, TxnId parked, TxnId prober) {
   UpgradeRace out;
   std::thread waiter([&] {
     auto r = lm.Acquire(
-        LockSpec::WriteItem(parked, "x", std::nullopt, std::nullopt), kWait,
-        kWait);
+        LockSpec::WriteItem(parked, "x", std::nullopt, std::nullopt), kWait);
     out.parked = r.status();
     if (!r.ok()) lm.ReleaseAll(parked);
   });
   while (!ParkedWaiter(lm, parked)) std::this_thread::yield();
   auto r = lm.Acquire(
-      LockSpec::WriteItem(prober, "x", std::nullopt, std::nullopt), kWait,
-      kWait);
+      LockSpec::WriteItem(prober, "x", std::nullopt, std::nullopt), kWait);
   out.prober = r.status();
   if (!r.ok()) lm.ReleaseAll(prober);
   waiter.join();
@@ -108,10 +106,10 @@ TEST(SeniorityTest, JuniorQueuesBehindAParkedSeniorUpgrade) {
   }
   Status upgrade = Status::Internal("unset");
   std::thread upgrader([&] {
-    upgrade = lm.Acquire(
-                    LockSpec::WriteItem(1, "x", std::nullopt, std::nullopt),
-                    kWait, kWait)
-                  .status();
+    upgrade =
+        lm.Acquire(LockSpec::WriteItem(1, "x", std::nullopt, std::nullopt),
+                   kWait)
+            .status();
   });
   while (!ParkedWaiter(lm, 1)) std::this_thread::yield();
 
@@ -119,8 +117,7 @@ TEST(SeniorityTest, JuniorQueuesBehindAParkedSeniorUpgrade) {
   std::atomic<bool> answered{false};
   std::thread reader([&] {
     junior =
-        lm.Acquire(LockSpec::ReadItem(3, "x", std::nullopt), kWait, kWait)
-            .status();
+        lm.Acquire(LockSpec::ReadItem(3, "x", std::nullopt), kWait).status();
     answered = true;
   });
   while (!answered && !ParkedWaiter(lm, 3)) std::this_thread::yield();
@@ -134,6 +131,38 @@ TEST(SeniorityTest, JuniorQueuesBehindAParkedSeniorUpgrade) {
   reader.join();
   EXPECT_TRUE(junior.ok()) << junior.ToString();
   EXPECT_EQ(lm.stats().deadlocks, 0u);
+}
+
+TEST(SeniorityTest, WaiterBehindATimedOutWaiterIsGrantedWhenItLeaves) {
+  // T1 holds S on x.  T2 queues for X behind it with a short budget, and
+  // T3's S request queues behind T2's (a fresh request waits behind an
+  // earlier incompatible waiter).  T2's timeout removes it from the queue,
+  // and that removal alone must grant T3: T3's own budget is far longer.
+  LockManager lm;
+  ASSERT_TRUE(lm.TryAcquire(LockSpec::ReadItem(1, "x", std::nullopt)).ok());
+  std::atomic<bool> t2_answered{false};
+  Status t2 = Status::Internal("unset");
+  std::thread writer([&] {
+    t2 = lm.Acquire(LockSpec::WriteItem(2, "x", std::nullopt, std::nullopt),
+                    milliseconds(1000))
+             .status();
+    t2_answered = true;
+  });
+  while (!ParkedWaiter(lm, 2)) std::this_thread::yield();
+
+  Status t3 = Status::Internal("unset");
+  std::thread reader([&] {
+    t3 = lm.Acquire(LockSpec::ReadItem(3, "x", std::nullopt), kWait).status();
+  });
+  while (!ParkedWaiter(lm, 3)) std::this_thread::yield();
+  ASSERT_FALSE(t2_answered) << "T3 must have queued behind a waiting T2";
+
+  writer.join();
+  reader.join();
+  EXPECT_TRUE(t2.IsWouldBlock()) << t2.ToString();
+  EXPECT_TRUE(t3.ok()) << t3.ToString();
+  EXPECT_EQ(lm.stats().timeouts, 1u);
+  EXPECT_EQ(lm.HeldCountBy(3), 1u);
 }
 
 TEST(SeniorityTest, HotKeyTransfersNeverExhaustTheirRestarts) {

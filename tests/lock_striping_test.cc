@@ -64,8 +64,10 @@ TEST(LockStripingTest, ConflictsDetectedAtEveryStripeCount) {
                       .IsWouldBlock())
           << "stripes=" << stripes << " k=" << k;
     }
+    // T1's release grants T2's 64 queued requests; T2's retries claim them.
     lm.ReleaseAll(1);
-    EXPECT_EQ(lm.HeldCount(), 0u);
+    EXPECT_EQ(lm.HeldCountBy(1), 0u);
+    EXPECT_EQ(lm.HeldCountBy(2), 64u);
     for (int k = 0; k < 64; ++k) {
       EXPECT_TRUE(lm.TryAcquire(W(2, "item" + std::to_string(k))).ok());
     }
@@ -127,22 +129,22 @@ TEST(LockStripingTest, CooperativeDeadlockAcrossBuckets) {
 
 TEST(LockStripingTest, BlockingDeadlockAcrossBucketsDetectedWhileParked) {
   // T1 parks waiting for T2's lock; T2 then closes the cycle from another
-  // thread.  One of the two must be named victim (the parked waiter's
-  // recheck or the second requester's probe), and both threads terminate.
+  // thread.  The second requester's probe must name a victim, and both
+  // threads terminate.
   LockManager lm(16);
   ASSERT_TRUE(lm.TryAcquire(W(1, "alpha")).ok());
   ASSERT_TRUE(lm.TryAcquire(W(2, "omega")).ok());
 
   std::atomic<int> deadlocks{0};
   std::thread t1([&] {
-    auto r = lm.Acquire(W(1, "omega"), milliseconds(2000), milliseconds(10));
+    auto r = lm.Acquire(W(1, "omega"), milliseconds(2000));
     if (!r.ok() && r.status().IsDeadlock()) deadlocks.fetch_add(1);
     lm.ReleaseAll(1);
   });
   // Give T1 time to park, then close the cycle.
   std::this_thread::sleep_for(milliseconds(50));
   std::thread t2([&] {
-    auto r = lm.Acquire(W(2, "alpha"), milliseconds(2000), milliseconds(10));
+    auto r = lm.Acquire(W(2, "alpha"), milliseconds(2000));
     if (!r.ok() && r.status().IsDeadlock()) deadlocks.fetch_add(1);
     lm.ReleaseAll(2);
   });
@@ -160,7 +162,7 @@ TEST(LockStripingTest, BlockingHandoffAcrossReleaseAll) {
   ASSERT_TRUE(lm.TryAcquire(W(1, "hot")).ok());
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    auto r = lm.Acquire(W(2, "hot"), milliseconds(5000), milliseconds(1000));
+    auto r = lm.Acquire(W(2, "hot"), milliseconds(5000));
     granted.store(r.ok());
   });
   std::this_thread::sleep_for(milliseconds(50));
@@ -169,9 +171,47 @@ TEST(LockStripingTest, BlockingHandoffAcrossReleaseAll) {
   waiter.join();
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_TRUE(granted.load());
-  // Notification, not the 1000ms recheck slice, must have woken it.
+  // The grant, not the 5000ms timeout, must have woken it.
   EXPECT_LT(waited, milliseconds(900));
   lm.ReleaseAll(2);
+}
+
+TEST(LockStripingTest, ItemReleaseGrantsAPredicateWaiterInAnotherStripe) {
+  // A parked predicate request sleeps on bucket 0; the item lock blocking
+  // it lives in another bucket.  That item's release must grant it: the
+  // waiter's budget is far longer than the test.
+  LockManager lm(16);
+  Row covered = Row().Set("active", true);
+  Result<LockHandle> held = Status::Internal("unset");
+  for (int k = 0; k < 16; ++k) {
+    held = lm.TryAcquire(
+        LockSpec::WriteItem(1, "emp" + std::to_string(k), covered, covered));
+    ASSERT_TRUE(held.ok());
+    // Handles carry their bucket + 1 in the low byte (lock_manager.h).
+    if ((*held & 0xff) != 1) break;
+    lm.Release(*held);
+  }
+  ASSERT_NE(*held & 0xff, 1u) << "no item outside bucket 0";
+
+  Status pred = Status::Internal("unset");
+  std::thread reader([&] {
+    pred = lm.Acquire(LockSpec::ReadPredicate(
+                          2, Predicate::Cmp("active", CompareOp::kEq, true)),
+                      milliseconds(10000))
+               .status();
+  });
+  auto parked = [&] {
+    for (const auto& w : lm.DebugSnapshot().waiters) {
+      if (w.txn == 2 && !w.cooperative) return true;
+    }
+    return false;
+  };
+  while (!parked()) std::this_thread::yield();
+  lm.Release(*held);
+  reader.join();
+  EXPECT_TRUE(pred.ok()) << pred.ToString();
+  EXPECT_EQ(lm.HeldCountBy(2), 1u);
+  EXPECT_EQ(lm.stats().timeouts, 0u);
 }
 
 // Stress: threads hammer overlapping hot keys through the blocking
@@ -200,7 +240,7 @@ TEST(LockStripingStressTest, NoLostWakeupsNoStrandedLocks) {
         // Mixed order on purpose: half the threads go high->low.
         if ((t % 2 == 0) == (a < b)) std::swap(a, b);
         auto h1 = lm.Acquire(W(txn, "hot" + std::to_string(a)),
-                             milliseconds(500), milliseconds(5));
+                             milliseconds(500));
         if (!h1.ok()) {
           if (h1.status().IsDeadlock()) deadlock_aborts.fetch_add(1);
           if (h1.status().IsWouldBlock()) timeouts.fetch_add(1);
@@ -208,7 +248,7 @@ TEST(LockStripingStressTest, NoLostWakeupsNoStrandedLocks) {
           continue;
         }
         auto h2 = lm.Acquire(W(txn, "hot" + std::to_string(b)),
-                             milliseconds(500), milliseconds(5));
+                             milliseconds(500));
         if (h2.ok()) {
           granted_pairs.fetch_add(1);
         } else {

@@ -1,5 +1,5 @@
-// Session executor (sched layer): the lock manager's release-notification
-// hook (FIFO wakeup policy, S-batching, ReleaseAll cancellation), its
+// Session executor (sched layer): the lock manager's grant-notification
+// hook (FIFO grant order, S-batching, ReleaseAll cancellation), its
 // exposure through EngineConcurrency / Database::SetLockWakeupHook, and
 // the SessionExecutor itself — exact-count reconciliation over disjoint
 // and hot keys, peak-open-session accounting, fairness under a hot key
@@ -50,7 +50,7 @@ LockSpec R(TxnId t, const ItemId& id) {
 }
 
 // ---------------------------------------------------------------------------
-// LockManager release-notification hook
+// LockManager grant-notification hook
 // ---------------------------------------------------------------------------
 
 TEST(WakeupHookTest, FifoHeadWokenAloneForExclusive) {
@@ -97,10 +97,10 @@ TEST(WakeupHookTest, SharedWaitersBatchUpToFirstExclusive) {
 }
 
 TEST(WakeupHookTest, ReRegistrationKeepsFifoSeniority) {
-  // An X waiter woken by one S holder's release while another S holder
-  // remains must re-register — with its ORIGINAL seniority.  A fresh seq
-  // per registration would rotate it behind every waiter that arrived
-  // while it was being woken, and reader churn could starve it.
+  // An X waiter keeps its place in the queue until it is granted: a retry
+  // while it still conflicts claims its queued request instead of queueing
+  // again behind waiters that arrived meanwhile, and a release wakes only
+  // the waiter it grants.
   LockManager lm(4);
   std::vector<TxnId> woken;
   lm.SetWakeupHook([&](TxnId t) { woken.push_back(t); });
@@ -111,25 +111,23 @@ TEST(WakeupHookTest, ReRegistrationKeepsFifoSeniority) {
   ASSERT_TRUE(h2.ok());
   EXPECT_TRUE(lm.TryAcquire(W(3, "k")).status().IsWouldBlock());
 
-  // T1's release wakes T3 (head of the queue) — prematurely: T2 still
-  // holds S.
+  // T1's release grants nothing (T2 still holds S), so it wakes nobody.
   lm.Release(*h1);
-  ASSERT_EQ(woken, (std::vector<TxnId>{3}));
+  EXPECT_TRUE(woken.empty());
 
-  // T4 queues up while T3 is between wakeup and retry, then T3's retry
-  // still conflicts and re-registers.
+  // T4 queues up behind T3, then T3's retry still conflicts.
   EXPECT_TRUE(lm.TryAcquire(W(4, "k")).status().IsWouldBlock());
   EXPECT_TRUE(lm.TryAcquire(W(3, "k")).status().IsWouldBlock());
 
-  // The last release must wake T3 again, not T4: T3's wait began first.
+  // The last release grants T3, not T4: T3's wait began first.
   lm.Release(*h2);
-  ASSERT_EQ(woken, (std::vector<TxnId>{3, 3}));
+  ASSERT_EQ(woken, (std::vector<TxnId>{3}));
 
   auto h3 = lm.TryAcquire(W(3, "k"));
   ASSERT_TRUE(h3.ok());
-  EXPECT_EQ(woken.size(), 2u);  // and T3 was not left registered twice
+  EXPECT_EQ(woken.size(), 1u);  // and T3 was not queued twice
   lm.ReleaseAll(3);
-  EXPECT_EQ(woken, (std::vector<TxnId>{3, 3, 4}));
+  EXPECT_EQ(woken, (std::vector<TxnId>{3, 4}));
 }
 
 TEST(WakeupHookTest, ReleaseAllNeverMissesARacingFirstWaiter) {
