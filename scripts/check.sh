@@ -36,8 +36,11 @@
 #            (the wakeup-hook and deadlock tests, the blocking lock stress,
 #            the session executor's park/wakeup handoff, a waiter granted
 #            when the waiter ahead of it times out, and a predicate waiter
-#            granted by an item release in another stripe) STRESS_RUNS
-#            times (default 30).  Zero failures required; any data race,
+#            granted by an item release in another stripe), and the version
+#            GC tests (SiGcTest.*, RcGcTest.*, the store's GC-queue tests
+#            MVStoreGcQueueTest.*, and GcConcurrencyTest.*, whose explicit
+#            passes race committing writers that queue chains under the
+#            store latch) STRESS_RUNS times (default 30).  Zero failures required; any data race,
 #            non-serializable committed history, hang or failed Execute
 #            fails the loop.
 #   --crash  build under AddressSanitizer and run the durability crash
@@ -188,15 +191,17 @@ if [[ "$STRESS" -eq 1 ]]; then
   # deadlock-victim doom-and-wake handoff, the group-commit device-token
   # handoff (including a handed-off round that dies with waiters parked
   # behind it), the overlapped vote wait's token ordering, with the
-  # coordinator log's record in the same round, and the lock queue's
-  # grant-on-release handoffs.  One gtest process repeats the
+  # coordinator log's record in the same round, the lock queue's
+  # grant-on-release handoffs, and version GC (the GC queue is filled by
+  # commits and drained by passes, both under the store latch).  One
+  # gtest process repeats the
   # tests so every iteration reuses the warmed TSan runtime;
   # --gtest_break_on_failure turns the first failure into a non-zero
   # exit.  TSan itself fails the run on any data race.
   RUNS="${STRESS_RUNS:-30}"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   "$BUILD_DIR"/critique_tests \
-    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens:VoteOverlapTest.CrossShardCommitWaitsOneVoteRound:VoteOverlapTest.ContendedCoordinatorLogCoversEveryAckedCommit:WakeupHookTest.*:LockStripingStressTest.*:DeadlockTest.*:SessionExecutorTest.ParkWakeupHandoffNoLostWakeups:LockStripingTest.ItemReleaseGrantsAPredicateWaiterInAnotherStripe' \
+    --gtest_filter='ConcurrencyTest.CommittedSerializableHistoriesStaySerializable:SeniorityTest.*:WalTest.GroupCommitManyThreadsAllDurableFewerSyncsThanAppends:WalTest.GroupCommitLeaderReturnsAfterItsOwnRound:WalTest.GroupCommitHandedOffRoundDiesCleanly:WalTest.WaitDurableAllParksBehindAHeldTokenAndIsCoveredByItsRound:VoteOverlapTest.MixedTransfersNeverDeadlockTheDeviceTokens:VoteOverlapTest.CrossShardCommitWaitsOneVoteRound:VoteOverlapTest.ContendedCoordinatorLogCoversEveryAckedCommit:WakeupHookTest.*:LockStripingStressTest.*:DeadlockTest.*:SessionExecutorTest.ParkWakeupHandoffNoLostWakeups:LockStripingTest.ItemReleaseGrantsAPredicateWaiterInAnotherStripe:GcConcurrencyTest.*:SiGcTest.*:RcGcTest.*:MVStoreGcQueueTest.*' \
     --gtest_repeat="$RUNS" --gtest_break_on_failure
   echo "check.sh: stress loop green ($RUNS TSan runs)"
   exit 0

@@ -51,6 +51,7 @@ void ReadConsistencyEngine::RegisterMetrics(obs::MetricsRegistry& reg,
                         &lock_manager_.wait_histogram());
   reg.RegisterHistogram(prefix + "lock.park_wakeup_us",
                         &lock_manager_.park_wakeup_histogram());
+  reg.RegisterHistogram(prefix + "gc.pass_us", &gc_pass_hist_);
 }
 
 std::string ReadConsistencyEngine::DebugDump() const {
@@ -430,6 +431,7 @@ bool ReadConsistencyEngine::GcTick() {
 }
 
 size_t ReadConsistencyEngine::RunGcPass() {
+  obs::ScopedTimer timer(gc_pass_hist_);
   size_t dropped = 0;
   {
     std::unique_lock<std::shared_mutex> tl(table_mu_);

@@ -84,7 +84,8 @@ class ReadConsistencyEngine : public Engine {
 
   LockStats lock_stats() const { return lock_manager_.stats(); }
 
-  /// Base gauges plus lock-table counters and wait/park histograms.
+  /// Base gauges plus lock-table counters, wait/park histograms and the
+  /// GC pass histogram.
   void RegisterMetrics(obs::MetricsRegistry& reg,
                        const std::string& prefix) override;
 
@@ -162,6 +163,7 @@ class ReadConsistencyEngine : public Engine {
   std::map<TxnId, TxnState> txns_;
   uint32_t commits_since_gc_ = 0;  ///< gc_mu_
   VersionGcStats gc_stats_;        ///< gc_mu_
+  obs::Histogram gc_pass_hist_;    ///< one GC pass, periodic or explicit
 };
 
 }  // namespace critique

@@ -828,7 +828,11 @@ Status SnapshotIsolationEngine::Abort(TxnId txn) {
 }
 
 size_t SnapshotIsolationEngine::RunGcPass() {
+  obs::ScopedTimer timer(gc_pass_hist_);
   size_t dropped = 0;
+  // Retired states leave the table under the latch and are destroyed after
+  // it is released (declared after the timer, so the pass times them too).
+  std::vector<decltype(txns_)::node_type> retired;
   {
     std::unique_lock<std::shared_mutex> tl(table_mu_);
     // Low-watermark: the oldest begin timestamp still open (prepared
@@ -863,57 +867,54 @@ size_t SnapshotIsolationEngine::RunGcPass() {
       //
       // The exclusive table latch excludes every session operation, so the
       // SSI structures are safe to edit here without `ssi_mu_`.
-      std::set<TxnId> retired;
-      std::map<TxnId, Timestamp> retired_commit_ts;
       for (auto it = txns_.begin(); it != txns_.end();) {
         const TxnState& st = it->second;
         const bool dead =
             st.aborted || (st.committed && st.commit_ts <= watermark);
-        if (!st.active && dead) {
-          retired.insert(it->first);
-          if (st.committed) retired_commit_ts[it->first] = st.commit_ts;
-          it = txns_.erase(it);
-        } else {
-          ++it;
-        }
+        auto next = std::next(it);
+        if (!st.active && dead) retired.push_back(txns_.extract(it));
+        it = next;
       }
-      if (!retired.empty()) {
-        for (auto& [t, st] : txns_) {
-          (void)t;
+      // Unhook each retiree from its own neighbours and SIREAD entries
+      // (`AddRwEdge` records every edge on both ends), so the cleanup costs
+      // the retirees' edges and reads, not the table or the reader index.
+      for (const auto& node : retired) {
+        const TxnId r = node.key();
+        const TxnState& rs = node.mapped();
+        for (TxnId w : rs.out_to) {
+          auto wt = txns_.find(w);
+          if (wt != txns_.end()) wt->second.in_from.erase(r);
+        }
+        for (TxnId u : rs.in_from) {
+          auto ut = txns_.find(u);
+          if (ut == txns_.end()) continue;
+          TxnState& us = ut->second;
           // Summarize before forgetting: a retired committed rw-successor
           // that committed before its (surviving, committed) predecessor
           // is a dangerous structure's "T3 commits first" witness — keep
           // that one bit so the completion check stays sound.
-          if (st.committed && !st.committed_first_out) {
-            for (TxnId w : st.out_to) {
-              auto rc = retired_commit_ts.find(w);
-              if (rc != retired_commit_ts.end() &&
-                  rc->second < st.commit_ts) {
-                st.committed_first_out = true;
-                break;
-              }
-            }
+          if (rs.committed && us.committed && rs.commit_ts < us.commit_ts) {
+            us.committed_first_out = true;
           }
-          for (TxnId r : retired) {
-            st.in_from.erase(r);
-            st.out_to.erase(r);
-          }
+          us.out_to.erase(r);
         }
-        // Drop the retirees' SIREAD bookkeeping so SSI memory is bounded
+        // Drop the retiree's SIREAD bookkeeping so SSI memory is bounded
         // alongside the version chains.
-        for (auto it = readers_.begin(); it != readers_.end();) {
-          for (TxnId t : retired) it->second.erase(t);
-          if (it->second.empty()) {
-            it = readers_.erase(it);
-          } else {
-            ++it;
-          }
+        if (!options_.ssi) continue;
+        for (const ItemId& id : rs.read_set) {
+          auto rd = readers_.find(id);
+          if (rd == readers_.end()) continue;
+          rd->second.erase(r);
+          if (rd->second.empty()) readers_.erase(rd);
         }
+      }
+      // Predicate SIREAD entries go with their reader's state.
+      if (!retired.empty()) {
         predicate_readers_.erase(
             std::remove_if(predicate_readers_.begin(),
                            predicate_readers_.end(),
                            [&](const std::pair<Predicate, TxnId>& pr) {
-                             return retired.count(pr.second) != 0;
+                             return txns_.count(pr.second) == 0;
                            }),
             predicate_readers_.end());
       }
@@ -938,6 +939,7 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
   });
   reg.RegisterHistogram(prefix + "pipeline.validate_us", &stage1_hist_);
   reg.RegisterHistogram(prefix + "pipeline.publish_us", &stage2_hist_);
+  reg.RegisterHistogram(prefix + "gc.pass_us", &gc_pass_hist_);
 }
 
 size_t SnapshotIsolationEngine::GarbageCollectVersions() {

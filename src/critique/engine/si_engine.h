@@ -212,6 +212,19 @@ class SnapshotIsolationEngine : public Engine {
     return gc_stats_;
   }
 
+  /// SIREAD entries held (item readers plus predicate readers): what
+  /// state retirement must bound (tests).
+  size_t SireadEntryCount() const {
+    std::shared_lock<std::shared_mutex> tl(table_mu_);  // GC edits it
+    std::lock_guard<std::mutex> el(ssi_mu_);
+    size_t n = predicate_readers_.size();
+    for (const auto& [id, readers] : readers_) {
+      (void)id;
+      n += readers.size();
+    }
+    return n;
+  }
+
   /// Highest watermark any GC pass has pruned to; `BeginAt` refuses
   /// snapshots below it.
   Timestamp gc_floor() const {
@@ -224,7 +237,8 @@ class SnapshotIsolationEngine : public Engine {
     return pipeline_stats_;
   }
 
-  /// Base gauges plus pipeline counters and per-stage latency histograms.
+  /// Base gauges plus pipeline counters, per-stage latency histograms and
+  /// the GC pass histogram.
   void RegisterMetrics(obs::MetricsRegistry& reg,
                        const std::string& prefix) override;
 
@@ -381,10 +395,11 @@ class SnapshotIsolationEngine : public Engine {
   /// `table_mu_` shared; takes `ssi_mu_` internally.  No-op at plain SI.
   std::optional<std::string> SsiRefusal(TxnId txn);
 
-  /// One GC pass: compute the watermark, prune chains, raise the floor,
-  /// and (kWatermark mode) retire finished transaction states plus their
-  /// SSI bookkeeping.  Takes `table_mu_` exclusive (and `store_mu_`
-  /// inside); call with no engine latch held.  Returns versions dropped.
+  /// One GC pass: compute the watermark, prune the queued chains, raise
+  /// the floor, and (kWatermark mode) retire finished transaction states
+  /// plus their SSI bookkeeping, walking only each retiree's own edges and
+  /// reads.  Takes `table_mu_` exclusive (and `store_mu_` inside); call
+  /// with no engine latch held.  Returns versions dropped.
   size_t RunGcPass();
 
   SnapshotIsolationOptions options_;
@@ -417,6 +432,7 @@ class SnapshotIsolationEngine : public Engine {
   // Per-stage commit-pipeline latency (internally synchronized).
   obs::Histogram stage1_hist_;
   obs::Histogram stage2_hist_;
+  obs::Histogram gc_pass_hist_;  ///< one GC pass, periodic or explicit
   uint32_t commits_since_gc_ = 0;           ///< commit_mu_
   std::atomic<Timestamp> gc_floor_{kInvalidTimestamp};
   VersionGcStats gc_stats_;                 ///< gc_stats_mu_

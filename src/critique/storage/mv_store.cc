@@ -9,7 +9,24 @@ void MultiVersionStore::Bootstrap(const ItemId& id, Row row, Timestamp ts) {
   v.row = std::move(row);
   v.creator = kInitialTxn;
   v.commit_ts = ts;
-  chains_[id].push_back(std::move(v));
+  auto it = chains_.try_emplace(id).first;
+  it->second.versions.push_back(std::move(v));
+  MaybeQueue(it);
+}
+
+bool MultiVersionStore::CanShrink(const VersionChain& chain) {
+  size_t committed = 0;
+  for (const auto& v : chain) {
+    if (!v.committed()) continue;
+    if (v.tombstone || ++committed > 1) return true;
+  }
+  return false;
+}
+
+void MultiVersionStore::MaybeQueue(Chains::iterator it) {
+  if (it->second.queued || !CanShrink(it->second.versions)) return;
+  it->second.queued = true;
+  queued_.push_back(it);
 }
 
 const Version* MultiVersionStore::Visible(const VersionChain& chain,
@@ -31,7 +48,8 @@ const Version* MultiVersionStore::Visible(const VersionChain& chain,
 const Version* MultiVersionStore::Visible(const ItemId& id, Timestamp ts,
                                           TxnId txn) const {
   auto it = chains_.find(id);
-  return it == chains_.end() ? nullptr : Visible(it->second, ts, txn);
+  return it == chains_.end() ? nullptr
+                             : Visible(it->second.versions, ts, txn);
 }
 
 std::optional<Row> MultiVersionStore::Read(const ItemId& id, Timestamp ts,
@@ -50,7 +68,7 @@ std::optional<Version> MultiVersionStore::ReadVersionInfo(const ItemId& id,
 }
 
 void MultiVersionStore::Write(const ItemId& id, Row row, TxnId txn) {
-  auto& chain = chains_[id];
+  auto& chain = chains_[id].versions;
   for (auto& v : chain) {
     if (!v.committed() && v.creator == txn) {
       v.row = std::move(row);
@@ -65,7 +83,7 @@ void MultiVersionStore::Write(const ItemId& id, Row row, TxnId txn) {
 }
 
 void MultiVersionStore::Delete(const ItemId& id, TxnId txn) {
-  auto& chain = chains_[id];
+  auto& chain = chains_[id].versions;
   for (auto& v : chain) {
     if (!v.committed() && v.creator == txn) {
       v.tombstone = true;
@@ -81,7 +99,7 @@ void MultiVersionStore::Delete(const ItemId& id, TxnId txn) {
 bool MultiVersionStore::HasPendingWrite(const ItemId& id, TxnId txn) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return false;
-  for (const auto& v : it->second) {
+  for (const auto& v : it->second.versions) {
     if (!v.committed() && v.creator == txn) return true;
   }
   return false;
@@ -91,7 +109,7 @@ bool MultiVersionStore::HasConcurrentPendingWrite(const ItemId& id,
                                                   TxnId txn) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return false;
-  for (const auto& v : it->second) {
+  for (const auto& v : it->second.versions) {
     if (!v.committed() && v.creator != txn) return true;
   }
   return false;
@@ -101,7 +119,7 @@ Timestamp MultiVersionStore::LatestCommitTs(const ItemId& id) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return kInvalidTimestamp;
   Timestamp best = kInvalidTimestamp;
-  for (const auto& v : it->second) {
+  for (const auto& v : it->second.versions) {
     if (v.committed() && v.commit_ts > best) best = v.commit_ts;
   }
   return best;
@@ -112,9 +130,10 @@ void MultiVersionStore::CommitTxn(TxnId txn, Timestamp commit_ts,
   for (const ItemId& id : items) {
     auto it = chains_.find(id);
     if (it == chains_.end()) continue;
-    for (auto& v : it->second) {
+    for (auto& v : it->second.versions) {
       if (!v.committed() && v.creator == txn) v.commit_ts = commit_ts;
     }
+    MaybeQueue(it);
   }
 }
 
@@ -122,21 +141,21 @@ void MultiVersionStore::AbortTxn(TxnId txn, const std::set<ItemId>& items) {
   for (const ItemId& id : items) {
     auto it = chains_.find(id);
     if (it == chains_.end()) continue;
-    auto& chain = it->second;
+    auto& chain = it->second.versions;
     chain.erase(std::remove_if(chain.begin(), chain.end(),
                                [&](const Version& v) {
                                  return !v.committed() && v.creator == txn;
                                }),
                 chain.end());
-    if (chain.empty()) chains_.erase(it);
+    if (chain.empty()) chains_.erase(it);  // never queued: see the contract
   }
 }
 
 std::vector<std::pair<ItemId, Row>> MultiVersionStore::Scan(
     const Predicate& pred, Timestamp ts, TxnId txn) const {
   std::vector<std::pair<ItemId, Row>> out;
-  for (const auto& [id, chain] : chains_) {
-    const Version* v = Visible(chain, ts, txn);
+  for (const auto& [id, entry] : chains_) {
+    const Version* v = Visible(entry.versions, ts, txn);
     if (!v || v->tombstone) continue;
     if (pred.Covers(id, v->row)) out.emplace_back(id, v->row);
   }
@@ -145,8 +164,9 @@ std::vector<std::pair<ItemId, Row>> MultiVersionStore::Scan(
 
 size_t MultiVersionStore::GarbageCollect(Timestamp watermark) {
   size_t dropped = 0;
-  for (auto it = chains_.begin(); it != chains_.end();) {
-    auto& chain = it->second;
+  size_t kept = 0;
+  for (Chains::iterator it : queued_) {
+    auto& chain = it->second.versions;
     // Newest committed version at or below the watermark must survive.
     Timestamp keep_ts = kInvalidTimestamp;
     for (const auto& v : chain) {
@@ -162,32 +182,36 @@ size_t MultiVersionStore::GarbageCollect(Timestamp watermark) {
                 chain.end());
     dropped += before - chain.size();
     // A lone committed tombstone at/below the watermark reads exactly like
-    // an absent item at every surviving snapshot: drop the whole chain.
+    // an absent item at every surviving snapshot: drop the whole chain,
+    // which leaves the queue with it.
     if (chain.size() == 1 && chain[0].committed() && chain[0].tombstone &&
         chain[0].commit_ts <= watermark) {
       ++dropped;
-      it = chains_.erase(it);
+      chains_.erase(it);
+    } else if (CanShrink(chain)) {
+      queued_[kept++] = it;
     } else {
-      ++it;
+      it->second.queued = false;
     }
   }
+  queued_.resize(kept);
   return dropped;
 }
 
 size_t MultiVersionStore::VersionCount() const {
   size_t n = 0;
-  for (const auto& [id, chain] : chains_) {
+  for (const auto& [id, entry] : chains_) {
     (void)id;
-    n += chain.size();
+    n += entry.versions.size();
   }
   return n;
 }
 
 size_t MultiVersionStore::MaxChainLength() const {
   size_t n = 0;
-  for (const auto& [id, chain] : chains_) {
+  for (const auto& [id, entry] : chains_) {
     (void)id;
-    n = std::max(n, chain.size());
+    n = std::max(n, entry.versions.size());
   }
   return n;
 }
@@ -195,7 +219,7 @@ size_t MultiVersionStore::MaxChainLength() const {
 std::vector<Version> MultiVersionStore::Chain(const ItemId& id) const {
   auto it = chains_.find(id);
   if (it == chains_.end()) return {};
-  return it->second;
+  return it->second.versions;
 }
 
 }  // namespace critique

@@ -46,6 +46,15 @@ struct Version {
 ///    version at or below the watermark, everything newer, and all
 ///    pending versions; a chain whose only survivor is a committed
 ///    tombstone at or below the watermark is dropped entirely.
+///  * A pass costs O(queued chains), not O(items).  `Bootstrap` and
+///    `CommitTxn` queue a chain as a GC candidate when it holds more than
+///    one committed version or a committed tombstone, the only chains the
+///    rule above can shrink; a pass visits just the queue and keeps a
+///    chain queued while it can still shrink (one pinned by an open
+///    snapshot, a tombstone above the watermark).  Invariant: a queued
+///    chain always holds a committed version, so `AbortTxn`, which
+///    removes only pending ones, never erases a queued chain and the
+///    queue never dangles.
 ///  * `CommitTxn`/`AbortTxn` take the transaction's write set and cost
 ///    O(|write set|); an abort erases a chain it emptied, so aborted
 ///    inserts stop occupying the index.
@@ -55,6 +64,11 @@ struct Version {
 /// `store_mu_` — reads and scans shared, mutation and GC exclusive).
 class MultiVersionStore {
  public:
+  MultiVersionStore() = default;
+  // The GC queue holds iterators into `chains_`; a copy would dangle.
+  MultiVersionStore(const MultiVersionStore&) = delete;
+  MultiVersionStore& operator=(const MultiVersionStore&) = delete;
+
   /// Installs an initial (commit_ts = 1 by convention of the owning
   /// engine) version; used for database setup.
   void Bootstrap(const ItemId& id, Row row, Timestamp ts);
@@ -100,8 +114,12 @@ class MultiVersionStore {
                                            Timestamp ts, TxnId txn) const;
 
   /// Drops versions no longer visible to any snapshot >= `watermark`
-  /// (see the class contract).  Returns the number of versions discarded.
+  /// (see the class contract), visiting only the queued chains.  Returns
+  /// the number of versions discarded.
   size_t GarbageCollect(Timestamp watermark);
+
+  /// Chains queued for the next `GarbageCollect` (tests).
+  size_t QueuedChainCount() const { return queued_.size(); }
 
   /// Total number of stored versions (across all items).
   size_t VersionCount() const;
@@ -120,13 +138,29 @@ class MultiVersionStore {
  private:
   using VersionChain = std::vector<Version>;
 
+  /// An item's versions plus its place on the GC queue.
+  struct Entry {
+    VersionChain versions;
+    bool queued = false;  ///< in `queued_`
+  };
+  using Chains = std::map<ItemId, Entry>;
+
   /// The version of `chain` visible to (`txn`, `ts`), or null.
   static const Version* Visible(const VersionChain& chain, Timestamp ts,
                                 TxnId txn);
   /// `Visible` on `id`'s chain; null when the item is unknown.
   const Version* Visible(const ItemId& id, Timestamp ts, TxnId txn) const;
 
-  std::map<ItemId, VersionChain> chains_;
+  /// True when a GC pass could still shrink `chain`: it holds more than
+  /// one committed version, or a committed tombstone.
+  static bool CanShrink(const VersionChain& chain);
+  /// Queues `it` for the next pass when it can shrink and is not queued.
+  void MaybeQueue(Chains::iterator it);
+
+  Chains chains_;
+  /// GC candidates; `std::map` iterators stay valid until their erase,
+  /// and a queued chain is erased only by `GarbageCollect` itself.
+  std::vector<Chains::iterator> queued_;
 };
 
 }  // namespace critique
