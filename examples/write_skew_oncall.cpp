@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "critique/analysis/mv_analysis.h"
+#include "critique/check/online_checker.h"
 #include "critique/db/database.h"
 #include "critique/exec/runner.h"
 
@@ -91,8 +91,9 @@ int main() {
   for (IsolationLevel level : levels) RunAt(level);
 
   // Show the rw-antidependency cycle behind the SI failure.
-  std::printf("\nUnder SI the multiversion serialization graph closes an\n"
-              "rw-only cycle (the hazard SSI instruments):\n");
+  std::printf("\nReplayed through the MVSG checker, the SI history closes\n"
+              "a cycle of two rw anti-dependencies (the hazard SSI\n"
+              "instruments):\n");
   DbOptions db_options(IsolationLevel::kSnapshotIsolation);
   db_options.record_history = true;  // the Runner judges the history
   Database db(db_options);
@@ -103,9 +104,19 @@ int main() {
   runner.AddProgram(2, SignOffTxn("bob"));
   auto result = runner.Run(ParseSchedule("1 2 1 2 1 2"));
   if (result.ok()) {
-    auto g = MVSerializationGraph::Build(result->history);
-    std::printf("%s", g.ToString().c_str());
-    std::printf("rw-only cycle: %s\n", g.HasRwOnlyCycle() ? "yes" : "no");
+    // Declared Serializable, the cycle is a violation ...
+    const check::CheckerReport ser = check::ReplayHistory(result->history);
+    for (const check::CheckerViolation& v : ser.first_violations) {
+      std::printf("  at Serializable: %s\n", v.detail.c_str());
+    }
+    // ... declared Snapshot Isolation, it is the level's due anomaly.
+    const check::CheckerReport si = check::ReplayHistory(
+        result->history, {{1, IsolationLevel::kSnapshotIsolation},
+                          {2, IsolationLevel::kSnapshotIsolation}});
+    std::printf("  at Snapshot Isolation: allowed_anomalies=%llu "
+                "violations=%llu\n",
+                static_cast<unsigned long long>(si.allowed_anomalies),
+                static_cast<unsigned long long>(si.violations));
   }
   return 0;
 }

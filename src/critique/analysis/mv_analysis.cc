@@ -1,10 +1,11 @@
 #include "critique/analysis/mv_analysis.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <optional>
 #include <tuple>
+
+#include "critique/check/online_checker.h"
 
 namespace critique {
 namespace {
@@ -162,145 +163,11 @@ Status ValidateFirstCommitterWins(const History& h) {
   return Status::OK();
 }
 
-std::string MVEdge::ToString() const {
-  std::string out = "T" + std::to_string(from) + " -";
-  out += ConflictKindName(kind);
-  out += "[" + item + "]-> T" + std::to_string(to);
-  return out;
-}
-
-MVSerializationGraph MVSerializationGraph::Build(const History& h) {
-  MVSerializationGraph g;
-  const auto committed = h.Committed();
-  g.nodes_ = committed;
-
-  // Version order per item: initial version (txn 0), then committed
-  // creators in commit order.
-  std::map<ItemId, std::vector<TxnId>> version_order;
-  {
-    std::vector<std::pair<size_t, TxnId>> commits;
-    for (TxnId t : committed) commits.emplace_back(*h.TerminalIndex(t), t);
-    std::sort(commits.begin(), commits.end());
-    std::map<ItemId, bool> seen_item;
-    // Collect all items first (reads may reference the initial version).
-    for (size_t i = 0; i < h.size(); ++i) {
-      if (h[i].IsRead() || h[i].IsWrite()) {
-        if (!seen_item[h[i].item]) {
-          version_order[h[i].item].push_back(kInitialTxn);
-          seen_item[h[i].item] = true;
-        }
-      }
-    }
-    for (const auto& [ci, t] : commits) {
-      (void)ci;
-      std::set<ItemId> written;
-      for (size_t j : h.IndicesOf(t)) {
-        for (const ItemId& wid : WrittenItems(h[j])) written.insert(wid);
-      }
-      for (const auto& item : written) version_order[item].push_back(t);
-    }
-  }
-
-  auto position = [&](const ItemId& item, TxnId v) -> std::optional<size_t> {
-    const auto& order = version_order[item];
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == v) return i;
-    }
-    return std::nullopt;
-  };
-
-  auto add_edge = [&](TxnId from, TxnId to, ConflictKind kind,
-                      const ItemId& item) {
-    if (from == to) return;
-    if (from != kInitialTxn && !committed.count(from)) return;
-    if (!committed.count(to)) return;
-    if (from == kInitialTxn) return;  // initial state is not a node
-    for (const auto& e : g.edges_) {
-      if (e.from == from && e.to == to && e.kind == kind && e.item == item) {
-        return;
-      }
-    }
-    g.edges_.push_back(MVEdge{from, to, kind, item});
-  };
-
-  // ww edges along each item's version order.
-  for (const auto& [item, order] : version_order) {
-    for (size_t i = 1; i + 1 < order.size(); ++i) {
-      add_edge(order[i], order[i + 1], ConflictKind::kWriteWrite, item);
-    }
-  }
-
-  // wr and rw edges from reads.
-  for (size_t i = 0; i < h.size(); ++i) {
-    const Action& a = h[i];
-    if (!a.IsRead() || !a.version.has_value()) continue;
-    if (!committed.count(a.txn)) continue;
-    const TxnId creator = *a.version;
-    add_edge(creator, a.txn, ConflictKind::kWriteRead, a.item);
-    auto pos = position(a.item, creator);
-    if (pos) {
-      const auto& order = version_order[a.item];
-      if (*pos + 1 < order.size()) {
-        add_edge(a.txn, order[*pos + 1], ConflictKind::kReadWrite, a.item);
-      }
-    }
-  }
-  return g;
-}
-
-namespace {
-
-bool FindCycleFiltered(const std::set<TxnId>& nodes,
-                       const std::vector<MVEdge>& edges, bool rw_only) {
-  std::map<TxnId, std::set<TxnId>> adj;
-  for (TxnId n : nodes) adj[n];
-  for (const auto& e : edges) {
-    if (rw_only && e.kind != ConflictKind::kReadWrite) continue;
-    adj[e.from].insert(e.to);
-  }
-  enum class Color { kWhite, kGray, kBlack };
-  std::map<TxnId, Color> color;
-  for (TxnId n : nodes) color[n] = Color::kWhite;
-  std::function<bool(TxnId)> dfs = [&](TxnId u) -> bool {
-    color[u] = Color::kGray;
-    for (TxnId v : adj[u]) {
-      if (color[v] == Color::kGray) return true;
-      if (color[v] == Color::kWhite && dfs(v)) return true;
-    }
-    color[u] = Color::kBlack;
-    return false;
-  };
-  for (TxnId n : nodes) {
-    if (color[n] == Color::kWhite && dfs(n)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool MVSerializationGraph::HasCycle() const {
-  return FindCycleFiltered(nodes_, edges_, /*rw_only=*/false);
-}
-
-bool MVSerializationGraph::HasRwOnlyCycle() const {
-  return FindCycleFiltered(nodes_, edges_, /*rw_only=*/true);
-}
-
-std::string MVSerializationGraph::ToString() const {
-  std::string out = "nodes: {";
-  bool first = true;
-  for (TxnId n : nodes_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "T" + std::to_string(n);
-  }
-  out += "}\n";
-  for (const auto& e : edges_) out += "  " + e.ToString() + "\n";
-  return out;
-}
-
 bool IsMVSerializable(const History& h) {
-  return !MVSerializationGraph::Build(h).HasCycle();
+  const check::CheckerReport r = check::ReplayHistory(h);
+  return std::none_of(
+      r.first_violations.begin(), r.first_violations.end(),
+      [](const check::CheckerViolation& v) { return v.kind == "cycle"; });
 }
 
 }  // namespace critique

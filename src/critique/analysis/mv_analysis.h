@@ -1,10 +1,6 @@
 #ifndef CRITIQUE_ANALYSIS_MV_ANALYSIS_H_
 #define CRITIQUE_ANALYSIS_MV_ANALYSIS_H_
 
-#include <string>
-#include <vector>
-
-#include "critique/analysis/conflict.h"
 #include "critique/common/result.h"
 #include "critique/history/history.h"
 
@@ -58,49 +54,16 @@ Status ValidateSnapshotVisibility(const History& h);
 /// violating pair.
 Status ValidateFirstCommitterWins(const History& h);
 
-/// One edge of a multiversion serialization graph.
-struct MVEdge {
-  TxnId from = 0;
-  TxnId to = 0;
-  ConflictKind kind = ConflictKind::kWriteWrite;  // ww / wr / rw
-  ItemId item;
-
-  std::string ToString() const;
-};
-
-/// \brief The multiversion serialization graph (MVSG, [BHG] Ch. 5) of a
-/// history with version subscripts, over committed transactions.
+/// \brief True when the committed projection of the MV history `h` is
+/// one-copy serializable: its multiversion serialization graph (MVSG,
+/// [BHG] Ch. 5) is acyclic.  The write-skew history H5.SI fails with the
+/// cycle T1 -rw-> T2 -rw-> T1.
 ///
-/// Version order of each item follows commit order.  Edges:
-///  * ww: Ti's version of x precedes Tj's;
-///  * wr: Tj read the version Ti created;
-///  * rw: Tj read a version of x and Tk created a later version
-///        (anti-dependency — the edge kind SSI instruments).
-///
-/// Acyclicity of the MVSG certifies (one-copy) serializability; the
-/// write-skew history H5 yields the 2-cycle T1 -rw-> T2 -rw-> T1.
-class MVSerializationGraph {
- public:
-  static MVSerializationGraph Build(const History& h);
-
-  const std::vector<MVEdge>& edges() const { return edges_; }
-  const std::set<TxnId>& nodes() const { return nodes_; }
-
-  bool HasCycle() const;
-
-  /// True when some cycle consists purely of rw (anti-dependency) edges —
-  /// the SI-specific hazard signature (write skew is the 2-edge case).
-  bool HasRwOnlyCycle() const;
-
-  std::string ToString() const;
-
- private:
-  std::set<TxnId> nodes_;
-  std::vector<MVEdge> edges_;
-};
-
-/// True when the committed projection of the MV history `h` is
-/// one-copy serializable (acyclic MVSG).
+/// The verdict is a replay through the online checker
+/// (`check::ReplayHistory`, every transaction at Serializable): the
+/// history is serializable iff the replay reports no "cycle" violation.
+/// A committed read of a version whose creator commits later is a dirty
+/// read, not a cycle, and does not by itself fail this test.
 bool IsMVSerializable(const History& h);
 
 }  // namespace critique

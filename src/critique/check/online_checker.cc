@@ -1,8 +1,10 @@
 #include "critique/check/online_checker.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
+#include "critique/history/history.h"
 #include "critique/obs/metrics.h"
 
 namespace critique {
@@ -109,8 +111,8 @@ void OnlineChecker::IngestLocked(const Action& a) {
       IngestWrite(a, WrittenItems(a));
       break;
     case Action::Type::kPredicateRead:
-      // Predicate reads are deliberately not tracked online: the graph is
-      // item-level, so phantom-only anomalies stay with the offline
+      // Predicate reads are deliberately not tracked: the graph is
+      // item-level, so phantom-only anomalies stay with the single-version
       // analyzers and Repeatable Read is never falsely accused.
       Touch(a.txn);
       break;
@@ -207,9 +209,9 @@ void OnlineChecker::IngestCommit(TxnId txn) {
   JudgeDirtyRead(n, txn);
 
   // Reads: wr edge from each committed creator, rw edge to the creator of
-  // the immediate next version when it already exists (mirrors the
-  // offline builder; readers of a still-latest version get their rw edge
-  // from the superseding writer's commit below).
+  // the immediate next version when it already exists (readers of a
+  // still-latest version get their rw edge from the superseding writer's
+  // commit below).
   for (const auto& [key, unused] : n.reads) {
     (void)unused;
     const auto& [item_id, creator] = key;
@@ -337,25 +339,24 @@ void OnlineChecker::RemoveEdge(TxnId from, TxnId to) {
   if (tit != nodes_.end()) tit->second.in.erase(from);
 }
 
-std::vector<TxnId> OnlineChecker::FindPath(TxnId from, TxnId to,
-                                           uint64_t max_ord) {
+bool OnlineChecker::SearchForward(TxnId from, TxnId to, uint64_t max_ord,
+                                  std::vector<TxnId>& out) {
   std::map<TxnId, TxnId> parent;
   std::vector<TxnId> stack{from};
   parent[from] = from;
+  out.clear();
   while (!stack.empty()) {
     TxnId cur = stack.back();
     stack.pop_back();
     if (cur == to) {
-      std::vector<TxnId> path;
       for (TxnId x = to;; x = parent[x]) {
-        path.push_back(x);
+        out.push_back(x);
         if (x == from) break;
       }
-      std::reverse(path.begin(), path.end());
-      return path;
+      std::reverse(out.begin(), out.end());
+      return true;
     }
-    const Node& n = nodes_.at(cur);
-    for (const auto& [next, unused] : n.out) {
+    for (const auto& [next, unused] : nodes_.at(cur).out) {
       (void)unused;
       if (parent.count(next) != 0) continue;
       auto nit = nodes_.find(next);
@@ -364,7 +365,11 @@ std::vector<TxnId> OnlineChecker::FindPath(TxnId from, TxnId to,
       stack.push_back(next);
     }
   }
-  return {};
+  for (const auto& [x, unused] : parent) {
+    (void)unused;
+    out.push_back(x);
+  }
+  return false;
 }
 
 void OnlineChecker::ResolveCycle(TxnId from, TxnId to) {
@@ -372,15 +377,16 @@ void OnlineChecker::ResolveCycle(TxnId from, TxnId to) {
   // order.  Repeatedly look for a closing path to->...->from; each cycle
   // found is judged against its participants' declared levels and then
   // broken (by excising the excusing edge, or the new edge on a
-  // violation) so certification continues on an acyclic graph.
+  // violation) so certification continues on an acyclic graph.  The
+  // search that finds no path has walked the forward closure of `to` in
+  // the affected region, which the reordering below needs.
+  std::vector<TxnId> path;
   while (true) {
     auto fit = nodes_.find(from);
     auto tit = nodes_.find(to);
     if (fit == nodes_.end() || tit == nodes_.end()) return;
     if (fit->second.out.count(to) == 0) return;  // the new edge was excised
-    const uint64_t max_ord = fit->second.ord;
-    std::vector<TxnId> path = FindPath(to, from, max_ord);
-    if (path.empty()) break;  // acyclic again; restore the order below
+    if (!SearchForward(to, from, fit->second.ord, path)) break;
 
     // The cycle is path[0]=to -> ... -> path[k]=from plus from->to.
     const size_t k = path.size();
@@ -442,31 +448,8 @@ void OnlineChecker::ResolveCycle(TxnId from, TxnId to) {
 
   // No cycle: restore topological order Pearce-Kelly style by permuting
   // the affected region [ord(to), ord(from)].
-  Node& f = nodes_.at(from);
-  Node& t = nodes_.at(to);
-  const uint64_t lo = t.ord;
-  const uint64_t hi = f.ord;
-  // Forward closure of `to` within the region.
-  std::vector<TxnId> fwd;
-  {
-    std::map<TxnId, bool> seen;
-    std::vector<TxnId> stack{to};
-    seen[to] = true;
-    while (!stack.empty()) {
-      TxnId cur = stack.back();
-      stack.pop_back();
-      fwd.push_back(cur);
-      for (const auto& [next, unused] : nodes_.at(cur).out) {
-        (void)unused;
-        auto nit = nodes_.find(next);
-        if (nit == nodes_.end() || nit->second.ord > hi || seen[next]) {
-          continue;
-        }
-        seen[next] = true;
-        stack.push_back(next);
-      }
-    }
-  }
+  const uint64_t lo = nodes_.at(to).ord;
+  std::vector<TxnId>& fwd = path;  // forward closure of `to`, from the search
   // Backward closure of `from` within the region.
   std::vector<TxnId> bwd;
   {
@@ -501,6 +484,21 @@ void OnlineChecker::ResolveCycle(TxnId from, TxnId to) {
   size_t si = 0;
   for (TxnId x : bwd) nodes_.at(x).ord = slots[si++];
   for (TxnId x : fwd) nodes_.at(x).ord = slots[si++];
+}
+
+CheckerReport ReplayHistory(const History& h,
+                            const std::map<TxnId, IsolationLevel>& levels) {
+  CheckerOptions opts;
+  opts.prune_interval = 0;
+  opts.max_recorded_violations = std::numeric_limits<size_t>::max();
+  OnlineChecker checker(opts);
+  for (TxnId t : h.Transactions()) {
+    auto it = levels.find(t);
+    checker.BeginTxn(t, it != levels.end() ? it->second
+                                           : IsolationLevel::kSerializable);
+  }
+  for (const Action& a : h.actions()) checker.Ingest(a);
+  return checker.Report();
 }
 
 uint64_t OnlineChecker::WatermarkLocked() const {

@@ -14,6 +14,8 @@
 #include "critique/history/action.h"
 
 namespace critique {
+class History;
+
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
@@ -70,16 +72,15 @@ struct CheckerReport {
   CheckerReport& operator+=(const CheckerReport& o);
 };
 
-/// \brief Incremental online multiversion serialization-graph checker.
+/// \brief Incremental multiversion serialization-graph checker.
 ///
-/// Maintains the MVSG of [BHG] Chapter 5 as commits stream in, instead
-/// of rebuilding it per history (`MVSerializationGraph::Build`).  Edge
-/// rules mirror the offline builder exactly — version order per item is
-/// commit order, `ww` between adjacent versions, `wr` creator→reader,
-/// `rw` reader→creator of the *immediate next* version — so on a fully
-/// committed multiversion history the two agree on acyclicity.
-///
-/// Three extensions over the offline builder:
+/// Maintains the MVSG of [BHG] Chapter 5 as actions stream in: version
+/// order per item is commit order, `ww` joins adjacent versions, `wr`
+/// runs creator→reader, and `rw` runs reader→creator of the *immediate
+/// next* version.  The one graph has two drivers: `Database` feeds it
+/// live from the engine's action observer, and `ReplayHistory` feeds it
+/// a recorded history with pruning off (the offline judge behind
+/// `IsMVSerializable`).
 ///
 ///  * **Incremental cycle detection.**  Nodes enter the graph at commit,
 ///    so node order is commit order and `ww`/`wr` edges always point
@@ -111,9 +112,10 @@ struct CheckerReport {
 ///    skew, per Fekete et al.'s cycle-structure theorem); Repeatable
 ///    Read and the serializable levels permit nothing.  Excused cycles
 ///    are broken by excising the excusing edge so certification
-///    continues.  Predicate reads are not tracked online (item-level
-///    graph only), which is what keeps Repeatable Read free of false
-///    positives — phantom analysis stays with the offline analyzers.
+///    continues.  Predicate reads are not tracked (item-level graph
+///    only), which is what keeps Repeatable Read free of false
+///    positives — phantom analysis stays with the single-version
+///    analyzers in `analysis/`.
 ///
 /// Reads in single-version histories (the locking engines record no
 /// version subscripts) have their observed creator inferred from the
@@ -211,9 +213,12 @@ class OnlineChecker {
   void IngestAbort(TxnId txn);
   void AddEdge(TxnId from, TxnId to, uint8_t kind);
   void RemoveEdge(TxnId from, TxnId to);
-  // Finds a path `from` -> ... -> `to` through nodes with ord <= max_ord;
-  // returns the node sequence (empty when unreachable).
-  std::vector<TxnId> FindPath(TxnId from, TxnId to, uint64_t max_ord);
+  // Searches out-edges from `from` through nodes with ord <= max_ord.
+  // Returns true with `out` = the path `from` -> ... -> `to` when `to` is
+  // reachable; otherwise false with `out` = every node reached (the
+  // bounded forward closure of `from`).
+  bool SearchForward(TxnId from, TxnId to, uint64_t max_ord,
+                     std::vector<TxnId>& out);
   void ResolveCycle(TxnId from, TxnId to);
   void JudgeDirtyRead(Node& n, TxnId txn);
   size_t PruneLocked();
@@ -237,6 +242,14 @@ class OnlineChecker {
   std::unordered_map<TxnId, uint64_t> aborted_;
   CheckerReport report_;
 };
+
+/// \brief Judges a recorded history: the report of a fresh checker with
+/// `prune_interval = 0` that first registers every transaction of `h` at
+/// its level in `levels` (Serializable when absent), then ingests the
+/// actions in history order.  Every violation is kept in
+/// `first_violations`.
+CheckerReport ReplayHistory(const History& h,
+                            const std::map<TxnId, IsolationLevel>& levels = {});
 
 /// True when `level` forbids reading another transaction's uncommitted
 /// writes (every level at or above Read Committed in Figure 2).

@@ -131,11 +131,12 @@ Result<std::optional<Row>> ReadConsistencyEngine::DoRead(TxnId txn,
                          ? Action::CursorRead(txn, id)
                          : Action::Read(txn, id);
           // Nothing committed at the statement timestamp: the statement
-          // observed the initial (absent) state of the item.  Subscript
-          // it explicitly — an unversioned read would be misattributed by
-          // single-version creator inference (this is a multiversion
-          // history).
-          a.version = version.has_value() ? version->creator : kInitialTxn;
+          // observed the item absent — its initial state, or a delete
+          // whose chain GC dropped.  Subscript it explicitly — an
+          // unversioned read would be misattributed by single-version
+          // creator inference (this is a multiversion history).
+          a.version = version.has_value() ? version->creator
+                                          : store_.AbsentVersionCreator(id);
           if (row.has_value()) a.value = HistoryValue(row);
           return a;
         },
@@ -439,7 +440,7 @@ size_t ReadConsistencyEngine::RunGcPass() {
     // snapshot ever looks below "now" — the watermark is the clock itself.
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
-      dropped = store_.GarbageCollect(clock_.Now());
+      dropped = store_.GarbageCollect(clock_.Now(), recorder_.recording());
     }
     if (gc_policy_.mode == VersionGcMode::kWatermark) {
       // Retire finished transaction states.  Duplicate-id detection no

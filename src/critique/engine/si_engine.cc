@@ -314,20 +314,21 @@ Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
                          ? Action::CursorRead(txn, id)
                          : Action::Read(txn, id);
           // Nothing visible at the read timestamp: the transaction
-          // observed the initial (absent) state of the item.  Subscript it
-          // explicitly — an unversioned read would be misattributed by
-          // single-version creator inference (this is a multiversion
-          // history).
-          a.version = version.has_value() ? version->creator : kInitialTxn;
+          // observed the item absent — its initial state, or a delete
+          // whose chain GC dropped.  Subscript it explicitly — an
+          // unversioned read would be misattributed by single-version
+          // creator inference (this is a multiversion history).
+          a.version = version.has_value() ? version->creator
+                                          : store_.AbsentVersionCreator(id);
           if (row.has_value()) a.value = HistoryValue(row);
           return a;
         },
         &EngineCounters::reads);
   }
-  {
+  if (options_.ssi) {
     auto el = SsiLock();
     st.read_set.insert(id);
-    if (options_.ssi) TrackReadConflicts(txn, id);
+    TrackReadConflicts(txn, id);
   }
   return row;
 }
@@ -368,28 +369,26 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
         },
         &EngineCounters::predicate_reads);
   }
-  {
+  if (options_.ssi) {
     auto el = SsiLock();
     for (const auto& [id, row] : rows) {
       (void)row;
       st.read_set.insert(id);
-      if (options_.ssi) TrackReadConflicts(txn, id);
+      TrackReadConflicts(txn, id);
     }
-    if (options_.ssi) {
-      // Phantom-precise SIREAD: remember the predicate itself, plus rw
-      // edges to concurrent transactions whose pending/later writes
-      // already fall under it.  One store acquisition covers the whole
-      // scan (lock order ssi_mu_ < store_mu_).
-      predicate_readers_.emplace_back(pred, txn);
-      std::shared_lock<std::shared_mutex> sl(store_mu_);
-      for (auto& [u, ust] : txns_) {
-        if (u == txn || ust.aborted || !Concurrent(st, ust)) continue;
-        for (const ItemId& wid : ust.write_set) {
-          std::optional<Version> vi =
-              store_.ReadVersionInfo(wid, ~Timestamp{0}, u);
-          if (vi.has_value() && !vi->tombstone && pred.Covers(wid, vi->row)) {
-            AddRwEdge(txn, u);
-          }
+    // Phantom-precise SIREAD: remember the predicate itself, plus rw
+    // edges to concurrent transactions whose pending/later writes
+    // already fall under it.  One store acquisition covers the whole
+    // scan (lock order ssi_mu_ < store_mu_).
+    predicate_readers_.emplace_back(pred, txn);
+    std::shared_lock<std::shared_mutex> sl(store_mu_);
+    for (auto& [u, ust] : txns_) {
+      if (u == txn || ust.aborted || !Concurrent(st, ust)) continue;
+      for (const ItemId& wid : ust.write_set) {
+        std::optional<Version> vi =
+            store_.ReadVersionInfo(wid, ~Timestamp{0}, u);
+        if (vi.has_value() && !vi->tombstone && pred.Covers(wid, vi->row)) {
+          AddRwEdge(txn, u);
         }
       }
     }
@@ -847,7 +846,7 @@ size_t SnapshotIsolationEngine::RunGcPass() {
     }
     {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
-      dropped = store_.GarbageCollect(watermark);
+      dropped = store_.GarbageCollect(watermark, recorder_.recording());
     }
     if (watermark > gc_floor_.load(std::memory_order_relaxed)) {
       gc_floor_.store(watermark, std::memory_order_release);
@@ -899,8 +898,7 @@ size_t SnapshotIsolationEngine::RunGcPass() {
           us.out_to.erase(r);
         }
         // Drop the retiree's SIREAD bookkeeping so SSI memory is bounded
-        // alongside the version chains.
-        if (!options_.ssi) continue;
+        // alongside the version chains (plain SI records none).
         for (const ItemId& id : rs.read_set) {
           auto rd = readers_.find(id);
           if (rd == readers_.end()) continue;

@@ -280,6 +280,8 @@ class SnapshotIsolationEngine : public Engine {
     /// the successor's state is gone.
     bool committed_first_out = false;
     std::set<ItemId> write_set;
+    /// Items read (SIREAD entries to drop at retirement): filled only in
+    /// SSI mode, the one reader.
     std::set<ItemId> read_set;
     /// Redo after-images (nullopt = tombstone), collected only while a WAL
     /// sink is attached; drained into a kWriteSet record at Prepare or

@@ -7,6 +7,7 @@
 
 #include "critique/common/random.h"
 #include "critique/db/database.h"
+#include "critique/history/history.h"
 #include "critique/shard/sharded_database.h"
 
 namespace critique {
@@ -96,11 +97,13 @@ struct Sess {
 
 // The cooperative stepper shared by the single-site and sharded paths.
 // `begin(level)` opens the next session; `gc()` runs a version-GC pass
-// (exercising the checker's GC-coupled pruning).  Returns false on a
-// fatal (non-workload) error, with `out.detail` set.
+// (exercising the checker's GC-coupled pruning).  Every opened session's
+// id and level go into `levels` for the replay oracle.  Returns false on
+// a fatal (non-workload) error, with `out.detail` set.
 template <typename TxnT, typename BeginFn, typename GcFn>
 bool RunLoop(const HistexConfig& cfg, Rng& rng, BeginFn begin, GcFn gc,
-             int64_t& value_counter, HistexResult& out) {
+             int64_t& value_counter, std::map<TxnId, IsolationLevel>& levels,
+             HistexResult& out) {
   std::vector<Sess<TxnT>> live;
   uint64_t started = 0;
   uint64_t finished = 0;
@@ -116,10 +119,12 @@ bool RunLoop(const HistexConfig& cfg, Rng& rng, BeginFn begin, GcFn gc,
   while (true) {
     while (live.size() < static_cast<size_t>(cfg.sessions) &&
            started < static_cast<uint64_t>(cfg.txns)) {
-      Result<TxnT> r = begin(HistexLevelForTxn(cfg, started));
+      const IsolationLevel level = HistexLevelForTxn(cfg, started);
+      Result<TxnT> r = begin(level);
       if (!r.ok()) return fatal("begin refused", r.status());
       Sess<TxnT> s;
       s.txn.emplace(std::move(r).value());
+      levels[s.txn->id()] = level;
       s.prog = MakeProgram(cfg, rng, value_counter);
       live.push_back(std::move(s));
       ++started;
@@ -182,16 +187,44 @@ bool RunLoop(const HistexConfig& cfg, Rng& rng, BeginFn begin, GcFn gc,
   return true;
 }
 
-void Finish(const HistexConfig& cfg, bool ran, HistexResult& out) {
+// The verdicts the replay oracle compares.
+std::string Verdicts(const check::CheckerReport& r) {
+  std::ostringstream os;
+  os << "violations=" << r.violations
+     << " allowed_anomalies=" << r.allowed_anomalies
+     << " dirty_reads_allowed=" << r.dirty_reads_allowed
+     << " certified=" << r.commits_certified
+     << " aborts=" << r.aborts_observed;
+  return os.str();
+}
+
+// The replay oracle: the recorded history, replayed through a fresh
+// checker with pruning off, must reach the live (pruned) checker's
+// verdicts.  Returns an account of any difference, else "".
+std::string ReplayMismatch(const History& history,
+                           const std::map<TxnId, IsolationLevel>& levels,
+                           const check::CheckerReport& live) {
+  const check::CheckerReport replay = check::ReplayHistory(history, levels);
+  if (Verdicts(live) == Verdicts(replay)) return "";
+  return "  live:   " + Verdicts(live) + "\n  replay: " + Verdicts(replay) +
+         "\n  replay report: " + replay.ToString() + "\n";
+}
+
+void Finish(const HistexConfig& cfg, bool ran, const std::string& mismatch,
+            HistexResult& out) {
   if (!ran) {
     out.ok = false;
     out.detail += "\nreplay: " + ReplayCommand(cfg);
     return;
   }
-  out.ok = out.report.ok();
-  if (!out.ok) {
+  out.ok = out.report.ok() && mismatch.empty();
+  if (!out.report.ok()) {
     out.detail = "online certification failed:\n" + out.report.ToString() +
                  "\nreplay: " + ReplayCommand(cfg);
+  } else if (!mismatch.empty()) {
+    out.detail = "replay oracle: the unpruned replay disagrees with the "
+                 "online checker\n" + cfg.ToString() + "\n" + mismatch +
+                 "replay: " + ReplayCommand(cfg);
   }
 }
 
@@ -210,6 +243,7 @@ HistexResult RunSingle(const HistexConfig& cfg) {
   }
   Rng rng(cfg.seed);
   int64_t value_counter = 0;
+  std::map<TxnId, IsolationLevel> levels;
   const bool ran = RunLoop<Transaction>(
       cfg, rng,
       [&](IsolationLevel level) {
@@ -217,10 +251,13 @@ HistexResult RunSingle(const HistexConfig& cfg) {
         if (!cfg.txn_levels.empty()) bo.level = level;
         return db.Begin(bo);
       },
-      [&] { (void)db.GarbageCollectVersions(); }, value_counter, out);
+      [&] { (void)db.GarbageCollectVersions(); }, value_counter, levels,
+      out);
   out.report = db.checker()->Report();
   out.stats = db.StatsSnapshot();
-  Finish(cfg, ran, out);
+  Finish(cfg, ran,
+         ran ? ReplayMismatch(db.HistorySnapshot(), levels, out.report) : "",
+         out);
   // HISTEX_DUMP=1 appends the full recorded history to the failure
   // account — the raw material for shrinking a failing seed by hand.
   if (!out.ok && std::getenv("HISTEX_DUMP") != nullptr) {
@@ -242,6 +279,7 @@ HistexResult RunSharded(const HistexConfig& cfg) {
   }
   Rng rng(cfg.seed);
   int64_t value_counter = 0;
+  std::map<TxnId, IsolationLevel> levels;
   const bool ran = RunLoop<ShardedTransaction>(
       cfg, rng,
       [&](IsolationLevel level) -> Result<ShardedTransaction> {
@@ -249,26 +287,33 @@ HistexResult RunSharded(const HistexConfig& cfg) {
         if (!cfg.txn_levels.empty()) bo.level = level;
         return db.Begin(bo);
       },
-      [&] { (void)db.GarbageCollectVersions(); }, value_counter, out);
+      [&] { (void)db.GarbageCollectVersions(); }, value_counter, levels,
+      out);
   out.report = db.CheckerReportAggregate();
   out.stats = db.StatsAggregate();
   out.cross_shard_commits = db.coordinator().stats().committed;
   // Cross-shard atomicity: a global id ends the same way in every shard
   // history that recorded it (bit 1: committed there, bit 2: aborted).
+  // Each shard's history also goes through the replay oracle.
   std::map<TxnId, int> ends;
+  std::string mismatch;
   for (int s = 0; s < cfg.shards; ++s) {
     const Database& shard = db.shard(s);
-    out.shard_violations.push_back(shard.checker()->Report().violations);
+    const check::CheckerReport live = shard.checker()->Report();
+    out.shard_violations.push_back(live.violations);
     const History history = shard.HistorySnapshot();
     for (const Action& a : history.actions()) {
       if (a.type == Action::Type::kCommit) ends[a.txn] |= 1;
       if (a.type == Action::Type::kAbort) ends[a.txn] |= 2;
     }
+    if (!ran) continue;
+    const std::string m = ReplayMismatch(history, levels, live);
+    if (!m.empty()) mismatch += "shard " + std::to_string(s) + ":\n" + m;
   }
   for (const auto& [gid, end] : ends) {
     if (end == 3) ++out.torn_global_txns;
   }
-  Finish(cfg, ran, out);
+  Finish(cfg, ran, mismatch, out);
   if (out.ok && out.torn_global_txns != 0) {
     out.ok = false;
     out.detail = std::to_string(out.torn_global_txns) +

@@ -17,7 +17,10 @@ namespace critique {
 /// In the spirit of the paper's authors' history generators, a run drives
 /// a seeded random workload of short transactions against a real engine
 /// (or a sharded facade), with the online MVSG checker certifying every
-/// commit as it happens.  Everything is derived deterministically from
+/// commit as it happens.  The replay oracle then replays each recorded
+/// history through a fresh checker with pruning off
+/// (`check::ReplayHistory`); its verdict counters must equal the live,
+/// pruned checker's.  Everything is derived deterministically from
 /// `seed`, so a failing configuration replays bit-for-bit (see
 /// `ReplayCommand`).
 ///
@@ -70,8 +73,9 @@ struct HistexResult {
   uint64_t torn_global_txns = 0;
   /// Sharded runs only: each shard's own online-checker violations.
   std::vector<uint64_t> shard_violations;
-  /// Ran to completion with zero violations (and, sharded, no torn
-  /// global transaction).
+  /// Ran to completion with zero violations, the replay oracle agreeing
+  /// (every shard's, when sharded) and, sharded, no torn global
+  /// transaction.
   bool ok = false;
   std::string detail;             ///< failure account (incl. replay hint)
 };

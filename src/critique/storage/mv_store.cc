@@ -162,7 +162,8 @@ std::vector<std::pair<ItemId, Row>> MultiVersionStore::Scan(
   return out;
 }
 
-size_t MultiVersionStore::GarbageCollect(Timestamp watermark) {
+size_t MultiVersionStore::GarbageCollect(Timestamp watermark,
+                                         bool remember_drops) {
   size_t dropped = 0;
   size_t kept = 0;
   for (Chains::iterator it : queued_) {
@@ -186,6 +187,7 @@ size_t MultiVersionStore::GarbageCollect(Timestamp watermark) {
     // which leaves the queue with it.
     if (chain.size() == 1 && chain[0].committed() && chain[0].tombstone &&
         chain[0].commit_ts <= watermark) {
+      if (remember_drops) dropped_tombstones_[it->first] = chain[0].creator;
       ++dropped;
       chains_.erase(it);
     } else if (CanShrink(chain)) {
@@ -196,6 +198,11 @@ size_t MultiVersionStore::GarbageCollect(Timestamp watermark) {
   }
   queued_.resize(kept);
   return dropped;
+}
+
+TxnId MultiVersionStore::AbsentVersionCreator(const ItemId& id) const {
+  auto it = dropped_tombstones_.find(id);
+  return it == dropped_tombstones_.end() ? kInitialTxn : it->second;
 }
 
 size_t MultiVersionStore::VersionCount() const {

@@ -45,7 +45,10 @@ struct Version {
 ///  * `GarbageCollect(watermark)` keeps, per item, the newest committed
 ///    version at or below the watermark, everything newer, and all
 ///    pending versions; a chain whose only survivor is a committed
-///    tombstone at or below the watermark is dropped entirely.
+///    tombstone at or below the watermark is dropped entirely.  A pass
+///    asked to remember drops keeps each such tombstone's creator, so a
+///    later read that finds the item absent can still name the version
+///    it saw (`AbsentVersionCreator`).
 ///  * A pass costs O(queued chains), not O(items).  `Bootstrap` and
 ///    `CommitTxn` queue a chain as a GC candidate when it holds more than
 ///    one committed version or a committed tombstone, the only chains the
@@ -114,9 +117,18 @@ class MultiVersionStore {
                                            Timestamp ts, TxnId txn) const;
 
   /// Drops versions no longer visible to any snapshot >= `watermark`
-  /// (see the class contract), visiting only the queued chains.  Returns
-  /// the number of versions discarded.
-  size_t GarbageCollect(Timestamp watermark);
+  /// (see the class contract), visiting only the queued chains.  With
+  /// `remember_drops`, the creator of each lone tombstone dropped with its
+  /// chain is kept for `AbsentVersionCreator` (one entry per such item,
+  /// so engines ask for it only while recording a history).  Returns the
+  /// number of versions discarded.
+  size_t GarbageCollect(Timestamp watermark, bool remember_drops = false);
+
+  /// The version subscript for a read that finds no visible version of
+  /// `id`: the creator of the last tombstone a remembering pass dropped
+  /// with the item's chain (every snapshot at or above that pass's
+  /// watermark saw that delete), else kInitialTxn, the initial state.
+  TxnId AbsentVersionCreator(const ItemId& id) const;
 
   /// Chains queued for the next `GarbageCollect` (tests).
   size_t QueuedChainCount() const { return queued_.size(); }
@@ -161,6 +173,8 @@ class MultiVersionStore {
   /// GC candidates; `std::map` iterators stay valid until their erase,
   /// and a queued chain is erased only by `GarbageCollect` itself.
   std::vector<Chains::iterator> queued_;
+  /// Item -> creator of its last remembered dropped tombstone.
+  std::map<ItemId, TxnId> dropped_tombstones_;
 };
 
 }  // namespace critique

@@ -131,15 +131,6 @@ TEST(AnsiLevelsEdgeTest, NestingOfForbiddenSets) {
   }
 }
 
-TEST(MVEdgeTest, ToStringShowsDirection) {
-  MVEdge e;
-  e.from = 2;
-  e.to = 1;
-  e.kind = ConflictKind::kReadWrite;
-  e.item = "x";
-  EXPECT_EQ(e.ToString(), "T2 -rw[x]-> T1");
-}
-
 TEST(MVMappingEdgeTest, StatementMappingKeepsReadPositions) {
   // Oracle-style: reads stay in place, the pending write migrates to c2.
   auto h = MustParse("w2[x2=9] r1[x0=1] c2 r1[x2=9] c1");

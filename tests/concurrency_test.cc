@@ -13,6 +13,7 @@
 
 #include "critique/analysis/dependency_graph.h"
 #include "critique/analysis/mv_analysis.h"
+#include "critique/check/online_checker.h"
 #include "critique/db/database.h"
 #include "critique/lock/lock_manager.h"
 #include "critique/workload/parallel_driver.h"
@@ -341,7 +342,7 @@ TEST(ConcurrencyTest, CommittedSerializableHistoriesStaySerializable) {
     } else {
       EXPECT_TRUE(IsMVSerializable(db.history()))
           << db.name() << "\n"
-          << MVSerializationGraph::Build(db.history()).ToString();
+          << check::ReplayHistory(db.history()).ToString();
     }
   }
 }

@@ -61,6 +61,67 @@ TEST(MVStoreGcTest, DropsTombstoneOnlyChains) {
   EXPECT_FALSE(store.Read("x", 30, 99).has_value());
 }
 
+TEST(MVStoreGcTest, RememberedDropNamesTheDeleterOfAnAbsentItem) {
+  MultiVersionStore store;
+  store.Bootstrap("x", Row::Scalar(Value(int64_t{1})), 1);
+  store.Bootstrap("y", Row::Scalar(Value(int64_t{1})), 1);
+  store.Delete("x", 2);
+  store.Delete("y", 3);
+  store.CommitTxn(2, 10, std::set<ItemId>{"x"});
+  store.CommitTxn(3, 10, std::set<ItemId>{"y"});
+  // Only a remembering pass keeps the deleter; an unknown item and a
+  // chain dropped by a plain pass both read as the initial state.
+  EXPECT_EQ(store.GarbageCollect(5), 0u);
+  EXPECT_EQ(store.AbsentVersionCreator("x"), kInitialTxn);
+  store.Write("y", Row::Scalar(Value(int64_t{2})), 4);  // pins y's chain
+  EXPECT_EQ(store.GarbageCollect(20, /*remember_drops=*/true), 3u);
+  EXPECT_EQ(store.ItemCount(), 1u);
+  EXPECT_EQ(store.AbsentVersionCreator("x"), 2);
+  EXPECT_EQ(store.AbsentVersionCreator("y"), kInitialTxn);
+  EXPECT_EQ(store.AbsentVersionCreator("z"), kInitialTxn);
+  MultiVersionStore plain;
+  plain.Bootstrap("x", Row::Scalar(Value(int64_t{1})), 1);
+  plain.Delete("x", 2);
+  plain.CommitTxn(2, 10, std::set<ItemId>{"x"});
+  EXPECT_EQ(plain.GarbageCollect(20), 2u);
+  EXPECT_EQ(plain.AbsentVersionCreator("x"), kInitialTxn);
+}
+
+// A recorded read of an item whose delete GC collected names the delete's
+// version, not the initial one: otherwise the MVSG would draw a false
+// anti-dependency to the item's first creator.
+TEST(GcHistoryTest, AbsentReadAfterCollectedDeleteNamesTheDeleter) {
+  for (IsolationLevel level : {IsolationLevel::kSnapshotIsolation,
+                               IsolationLevel::kOracleReadConsistency}) {
+    DbOptions opts(level);
+    opts.record_history = true;
+    Database db(opts);
+    (void)db.Load("x", Value(int64_t{0}));
+    Transaction writer = db.Begin();
+    ASSERT_TRUE(writer.Put("x", Value(int64_t{1})).ok());
+    ASSERT_TRUE(writer.Commit().ok());
+    Transaction deleter = db.Begin();
+    ASSERT_TRUE(deleter.Erase("x").ok());
+    const TxnId deleter_id = deleter.id();
+    ASSERT_TRUE(deleter.Commit().ok());
+    (void)db.GarbageCollectVersions();
+    ASSERT_EQ(db.engine().VersionCount(), 0u) << "the chain was dropped";
+
+    Transaction reader = db.Begin();
+    auto row = reader.Get("x");
+    EXPECT_TRUE(!row.ok() || !row->has_value());
+    ASSERT_TRUE(reader.Commit().ok());
+    const History h = db.HistorySnapshot();
+    const Action* read = nullptr;
+    for (const Action& a : h.actions()) {
+      if (a.txn == reader.id() && a.IsRead()) read = &a;
+    }
+    ASSERT_NE(read, nullptr) << h.ToString();
+    EXPECT_EQ(read->version, std::optional<TxnId>(deleter_id))
+        << IsolationLevelName(level) << ": " << h.ToString();
+  }
+}
+
 // --- the GC queue: a pass visits only the chains that can shrink ------------
 
 Row IntRow(int64_t v) { return Row::Scalar(Value(v)); }

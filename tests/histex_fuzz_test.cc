@@ -1,6 +1,7 @@
 // HISTEX fuzz harness tests: seeded random histories over engines ×
 // per-transaction level mixes × shard counts, every commit certified by
-// the online checker.  Environment knobs (all optional):
+// the online checker, and every recorded history replayed unpruned to the
+// same verdicts.  Environment knobs (all optional):
 //
 //   HISTEX_SEEDS=N        seeds per configuration (default 5)
 //   HISTEX_TXNS=N         transactions per run (default 200)
@@ -75,6 +76,9 @@ void CheckRun(HistexConfig cfg) {
       << cfg.ToString();
 }
 
+// Every odd seed prunes the live checker after every commit, the most
+// aggressive cadence, so the replay oracle (an unpruned replay of the
+// recorded history must reach the same verdicts) tests pruning hardest.
 void Sweep(IsolationLevel engine, std::vector<IsolationLevel> mix,
            int shards) {
   for (int s = 0; s < SeedsPerConfig(); ++s) {
@@ -83,6 +87,7 @@ void Sweep(IsolationLevel engine, std::vector<IsolationLevel> mix,
     cfg.engine = engine;
     cfg.txn_levels = mix;
     cfg.shards = shards;
+    if (cfg.seed % 2 == 1) cfg.checker_prune_interval = 1;
     CheckRun(cfg);
   }
 }

@@ -1,11 +1,14 @@
 // Multiversion analysis tests: the H1.SI -> H1.SI.SV mapping, snapshot
-// visibility validation, first-committer-wins validation, and the MV
-// serialization graph (write skew's rw-only cycle).
+// visibility validation, first-committer-wins validation, and the MVSG
+// judge (`IsMVSerializable`, a replay through the online checker).
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "critique/analysis/dependency_graph.h"
 #include "critique/analysis/mv_analysis.h"
+#include "critique/check/online_checker.h"
 #include "critique/history/history.h"
 
 namespace critique {
@@ -103,42 +106,62 @@ TEST(FirstCommitterWinsTest, AbortedWriterDoesNotConflict) {
   EXPECT_TRUE(ValidateFirstCommitterWins(ok).ok());
 }
 
-TEST(MVSGTest, H5SIHasRwOnlyCycle) {
-  auto g = MVSerializationGraph::Build(MustParse(kH5SI));
-  EXPECT_TRUE(g.HasCycle());
-  EXPECT_TRUE(g.HasRwOnlyCycle());
+// --- the MVSG judge: IsMVSerializable is a replay through the checker ----
+
+// The path of the replay's one violation, which must be a cycle, with the
+// participants' level names (Serializable, the replay default) left out.
+std::string CyclePath(const History& h) {
+  const check::CheckerReport r = check::ReplayHistory(h);
+  EXPECT_EQ(r.first_violations.size(), 1u) << r.ToString();
+  if (r.first_violations.empty()) return "";
+  EXPECT_EQ(r.first_violations[0].kind, "cycle");
+  std::string path = r.first_violations[0].detail;
+  const std::string level =
+      "(" + std::string(IsolationLevelName(IsolationLevel::kSerializable)) +
+      ")";
+  for (size_t at; (at = path.find(level)) != std::string::npos;) {
+    path.erase(at, level.size());
+  }
+  return path;
+}
+
+TEST(MVSGTest, H5SIIsRejected) {
   EXPECT_FALSE(IsMVSerializable(MustParse(kH5SI)));
+  EXPECT_EQ(CyclePath(MustParse(kH5SI)), "T2 -rw-> T1 -rw-> T2");
 }
 
-TEST(MVSGTest, H1SIIsMVSerializable) {
-  auto g = MVSerializationGraph::Build(MustParse(kH1SI));
-  EXPECT_FALSE(g.HasCycle());
+TEST(MVSGTest, H1SIIsAccepted) {
   EXPECT_TRUE(IsMVSerializable(MustParse(kH1SI)));
+  EXPECT_TRUE(check::ReplayHistory(MustParse(kH1SI)).ok());
 }
 
-TEST(MVSGTest, WrEdgesFollowVersionReads) {
-  History h = MustParse("w1[x1=5] c1 r2[x1=5] w2[y2=1] c2");
-  auto g = MVSerializationGraph::Build(h);
-  bool found_wr = false;
-  for (const auto& e : g.edges()) {
-    if (e.from == 1 && e.to == 2 && e.kind == ConflictKind::kWriteRead) {
-      found_wr = true;
-    }
-  }
-  EXPECT_TRUE(found_wr) << g.ToString();
+TEST(MVSGTest, ReadFromLaterCommittingCreatorIsNoCycle) {
+  // T2 reads T1's version before T1 commits: the replay charges a dirty
+  // read, but the MVSG (just T1 -wr-> T2) stays acyclic.  A verdict of
+  // "no violations" would wrongly reject these histories.
+  const History h = MustParse("w1[x1] r2[x1] c1 c2");
+  EXPECT_TRUE(IsMVSerializable(h));
+  const check::CheckerReport r = check::ReplayHistory(h);
+  ASSERT_EQ(r.violations, 1u) << r.ToString();
+  EXPECT_EQ(r.first_violations[0].kind, "dirty-read");
+  EXPECT_TRUE(IsMVSerializable(MustParse("w1[x1] r2[x1] c2 c1")));
 }
 
-TEST(MVSGTest, RwEdgeWhenLaterVersionExists) {
-  // T2 reads x0 while T1 installs x1: anti-dependency T2 -rw-> T1.
-  History h = MustParse("r2[x0=0] w1[x1=5] c1 c2");
-  auto g = MVSerializationGraph::Build(h);
-  bool found_rw = false;
-  for (const auto& e : g.edges()) {
-    if (e.from == 2 && e.to == 1 && e.kind == ConflictKind::kReadWrite) {
-      found_rw = true;
-    }
-  }
-  EXPECT_TRUE(found_rw) << g.ToString();
+TEST(MVSGTest, WrEdgeFollowsTheVersionRead) {
+  // T2 reads T1's x1 (T1 -wr-> T2) but y0 under T1's y1 (T2 -rw-> T1).
+  const History h = MustParse("r2[y0] w1[x1] w1[y1] c1 r2[x1] c2");
+  EXPECT_FALSE(IsMVSerializable(h));
+  EXPECT_EQ(CyclePath(h), "T1 -wr-> T2 -rw-> T1");
+}
+
+TEST(MVSGTest, RwEdgeGoesToTheImmediateNextVersion) {
+  // T3 reads x1, which x2 (T2) and then x4 (T4) supersede: the
+  // anti-dependency runs to T2 alone, so the cycle that T4 closes by
+  // reading y0 under T3's y3 passes through T2 -ww-> T4.
+  const History h =
+      MustParse("w1[x1] c1 r3[x1] w2[x2] c2 w4[x4] r4[y0] c4 w3[y3] c3");
+  EXPECT_FALSE(IsMVSerializable(h));
+  EXPECT_EQ(CyclePath(h), "T3 -rw-> T2 -ww-> T4 -rw-> T3");
 }
 
 }  // namespace

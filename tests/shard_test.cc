@@ -26,6 +26,7 @@
 
 #include "critique/analysis/dependency_graph.h"
 #include "critique/analysis/mv_analysis.h"
+#include "critique/check/online_checker.h"
 #include "critique/common/random.h"
 #include "critique/engine/locking_engine.h"
 #include "critique/engine/si_engine.h"
@@ -549,7 +550,7 @@ TEST(SsiPreparedWindowTest, CompleterIsRefusedAndPreparedPivotCommits) {
   EXPECT_EQ(audit.GetScalar("xr")->AsInt(), 1);
   EXPECT_TRUE(audit.Commit().ok());
   EXPECT_TRUE(IsMVSerializable(db.history()))
-      << MVSerializationGraph::Build(db.history()).ToString();
+      << check::ReplayHistory(db.history()).ToString();
 }
 
 TEST(SsiPreparedWindowTest, FirstCommitterAroundAPreparedPivotIsRefused) {
@@ -579,7 +580,7 @@ TEST(SsiPreparedWindowTest, FirstCommitterAroundAPreparedPivotIsRefused) {
   EXPECT_EQ(audit.GetScalar("xr")->AsInt(), 0);
   EXPECT_TRUE(audit.Commit().ok());
   EXPECT_TRUE(IsMVSerializable(db.history()))
-      << MVSerializationGraph::Build(db.history()).ToString();
+      << check::ReplayHistory(db.history()).ToString();
 }
 
 TEST(SsiPreparedWindowTest, CoordinatorCommitsThePinnedParticipant) {

@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "critique/analysis/mv_analysis.h"
+#include "critique/check/online_checker.h"
 #include "critique/engine/si_engine.h"
 
 namespace critique {
@@ -75,7 +76,7 @@ TEST(SsiEscapeTest, InEdgeFormedAfterPivotCommitAbortsTheCompleter) {
   Status c1 = e.Commit(1);
   EXPECT_TRUE(c1.IsSerializationFailure()) << c1.ToString();
   EXPECT_TRUE(IsMVSerializable(e.history()))
-      << MVSerializationGraph::Build(e.history()).ToString();
+      << check::ReplayHistory(e.history()).ToString();
   EXPECT_EQ(e.stats().serialization_aborts, 1u);
 }
 
@@ -145,7 +146,7 @@ TEST(SsiEscapeTest, EdgeInCommitWindowAbortsPivotAtRevalidation) {
   ASSERT_TRUE(e.Read(1, "x").ok());
   EXPECT_TRUE(e.Commit(1).ok());
   EXPECT_TRUE(IsMVSerializable(e.history()))
-      << MVSerializationGraph::Build(e.history()).ToString();
+      << check::ReplayHistory(e.history()).ToString();
 }
 
 TEST(SsiEscapeTest, CommitWindowOverlapIsRefusedByReservation) {
