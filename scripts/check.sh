@@ -17,10 +17,12 @@
 #            scripts/bench_gate.py (tolerance via BENCH_GATE_TOLERANCE,
 #            default 0.5 = fail on >50% regression).  See
 #            docs/benchmarks.md.
-#   --stress build under ThreadSanitizer and loop the formerly-flaky SSI
+#   --stress build under ThreadSanitizer and loop the SSI
 #            serializability stress test (ConcurrencyTest.
-#            CommittedSerializableHistoriesStaySerializable, which before
-#            the commit-pipeline fix failed ~1/15 TSan runs) and the
+#            CommittedSerializableHistoriesStaySerializable, whose
+#            sessions end through a local Commit or, every other one,
+#            Prepare/CommitPrepared, both pinning the transaction at its
+#            validation until it publishes) and the
 #            deadlock-victim seniority tests (SeniorityTest.*: a prober
 #            dooms a parked junior, which wakes and rolls back on its own
 #            thread), three WalTest.GroupCommit* device-token tests

@@ -39,10 +39,10 @@ EngineStats EngineCounters::Snapshot() const {
   s.commits = commits.Value();
   s.aborts = aborts.Value();
   s.deadlock_aborts = deadlock_aborts.Value();
-  s.serialization_aborts = serialization_aborts.Value();
   s.blocked_ops = blocked_ops.Value();
   s.fcw_aborts = fcw_aborts.Value();
   s.ssi_aborts = ssi_aborts.Value();
+  s.serialization_aborts = s.fcw_aborts + s.ssi_aborts;
   return s;
 }
 
@@ -66,10 +66,72 @@ void Engine::RegisterMetrics(obs::MetricsRegistry& reg,
   field("commits", &EngineCounters::commits);
   field("aborts", &EngineCounters::aborts);
   field("deadlock_aborts", &EngineCounters::deadlock_aborts);
-  field("serialization_aborts", &EngineCounters::serialization_aborts);
+  reg.RegisterGauge(prefix + "serialization_aborts", [this] {
+    const EngineCounters& c = recorder_.counters();
+    return c.fcw_aborts.Value() + c.ssi_aborts.Value();
+  });
   field("fcw_aborts", &EngineCounters::fcw_aborts);
   field("ssi_aborts", &EngineCounters::ssi_aborts);
   field("blocked_ops", &EngineCounters::blocked_ops);
+}
+
+Status Engine::StateStatus(TxnId txn, const ParticipantState* st,
+                           bool prepared) {
+  const std::string name = "txn " + std::to_string(txn);
+  if (prepared) {
+    if (st != nullptr && st->active && st->prepared) return Status::OK();
+    return Status::FailedPrecondition(name + " is not prepared");
+  }
+  if (st == nullptr || !st->active) {
+    return Status::TransactionAborted(name + " is not active");
+  }
+  if (st->prepared) {
+    return Status::FailedPrecondition(
+        name +
+        " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
+        "it");
+  }
+  return Status::OK();
+}
+
+void Engine::LogBegin(TxnId txn) {
+  if (wal_ != nullptr) wal_->Append(WalRecord::Begin(txn));
+}
+
+namespace {
+
+// Drains `st.redo` into one kWriteSet record (nothing when empty).
+void AppendRedo(WalSink& wal, TxnId txn, ParticipantState& st) {
+  if (st.redo.empty()) return;
+  wal.Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
+  st.redo.clear();
+}
+
+}  // namespace
+
+std::optional<uint64_t> Engine::LogVote(TxnId txn, ParticipantState& st) {
+  st.prepared = true;
+  if (wal_ == nullptr) return std::nullopt;
+  AppendRedo(*wal_, txn, st);
+  return wal_->Append(WalRecord::Prepare(txn));
+}
+
+std::optional<uint64_t> Engine::LogCommit(TxnId txn, ParticipantState& st,
+                                          Timestamp commit_ts) {
+  const bool decision = st.prepared;
+  if (wal_ == nullptr || (!decision && st.redo.empty())) {
+    st.redo.clear();
+    return std::nullopt;
+  }
+  AppendRedo(*wal_, txn, st);
+  const uint64_t lsn = wal_->Append(WalRecord::Commit(txn, commit_ts));
+  if (decision) return std::nullopt;
+  return lsn;
+}
+
+void Engine::LogAbort(TxnId txn, ParticipantState& st) {
+  if (st.prepared && wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
+  st.prepared = false;
 }
 
 Status Engine::Update(

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -37,9 +38,8 @@ struct EngineStats {
   uint64_t blocked_ops = 0;       ///< operations answered kWouldBlock
 
   // Breakdown of `serialization_aborts` by the paper's taxonomy (the same
-  // tags the `obs::TxnTracer` records).  The aggregate above keeps
-  // counting for compatibility; these two always sum to it for the stock
-  // engines.
+  // tags the `obs::TxnTracer` records); `serialization_aborts` is their
+  // sum, not a counter of its own.
   uint64_t fcw_aborts = 0;      ///< First-Committer/Updater-Wins conflicts
   uint64_t ssi_aborts = 0;      ///< SSI dangerous-structure refusals
 
@@ -135,12 +135,12 @@ struct EngineCounters {
   obs::Counter commits;
   obs::Counter aborts;
   obs::Counter deadlock_aborts;
-  obs::Counter serialization_aborts;
   obs::Counter blocked_ops;
   obs::Counter fcw_aborts;
   obs::Counter ssi_aborts;
 
-  /// Sums every counter into an `EngineStats`.  Exact once sessions are
+  /// Sums every counter into an `EngineStats` (`serialization_aborts` is
+  /// `fcw_aborts + ssi_aborts`).  Exact once sessions are
   /// quiescent; while they run it is not a consistent cut (one field may
   /// already count an operation another field does not yet reflect).
   EngineStats Snapshot() const;
@@ -230,6 +230,21 @@ class EngineRecorder {
   EngineCounters counters_;
   Observer observer_;
   bool recording_ = true;
+};
+
+/// \brief Where one transaction stands in the participant protocol (see
+/// `Engine`), plus the redo images its WAL records carry: the part of
+/// every engine's per-transaction state that the shared protocol helpers
+/// read.  Each engine's transaction entry derives from it.
+struct ParticipantState {
+  /// Redo after-images (nullopt = tombstone), collected only while a WAL
+  /// sink is attached; drained into the kWriteSet record by the vote or a
+  /// local commit.  Owner-thread-only.
+  std::map<ItemId, std::optional<Row>> redo;
+  bool active = false;
+  /// Prepared by a 2PC coordinator: in doubt, and only `CommitPrepared` or
+  /// `AbortPrepared` may end it.  A local committer is never prepared.
+  bool prepared = false;
 };
 
 /// \brief The transaction-engine interface every isolation implementation
@@ -488,37 +503,44 @@ class Engine {
   /// Rolls back (application-initiated ROLLBACK).
   virtual Status Abort(TxnId txn) = 0;
 
-  // --- two-phase-commit participant protocol -------------------------------
+  // --- the participant protocol -------------------------------------------
   //
-  // A distributed coordinator (shard/TxnCoordinator) ends a transaction in
-  // two steps: `Prepare` runs every validation that could still refuse the
-  // commit and moves the transaction into a *prepared* (in-doubt) state —
-  // locks stay held, pending versions stay pending, and every further
-  // operation (including plain Commit/Abort) answers FailedPrecondition
-  // until the coordinator's decision arrives as `CommitPrepared` or
-  // `AbortPrepared`.
+  // Every engine ends a transaction in the same two steps: *validate and
+  // pin*, then *publish*.  A distributed coordinator (shard/TxnCoordinator)
+  // runs them as two calls: `Prepare` runs every validation that could
+  // still refuse the commit and moves the transaction into a *prepared*
+  // (in-doubt) state — locks stay held, pending versions stay pending, and
+  // every further operation (including plain Commit/Abort) answers
+  // FailedPrecondition until the coordinator's decision arrives as
+  // `CommitPrepared` or `AbortPrepared`.  A local `Commit` is a prepare
+  // without a vote: the same two steps in one call, never in doubt.
   //
-  // After an OK `Prepare`, `CommitPrepared` must not fail: *prepared means
-  // pinned*.  A lock scheduler keeps that promise with the locks it holds
-  // across the in-doubt window.  A certifying engine (SSI) keeps it by
-  // treating a prepared participant as committed in everyone else's
-  // conflict checks, so the active transaction that would close a
-  // dangerous structure through it is refused instead (PostgreSQL's rule;
-  // Ports & Grittner, VLDB 2012).  The global commit point depends on
-  // this: once every vote is durable, nothing may refuse the commit.
+  // After an OK validation, publication must not fail: *validated means
+  // pinned*.  A lock scheduler keeps that promise with the locks it holds.
+  // A certifying engine (SSI) keeps it by treating a pinned transaction —
+  // a prepared participant, or a local committer between its validation
+  // and its publication — as committed in everyone else's conflict
+  // checks, so the active transaction that would close a dangerous
+  // structure through it is refused instead (PostgreSQL's rule; Ports &
+  // Grittner, VLDB 2012).  The global commit point depends on this: once
+  // every vote is durable, nothing may refuse the commit.
   //
-  // Durability (engines with a WAL attached): `Prepare` appends its vote
-  // — the write set and `kPrepare` — and returns the vote's LSN without
-  // waiting for it.  The durable-vote rule (a participant counts as
-  // prepared only once its vote would survive a crash) is the caller's:
-  // `Transaction::Prepare` awaits the vote before it answers OK, and the
-  // 2PC coordinator appends every participant's vote and its own record
-  // first and then awaits them all in one overlapped wait
-  // (`CommitLog::WaitDurableAll`), so a cross-shard commit pays one device
-  // round.  A dead log's append answers LSN 0, and awaiting it reports the
-  // failure; the participant stays frozen in doubt, which is exactly what
-  // a crash at that instant means.  `CommitPrepared` appends its slim
-  // `kCommit` inside the publication section, like a plain commit, but
+  // Durability (engines with a WAL attached): the two kinds of ending
+  // differ only in which records they append and whether they wait for
+  // them (the protected `Log*` helpers below hold that rule).  `Prepare`
+  // appends its vote — the write set and `kPrepare` — and returns the
+  // vote's LSN without waiting for it.  The durable-vote rule (a
+  // participant counts as prepared only once its vote would survive a
+  // crash) is the caller's: `Transaction::Prepare` awaits the vote before
+  // it answers OK, and the 2PC coordinator appends every participant's
+  // vote and its own record first and then awaits them all in one
+  // overlapped wait (`CommitLog::WaitDurableAll`), so a cross-shard commit
+  // pays one device round.  A dead log's append answers LSN 0, and
+  // awaiting it reports the failure; the participant stays frozen in
+  // doubt, which is exactly what a crash at that instant means.  A local
+  // `Commit` appends its write set and `kCommit` inside the publication
+  // section and waits for them after releasing its latches.
+  // `CommitPrepared` appends its slim `kCommit` in the same section but
   // does NOT wait for it: the global commit point (every vote and the
   // coordinator's record durable, no `kAbort`) is already reached.  A
   // crash that loses the record restores the participant in doubt, and
@@ -528,20 +550,6 @@ class Engine {
   // `kAbort` before it releases anything, without waiting: a commit that
   // depends on the release logs after it, so the abort is durable first,
   // and a durable `kAbort` overrides the votes in recovery's decision.
-  //
-  // The base-class defaults implement the *trivial participant* for
-  // engines whose `Commit` cannot fail (pure lock schedulers): `Prepare`
-  // validates nothing and leaves the transaction active, the decision
-  // calls forward to `Commit`/`Abort`, and nothing is ever in doubt.
-  // Caveat: a trivial participant cannot survive a coordinator crash —
-  // after the crash the session layer rolls its still-active transaction
-  // back, which is the correct presumed-abort answer for a crash *before*
-  // the decision but breaks atomicity if a commit was already logged
-  // (other participants recover forward).  Every stock engine therefore
-  // overrides the protocol with a real prepared state; the default exists
-  // for custom SPI engines that never see a crashing coordinator.  Engines
-  // with a fallible commit (First-Committer-Wins, SSI) must override all
-  // four regardless.
 
   /// Phase 1: validate, move `txn` to the prepared (in-doubt) state and
   /// append its vote to the attached WAL.  Returns the vote's LSN, for the
@@ -549,23 +557,20 @@ class Engine {
   /// (0 when the log died on the append), or nullopt with no WAL attached.
   /// Retryable refusals (`kSerializationFailure`, ...) mean the engine
   /// already rolled the transaction back, exactly as a failed `Commit`.
-  virtual Result<std::optional<uint64_t>> Prepare(TxnId txn) {
-    (void)txn;
-    return std::optional<uint64_t>();
-  }
+  virtual Result<std::optional<uint64_t>> Prepare(TxnId txn) = 0;
 
   /// Phase 2, commit decision: finishes a prepared transaction.  Cannot
-  /// fail after an OK `Prepare` (prepared means pinned; see above).
-  virtual Status CommitPrepared(TxnId txn) { return Commit(txn); }
+  /// fail after an OK `Prepare` (validated means pinned; see above).
+  virtual Status CommitPrepared(TxnId txn) = 0;
 
   /// Phase 2, abort decision: rolls back a prepared transaction.
-  virtual Status AbortPrepared(TxnId txn) { return Abort(txn); }
+  virtual Status AbortPrepared(TxnId txn) = 0;
 
   /// Transactions prepared but not yet decided — what a recovering
   /// coordinator must resolve (presumed abort: a global transaction is
   /// committed only when its commit point is provably durable).  Sorted
-  /// ascending.
-  virtual std::vector<TxnId> InDoubtTransactions() const { return {}; }
+  /// ascending.  A local committer, pinned or not, is never listed.
+  virtual std::vector<TxnId> InDoubtTransactions() const = 0;
 
   /// The history recorded so far (empty when recording is off).
   /// Reference view for quiescent callers; use `HistorySnapshot` while
@@ -633,11 +638,85 @@ class Engine {
     }
   }
 
+  // --- the participant protocol, shared by every engine ---------------------
+  //
+  // `txns` is the engine's transaction table (a map from TxnId to an entry
+  // deriving from `ParticipantState`); the caller holds whatever latch
+  // guards it.  Each engine calls the `Log*` helpers from the section that
+  // orders its commits, so log order agrees with that order.
+
+  /// OK when `txn` is active and in doubt exactly when `prepared` says
+  /// so.  Otherwise kFailedPrecondition, except that a missing or finished
+  /// `txn` answers kTransactionAborted when not asked to be prepared.
+  template <typename Txns>
+  static Status CheckState(const Txns& txns, TxnId txn, bool prepared) {
+    auto it = txns.find(txn);
+    return StateStatus(txn, it == txns.end() ? nullptr : &it->second,
+                       prepared);
+  }
+
+  /// `CheckState` for an operation or a local ending: not in doubt.
+  template <typename Txns>
+  static Status CheckActive(const Txns& txns, TxnId txn) {
+    return CheckState(txns, txn, /*prepared=*/false);
+  }
+
+  /// The prepared transactions of `txns`, ascending.
+  template <typename Txns>
+  static std::vector<TxnId> InDoubt(const Txns& txns) {
+    std::vector<TxnId> out;
+    for (const auto& [t, st] : txns) {
+      if (st.active && st.prepared) out.push_back(t);
+    }
+    return out;
+  }
+
+  /// A row's scalar payload, the value a history action records.
+  static std::optional<Value> HistoryValue(const std::optional<Row>& row) {
+    if (row.has_value() && row->Has("val")) return row->scalar();
+    return std::nullopt;
+  }
+
+  /// Appends `kBegin`: informational, buffered with the next sync.  It
+  /// keeps the log self-describing and advances the recovered id
+  /// allocator past ids that never reach a terminal record.
+  void LogBegin(TxnId txn);
+
+  /// The vote: marks `st` prepared and appends its redo and `kPrepare`.
+  /// Returns the LSN the caller must make durable, or nullopt without a
+  /// WAL.
+  std::optional<uint64_t> LogVote(TxnId txn, ParticipantState& st);
+
+  /// The commit records, appended from the engine's publication section.
+  /// A local commit appends its redo and `kCommit` and returns the LSN to
+  /// await (`AwaitDurable`), or nullopt when it wrote nothing.  A decision
+  /// (`st.prepared`) appends a slim `kCommit` — even when read-only, so
+  /// replay can resolve the restored participant — and returns nullopt:
+  /// the durable 2PC decision is its commit point.
+  std::optional<uint64_t> LogCommit(TxnId txn, ParticipantState& st,
+                                    Timestamp commit_ts);
+
+  /// Before a rollback releases anything: a prepared participant's
+  /// `kAbort` is appended, never awaited (a commit that depends on the
+  /// release logs after it, and a lost record re-restores the participant
+  /// in doubt, which recovery decides again).  Clears `st.prepared`.
+  void LogAbort(TxnId txn, ParticipantState& st);
+
+  /// Waits for a local commit's records; call with no engine latch held.
+  Status AwaitDurable(std::optional<uint64_t> lsn) const {
+    return lsn.has_value() ? wal_->WaitDurable(*lsn) : Status::OK();
+  }
+
   EngineRecorder recorder_;
   EngineConcurrency concurrency_;
   VersionGcPolicy gc_policy_;
   WalSink* wal_ = nullptr;  ///< not owned; outlives the engine
   obs::TxnTracer* tracer_ = nullptr;  ///< not owned; outlives the engine
+
+ private:
+  /// `CheckState` on `txn`'s entry `st` (nullptr: the table has none).
+  static Status StateStatus(TxnId txn, const ParticipantState* st,
+                            bool prepared);
 };
 
 }  // namespace critique

@@ -3,15 +3,6 @@
 #include <cassert>
 
 namespace critique {
-namespace {
-
-// History value for a row: its scalar payload when it has one.
-std::optional<Value> HistoryValue(const std::optional<Row>& row) {
-  if (row.has_value() && row->Has("val")) return row->scalar();
-  return std::nullopt;
-}
-
-}  // namespace
 
 LockingEngine::LockingEngine(IsolationLevel level)
     : level_(level), policy_(PolicyFor(level)) {
@@ -58,8 +49,7 @@ Status LockingEngine::BeginLocked(TxnId txn, LockingPolicy policy) {
   TxnState& st = txns_[txn];
   st.active = true;
   st.policy = policy;
-  // Informational, buffered with the next sync (see the SI engine).
-  if (wal_ != nullptr) wal_->Append(WalRecord::Begin(txn));
+  LogBegin(txn);
   Trace(txn, obs::TraceEventType::kBegin);
   return Status::OK();
 }
@@ -67,22 +57,7 @@ Status LockingEngine::BeginLocked(TxnId txn, LockingPolicy policy) {
 void LockingEngine::RegisterMetrics(obs::MetricsRegistry& reg,
                                     const std::string& prefix) {
   Engine::RegisterMetrics(reg, prefix);
-  reg.RegisterGauge(prefix + "lock.acquired",
-                    [this] { return lock_manager_.stats().acquired; });
-  reg.RegisterGauge(prefix + "lock.blocked",
-                    [this] { return lock_manager_.stats().blocked; });
-  reg.RegisterGauge(prefix + "lock.deadlocks",
-                    [this] { return lock_manager_.stats().deadlocks; });
-  reg.RegisterGauge(prefix + "lock.timeouts",
-                    [this] { return lock_manager_.stats().timeouts; });
-  reg.RegisterGauge(prefix + "lock.coop_parks",
-                    [this] { return lock_manager_.stats().coop_parks; });
-  reg.RegisterGauge(prefix + "lock.wakeups",
-                    [this] { return lock_manager_.stats().wakeups; });
-  reg.RegisterHistogram(prefix + "lock.wait_us",
-                        &lock_manager_.wait_histogram());
-  reg.RegisterHistogram(prefix + "lock.park_wakeup_us",
-                        &lock_manager_.park_wakeup_histogram());
+  lock_manager_.RegisterMetrics(reg, prefix + "lock.");
 }
 
 void LockingEngine::InheritSeniority(TxnId txn, TxnId first_attempt) {
@@ -91,30 +66,6 @@ void LockingEngine::InheritSeniority(TxnId txn, TxnId first_attempt) {
 
 std::string LockingEngine::DebugDump() const {
   return lock_manager_.DebugSnapshot().ToString();
-}
-
-Status LockingEngine::CheckActive(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active) {
-    return Status::TransactionAborted("txn " + std::to_string(txn) +
-                                      " is not active");
-  }
-  if (it->second.prepared) {
-    return Status::FailedPrecondition(
-        "txn " + std::to_string(txn) +
-        " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
-        "it");
-  }
-  return Status::OK();
-}
-
-Status LockingEngine::CheckPrepared(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active || !it->second.prepared) {
-    return Status::FailedPrecondition("txn " + std::to_string(txn) +
-                                      " is not prepared");
-  }
-  return Status::OK();
 }
 
 std::optional<Row> LockingEngine::StoreGet(const ItemId& id) const {
@@ -178,7 +129,7 @@ Result<std::optional<Row>> LockingEngine::DoRead(TableLock& lk, TxnId txn,
                                                  const ItemId& id,
                                                  Action::Type type,
                                                  const std::string& cursor) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   // Copied, not referenced: a blocking Acquire drops the table latch.
   const LockingPolicy pol = txns_.find(txn)->second.policy;
 
@@ -239,7 +190,7 @@ Result<std::optional<Row>> LockingEngine::FetchCursorNamed(
 Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
     TxnId txn, const std::string& name, const Predicate& pred) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   const LockingPolicy pol = txns_.find(txn)->second.policy;
 
   LockHandle handle = 0;
@@ -275,7 +226,7 @@ Result<std::vector<std::pair<ItemId, Row>>> LockingEngine::ReadPredicate(
 Status LockingEngine::DoWrite(TableLock& lk, TxnId txn, const ItemId& id,
                               std::optional<Row> new_row, Action::Type type,
                               bool is_insert) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
 
   std::optional<Row> before = StoreGet(id);
   LockSpec spec = LockSpec::WriteItem(txn, id, before, new_row);
@@ -356,7 +307,7 @@ Status LockingEngine::Delete(TxnId txn, const ItemId& id) {
 Result<size_t> LockingEngine::DoPredicateWrite(
     TableLock& lk, TxnId txn, const std::string& name, const Predicate& pred,
     const std::function<std::optional<Row>(const Row&)>& transform) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
 
   // "Write locks on data items and predicates (always the same)": the
   // bulk write takes a Write predicate lock covering current rows and
@@ -430,7 +381,7 @@ Status LockingEngine::CloseCursor(TxnId txn) {
 
 Status LockingEngine::CloseCursorNamed(TxnId txn, const std::string& cursor) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   TxnState& st = txns_.find(txn)->second;
   auto it = st.cursors.find(cursor);
   if (it != st.cursors.end()) {
@@ -440,42 +391,41 @@ Status LockingEngine::CloseCursorNamed(TxnId txn, const std::string& cursor) {
   return Status::OK();
 }
 
-Status LockingEngine::Commit(TxnId txn) {
+Status LockingEngine::Publish(TxnId txn, bool decision) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+    CRITIQUE_RETURN_NOT_OK(CheckState(txns_, txn, /*prepared=*/decision));
     TxnState& st = txns_.find(txn)->second;
-    st.active = false;
-    st.undo.clear();
-    st.cursors.clear();
     // Appended before ReleaseAll: a conflicting transaction can only
     // acquire these locks — and so append its own commit — after this
     // one's records are in the log, so log order agrees with the lock
     // schedule (long write locks; Degree 0's short write locks make no
     // durability-ordering promise, matching its atomicity-only contract).
     // A single-version store has no commit clock: kInvalidTimestamp.
-    if (wal_ != nullptr && !st.redo.empty()) {
-      wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
-      wal_lsn = wal_->Append(WalRecord::Commit(txn, kInvalidTimestamp));
-      st.redo.clear();
-    }
+    wal_lsn = LogCommit(txn, st, kInvalidTimestamp);
+    st.active = false;
+    st.prepared = false;
+    st.undo.clear();
+    st.cursors.clear();
     recorder_.Record([txn] { return Action::Commit(txn); },
                      &EngineCounters::commits);
     lock_manager_.ReleaseAll(txn);
     Retire(txn);
   }
   Trace(txn, obs::TraceEventType::kCommit);
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
-  return Status::OK();
+  return AwaitDurable(wal_lsn);
 }
 
-Status LockingEngine::Abort(TxnId txn) {
+Status LockingEngine::RollbackEnding(TxnId txn, bool decision) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckState(txns_, txn, /*prepared=*/decision));
+  LogAbort(txn, txns_.find(txn)->second);
   Rollback(txn);
   recorder_.Count(&EngineCounters::aborts);
-  Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kExplicit);
+  Trace(txn, obs::TraceEventType::kAbort,
+        decision ? obs::AbortReason::kInDoubtDecision
+                 : obs::AbortReason::kExplicit);
   return Status::OK();
 }
 
@@ -483,71 +433,22 @@ Result<std::optional<uint64_t>> LockingEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+    CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
     // A lock scheduler's commit cannot fail: every conflict was already
     // resolved when the lock was granted.  Prepare therefore only pins the
     // transaction — locks stay held, undo stays applicable — until the
     // coordinator's decision.
-    TxnState& st = txns_.find(txn)->second;
-    st.prepared = true;
-    if (wal_ != nullptr) {
-      if (!st.redo.empty()) {
-        wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
-        st.redo.clear();
-      }
-      wal_lsn = wal_->Append(WalRecord::Prepare(txn));
-    }
+    wal_lsn = LogVote(txn, txns_.find(txn)->second);
   }
   Trace(txn, obs::TraceEventType::kPrepare);
   return wal_lsn;
-}
-
-Status LockingEngine::CommitPrepared(TxnId txn) {
-  {
-    TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-    TxnState& st = txns_.find(txn)->second;
-    st.prepared = false;
-    st.active = false;
-    st.undo.clear();
-    st.cursors.clear();
-    // Slim commit: the write set is already durable from Prepare.  The
-    // record is buffered, not awaited — the coordinator's durable decision
-    // is the commit point (see WalSink).
-    if (wal_ != nullptr) {
-      wal_->Append(WalRecord::Commit(txn, kInvalidTimestamp));
-    }
-    recorder_.Record([txn] { return Action::Commit(txn); },
-                     &EngineCounters::commits);
-    lock_manager_.ReleaseAll(txn);
-    Retire(txn);
-  }
-  Trace(txn, obs::TraceEventType::kCommit);
-  return Status::OK();
-}
-
-Status LockingEngine::AbortPrepared(TxnId txn) {
-  TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-  // Buffered only (presumed abort): a lost abort record re-restores the
-  // participant in doubt and the next recovery aborts it again.
-  if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
-  txns_.find(txn)->second.prepared = false;
-  Rollback(txn);
-  recorder_.Count(&EngineCounters::aborts);
-  Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kInDoubtDecision);
-  return Status::OK();
 }
 
 std::vector<TxnId> LockingEngine::InDoubtTransactions() const {
   // Exclusive: this is the one cross-session scan of the registry, so it
   // must not race the owners' own-state flag writes.
   std::unique_lock<std::shared_mutex> tl(table_mu_);
-  std::vector<TxnId> out;
-  for (const auto& [t, st] : txns_) {
-    if (st.active && st.prepared) out.push_back(t);
-  }
-  return out;
+  return InDoubt(txns_);
 }
 
 }  // namespace critique

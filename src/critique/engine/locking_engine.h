@@ -83,8 +83,8 @@ class LockingEngine : public Engine {
   Status WriteCursor(TxnId txn, const ItemId& id, Row row) override;
   Status CloseCursor(TxnId txn) override;
   Status CloseCursorNamed(TxnId txn, const std::string& cursor) override;
-  Status Commit(TxnId txn) override;
-  Status Abort(TxnId txn) override;
+  Status Commit(TxnId txn) override { return Publish(txn, false); }
+  Status Abort(TxnId txn) override { return RollbackEnding(txn, false); }
 
   // 2PC participant protocol: `Prepare` pins the transaction in doubt with
   // every lock still held (a lock scheduler's commit cannot fail, so
@@ -93,8 +93,10 @@ class LockingEngine : public Engine {
   // exactly what keeps other transactions from observing or clobbering
   // uncommitted state.
   Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
-  Status CommitPrepared(TxnId txn) override;
-  Status AbortPrepared(TxnId txn) override;
+  Status CommitPrepared(TxnId txn) override { return Publish(txn, true); }
+  Status AbortPrepared(TxnId txn) override {
+    return RollbackEnding(txn, true);
+  }
   std::vector<TxnId> InDoubtTransactions() const override;
 
   /// Forwards to the lock manager's deadlock-victim seniority.
@@ -122,19 +124,12 @@ class LockingEngine : public Engine {
     LockHandle lock = 0;
   };
 
-  struct TxnState {
-    bool active = false;
+  /// A prepared transaction keeps its locks and its undo.
+  struct TxnState : ParticipantState {
     /// The Table 2 row this transaction runs under (its declared level's
     /// policy; the engine's own row unless BeginWithLevel said otherwise).
     LockingPolicy policy;
-    /// Prepared (in-doubt) by a 2PC coordinator: locks held, undo kept,
-    /// every operation but CommitPrepared/AbortPrepared refused.
-    bool prepared = false;
     std::vector<UndoRecord> undo;
-    /// Redo after-images (nullopt = tombstone), collected only while a WAL
-    /// sink is attached; drained into a kWriteSet record at Prepare or
-    /// Commit.  Owner-thread-only, like `undo`.
-    std::map<ItemId, std::optional<Row>> redo;
     /// One entry per open cursor; "" is the default cursor.  Each holds
     /// the read lock on its current item under Cursor Stability.
     std::map<std::string, CursorState> cursors;
@@ -152,13 +147,13 @@ class LockingEngine : public Engine {
   /// Requires `table_mu_` (any mode).
   void Retire(TxnId txn);
 
-  /// Status when `txn` is not active (kTransactionAborted) or is prepared
-  /// (kFailedPrecondition — in doubt, only the coordinator may end it) or
-  /// OK.  Requires `table_mu_` (any mode).
-  Status CheckActive(TxnId txn) const;
+  /// Commits `txn` — a prepared one when `decision` (`CommitPrepared`):
+  /// logs the commit, releases every lock, and awaits what a local commit
+  /// must wait for.
+  Status Publish(TxnId txn, bool decision);
 
-  /// Status unless `txn` is prepared (in doubt).  Requires `table_mu_`.
-  Status CheckPrepared(TxnId txn) const;
+  /// Rolls back `txn` — a prepared one when `decision` (`AbortPrepared`).
+  Status RollbackEnding(TxnId txn, bool decision);
 
   /// Rolls `txn` back: undo LIFO, release locks, record `a<txn>`, retire.
   /// Requires `table_mu_` shared; takes `store_mu_` internally.

@@ -3,14 +3,6 @@
 #include <algorithm>
 
 namespace critique {
-namespace {
-
-std::optional<Value> HistoryValue(const std::optional<Row>& row) {
-  if (row.has_value() && row->Has("val")) return row->scalar();
-  return std::nullopt;
-}
-
-}  // namespace
 
 Status ReadConsistencyEngine::Load(const ItemId& id, Row row) {
   std::unique_lock<std::shared_mutex> sl(store_mu_);
@@ -26,8 +18,7 @@ Status ReadConsistencyEngine::Begin(TxnId txn) {
                                    " already used");
   }
   txns_[txn].active = true;
-  // Informational, buffered with the next sync (see the SI engine).
-  if (wal_ != nullptr) wal_->Append(WalRecord::Begin(txn));
+  LogBegin(txn);
   Trace(txn, obs::TraceEventType::kBegin);
   return Status::OK();
 }
@@ -35,51 +26,12 @@ Status ReadConsistencyEngine::Begin(TxnId txn) {
 void ReadConsistencyEngine::RegisterMetrics(obs::MetricsRegistry& reg,
                                             const std::string& prefix) {
   Engine::RegisterMetrics(reg, prefix);
-  reg.RegisterGauge(prefix + "lock.acquired",
-                    [this] { return lock_manager_.stats().acquired; });
-  reg.RegisterGauge(prefix + "lock.blocked",
-                    [this] { return lock_manager_.stats().blocked; });
-  reg.RegisterGauge(prefix + "lock.deadlocks",
-                    [this] { return lock_manager_.stats().deadlocks; });
-  reg.RegisterGauge(prefix + "lock.timeouts",
-                    [this] { return lock_manager_.stats().timeouts; });
-  reg.RegisterGauge(prefix + "lock.coop_parks",
-                    [this] { return lock_manager_.stats().coop_parks; });
-  reg.RegisterGauge(prefix + "lock.wakeups",
-                    [this] { return lock_manager_.stats().wakeups; });
-  reg.RegisterHistogram(prefix + "lock.wait_us",
-                        &lock_manager_.wait_histogram());
-  reg.RegisterHistogram(prefix + "lock.park_wakeup_us",
-                        &lock_manager_.park_wakeup_histogram());
+  lock_manager_.RegisterMetrics(reg, prefix + "lock.");
   reg.RegisterHistogram(prefix + "gc.pass_us", &gc_pass_hist_);
 }
 
 std::string ReadConsistencyEngine::DebugDump() const {
   return lock_manager_.DebugSnapshot().ToString();
-}
-
-Status ReadConsistencyEngine::CheckActive(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active) {
-    return Status::TransactionAborted("txn " + std::to_string(txn) +
-                                      " is not active");
-  }
-  if (it->second.prepared) {
-    return Status::FailedPrecondition(
-        "txn " + std::to_string(txn) +
-        " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
-        "it");
-  }
-  return Status::OK();
-}
-
-Status ReadConsistencyEngine::CheckPrepared(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active || !it->second.prepared) {
-    return Status::FailedPrecondition("txn " + std::to_string(txn) +
-                                      " is not prepared");
-  }
-  return Status::OK();
 }
 
 void ReadConsistencyEngine::Rollback(TxnId txn) {
@@ -115,7 +67,7 @@ Result<LockHandle> ReadConsistencyEngine::AcquireWriteLock(
 Result<std::optional<Row>> ReadConsistencyEngine::DoRead(TxnId txn,
                                                          const ItemId& id,
                                                          Action::Type type) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   // Statement-level snapshot: the most recent committed value now.  The
   // record is appended while the store latch is held, so a read can never
   // precede the publication record of the version it observed.
@@ -154,7 +106,7 @@ Result<std::optional<Row>> ReadConsistencyEngine::Read(TxnId txn,
 Result<std::optional<Row>> ReadConsistencyEngine::FetchCursor(
     TxnId txn, const ItemId& id) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   // SELECT ... FOR UPDATE: the write lock at fetch is what rules out P4C.
   CRITIQUE_ASSIGN_OR_RETURN(LockHandle h,
                             AcquireWriteLock(lk, txn, id, std::nullopt));
@@ -166,7 +118,7 @@ Result<std::vector<std::pair<ItemId, Row>>>
 ReadConsistencyEngine::ReadPredicate(TxnId txn, const std::string& name,
                                      const Predicate& pred) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   std::vector<std::pair<ItemId, Row>> rows;
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
@@ -191,7 +143,7 @@ Status ReadConsistencyEngine::DoWrite(TableLock& lk, TxnId txn,
                                       std::optional<Row> new_row,
                                       Action::Type type, bool is_insert,
                                       bool already_locked) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   if (!already_locked) {
     CRITIQUE_ASSIGN_OR_RETURN(LockHandle h,
                               AcquireWriteLock(lk, txn, id, new_row));
@@ -254,7 +206,7 @@ Status ReadConsistencyEngine::Write(TxnId txn, const ItemId& id, Row row) {
 
 Status ReadConsistencyEngine::Insert(TxnId txn, const ItemId& id, Row row) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     if (store_.Read(id, clock_.Now(), txn).has_value()) {
@@ -267,7 +219,7 @@ Status ReadConsistencyEngine::Insert(TxnId txn, const ItemId& id, Row row) {
 
 Status ReadConsistencyEngine::Delete(TxnId txn, const ItemId& id) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
     if (!store_.Read(id, clock_.Now(), txn).has_value()) {
@@ -288,14 +240,14 @@ Status ReadConsistencyEngine::WriteCursor(TxnId txn, const ItemId& id,
 
 Status ReadConsistencyEngine::CloseCursor(TxnId txn) {
   TableLock lk(table_mu_);
-  return CheckActive(txn);
+  return CheckActive(txns_, txn);
 }
 
 Status ReadConsistencyEngine::Update(
     TxnId txn, const ItemId& id,
     const std::function<Row(const std::optional<Row>&)>& transform) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   // Statement-level write consistency: lock first, then apply the
   // transform to the most recent committed value ("the underlying
   // mechanism recomputes the appropriate version of the row as of the
@@ -309,14 +261,13 @@ Status ReadConsistencyEngine::Update(
                  /*is_insert=*/false, /*already_locked=*/true);
 }
 
-Status ReadConsistencyEngine::Commit(TxnId txn) {
+Status ReadConsistencyEngine::Publish(TxnId txn, bool decision) {
   bool gc_due = false;
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+    CRITIQUE_RETURN_NOT_OK(CheckState(txns_, txn, /*prepared=*/decision));
     TxnState& st = txns_.find(txn)->second;
-    st.active = false;
     {
       // Draw the commit timestamp inside the exclusive section that
       // stamps the versions: a statement snapshot new enough to observe
@@ -327,30 +278,30 @@ Status ReadConsistencyEngine::Commit(TxnId txn) {
       std::unique_lock<std::shared_mutex> sl(store_mu_);
       const Timestamp commit_ts = clock_.Tick();
       store_.CommitTxn(txn, commit_ts, st.write_set);
-      if (wal_ != nullptr && !st.redo.empty()) {
-        wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
-        wal_lsn = wal_->Append(WalRecord::Commit(txn, commit_ts));
-      }
+      wal_lsn = LogCommit(txn, st, commit_ts);
       recorder_.Record([txn] { return Action::Commit(txn); },
                        &EngineCounters::commits);
     }
+    st.active = false;
+    st.prepared = false;
     st.write_set.clear();  // dead once the versions are stamped
-    st.redo.clear();
     lock_manager_.ReleaseAll(txn);
     gc_due = GcTick();
   }
   Trace(txn, obs::TraceEventType::kCommit);
   if (gc_due) (void)RunGcPass();
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
-  return Status::OK();
+  return AwaitDurable(wal_lsn);
 }
 
-Status ReadConsistencyEngine::Abort(TxnId txn) {
+Status ReadConsistencyEngine::RollbackEnding(TxnId txn, bool decision) {
   TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckState(txns_, txn, /*prepared=*/decision));
+  LogAbort(txn, txns_.find(txn)->second);
   Rollback(txn);
   recorder_.Count(&EngineCounters::aborts);
-  Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kExplicit);
+  Trace(txn, obs::TraceEventType::kAbort,
+        decision ? obs::AbortReason::kInDoubtDecision
+                 : obs::AbortReason::kExplicit);
   return Status::OK();
 }
 
@@ -358,68 +309,17 @@ Result<std::optional<uint64_t>> ReadConsistencyEngine::Prepare(TxnId txn) {
   std::optional<uint64_t> wal_lsn;
   {
     TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-    TxnState& st = txns_.find(txn)->second;
-    st.prepared = true;
-    if (wal_ != nullptr) {
-      if (!st.redo.empty()) {
-        wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
-        st.redo.clear();
-      }
-      wal_lsn = wal_->Append(WalRecord::Prepare(txn));
-    }
+    CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
+    wal_lsn = LogVote(txn, txns_.find(txn)->second);
   }
   Trace(txn, obs::TraceEventType::kPrepare);
   return wal_lsn;
 }
 
-Status ReadConsistencyEngine::CommitPrepared(TxnId txn) {
-  bool gc_due = false;
-  {
-    TableLock lk(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-    TxnState& st = txns_.find(txn)->second;
-    st.prepared = false;
-    st.active = false;
-    {
-      std::unique_lock<std::shared_mutex> sl(store_mu_);
-      const Timestamp commit_ts = clock_.Tick();
-      store_.CommitTxn(txn, commit_ts, st.write_set);
-      // Slim commit: the write set is already durable from Prepare.
-      // Buffered, not awaited: the durable decision is the commit point.
-      if (wal_ != nullptr) wal_->Append(WalRecord::Commit(txn, commit_ts));
-      recorder_.Record([txn] { return Action::Commit(txn); },
-                       &EngineCounters::commits);
-    }
-    st.write_set.clear();  // dead once the versions are stamped
-    lock_manager_.ReleaseAll(txn);
-    gc_due = GcTick();
-  }
-  Trace(txn, obs::TraceEventType::kCommit);
-  if (gc_due) (void)RunGcPass();
-  return Status::OK();
-}
-
-Status ReadConsistencyEngine::AbortPrepared(TxnId txn) {
-  TableLock lk(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-  // Buffered only (presumed abort; see the locking engine).
-  if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
-  txns_.find(txn)->second.prepared = false;
-  Rollback(txn);
-  recorder_.Count(&EngineCounters::aborts);
-  Trace(txn, obs::TraceEventType::kAbort, obs::AbortReason::kInDoubtDecision);
-  return Status::OK();
-}
-
 std::vector<TxnId> ReadConsistencyEngine::InDoubtTransactions() const {
   // Exclusive: the one cross-session scan of the registry.
   std::unique_lock<std::shared_mutex> tl(table_mu_);
-  std::vector<TxnId> out;
-  for (const auto& [t, st] : txns_) {
-    if (st.active && st.prepared) out.push_back(t);
-  }
-  return out;
+  return InDoubt(txns_);
 }
 
 bool ReadConsistencyEngine::GcTick() {

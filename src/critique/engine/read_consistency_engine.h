@@ -65,16 +65,18 @@ class ReadConsistencyEngine : public Engine {
   Status Update(TxnId txn, const ItemId& id,
                 const std::function<Row(const std::optional<Row>&)>& transform)
       override;
-  Status Commit(TxnId txn) override;
-  Status Abort(TxnId txn) override;
+  Status Commit(TxnId txn) override { return Publish(txn, false); }
+  Status Abort(TxnId txn) override { return RollbackEnding(txn, false); }
 
   // 2PC participant protocol: like the locking engine, commit cannot fail
   // (conflicts were resolved at write-lock grant), so `Prepare` only pins
   // the transaction in doubt with its write locks held until the
   // coordinator's decision.
   Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
-  Status CommitPrepared(TxnId txn) override;
-  Status AbortPrepared(TxnId txn) override;
+  Status CommitPrepared(TxnId txn) override { return Publish(txn, true); }
+  Status AbortPrepared(TxnId txn) override {
+    return RollbackEnding(txn, true);
+  }
   std::vector<TxnId> InDoubtTransactions() const override;
 
   /// Forwards to the lock manager's deadlock-victim seniority.
@@ -104,30 +106,30 @@ class ReadConsistencyEngine : public Engine {
   VersionGcStats version_gc_stats() const override;
 
  private:
-  struct TxnState {
-    bool active = false;
-    /// Prepared (in doubt) by a 2PC coordinator: locks held, every
-    /// operation but CommitPrepared/AbortPrepared refused.
-    bool prepared = false;
+  /// A prepared transaction keeps its write locks.
+  struct TxnState : ParticipantState {
     /// Items with pending versions, so commit/abort stamps O(|write set|)
     /// chains instead of scanning the whole store.  Cleared as soon as
     /// the terminal consumes it — finished states must not pin per-write
     /// memory.
     std::set<ItemId> write_set;
-    /// Redo after-images (nullopt = tombstone), collected only while a WAL
-    /// sink is attached; drained at Prepare or Commit, cleared with
-    /// `write_set`.  Owner-thread-only.
-    std::map<ItemId, std::optional<Row>> redo;
   };
 
   /// The table-latch guard every operation body holds (shared).
   using TableLock = std::shared_lock<std::shared_mutex>;
 
-  // Private helpers require `table_mu_` (shared unless stated otherwise);
-  // AcquireWriteLock and DoWrite may drop and re-take `lk` around a
-  // blocking lock wait.
-  Status CheckActive(TxnId txn) const;
-  Status CheckPrepared(TxnId txn) const;
+  /// Commits `txn` — a prepared one when `decision` (`CommitPrepared`):
+  /// publishes its versions, logs the commit, releases its locks, and
+  /// awaits what a local commit must wait for.  Call with no latch held.
+  Status Publish(TxnId txn, bool decision);
+
+  /// Rolls back `txn` — a prepared one when `decision` (`AbortPrepared`).
+  /// Call with no latch held.
+  Status RollbackEnding(TxnId txn, bool decision);
+
+  // Private helpers below require `table_mu_` (shared unless stated
+  // otherwise); AcquireWriteLock and DoWrite may drop and re-take `lk`
+  // around a blocking lock wait.
   /// Takes `store_mu_` internally.
   void Rollback(TxnId txn);
   Result<LockHandle> AcquireWriteLock(TableLock& lk, TxnId txn,

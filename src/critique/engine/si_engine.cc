@@ -5,11 +5,6 @@
 namespace critique {
 namespace {
 
-std::optional<Value> HistoryValue(const std::optional<Row>& row) {
-  if (row.has_value() && row->Has("val")) return row->scalar();
-  return std::nullopt;
-}
-
 // `w<txn>[P]` over the scanned rows, subscripted with its own version.
 Action PredicateWriteAction(TxnId txn, const std::string& name,
                             const Predicate& pred,
@@ -86,61 +81,26 @@ Status SnapshotIsolationEngine::BeginAtLocked(TxnId txn, Timestamp ts,
   st.level = level;
   st.start_ts = ts;
   txns_[txn] = st;
-  // Informational, buffered with the next sync: keeps the log
-  // self-describing and advances the recovered id-allocator floor past
-  // ids that never reach a terminal record.
-  if (wal_ != nullptr) wal_->Append(WalRecord::Begin(txn));
+  LogBegin(txn);
   Trace(txn, obs::TraceEventType::kBegin);
   return Status::OK();
 }
 
-Status SnapshotIsolationEngine::CheckActive(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active) {
-    return Status::TransactionAborted("txn " + std::to_string(txn) +
-                                      " is not active");
-  }
-  if (it->second.prepared) {
-    return Status::FailedPrecondition(
-        "txn " + std::to_string(txn) +
-        " is prepared (in doubt); only CommitPrepared/AbortPrepared may end "
-        "it");
-  }
-  return Status::OK();
-}
-
-Status SnapshotIsolationEngine::CheckPrepared(TxnId txn) const {
-  auto it = txns_.find(txn);
-  if (it == txns_.end() || !it->second.active || !it->second.prepared) {
-    return Status::FailedPrecondition("txn " + std::to_string(txn) +
-                                      " is not prepared");
-  }
-  return Status::OK();
-}
-
-Status SnapshotIsolationEngine::AbortInternal(
-    TxnId txn, Status reason, EngineRecorder::CounterField counter,
-    obs::AbortReason why) {
+Status SnapshotIsolationEngine::AbortInternal(TxnId txn, Status reason,
+                                              obs::AbortReason why) {
   TxnState& st = txns_.find(txn)->second;
+  // Serialization failures count by the paper's taxonomy; application
+  // rollbacks and 2PC abort decisions count as plain aborts.
+  const EngineRecorder::CounterField counter =
+      why == obs::AbortReason::kFirstCommitterWins ? &EngineCounters::fcw_aborts
+      : why == obs::AbortReason::kSsiDangerousStructure
+          ? &EngineCounters::ssi_aborts
+          : &EngineCounters::aborts;
   {
     std::unique_lock<std::shared_mutex> sl(store_mu_);
     store_.AbortTxn(txn, st.write_set);
     // Under the latch, see DoRead.
     recorder_.Record([txn] { return Action::Abort(txn); }, counter);
-  }
-  // Breakdown by the paper's taxonomy: only serialization aborts split
-  // (AbortPrepared traces kInDoubtDecision but counts as a plain abort).
-  if (counter == &EngineCounters::serialization_aborts) {
-    switch (why) {
-      case obs::AbortReason::kFirstCommitterWins:
-        recorder_.Count(&EngineCounters::fcw_aborts);
-        break;
-      case obs::AbortReason::kSsiDangerousStructure:
-        recorder_.Count(&EngineCounters::ssi_aborts);
-        break;
-      default:
-        break;
-    }
   }
   Trace(txn, obs::TraceEventType::kAbort, why,
         reason.ok() ? std::string() : std::string(reason.message()));
@@ -148,8 +108,9 @@ Status SnapshotIsolationEngine::AbortInternal(
     auto el = SsiLock();
     st.active = false;
     st.aborted = true;
-    st.prepared = false;
+    st.pinned = false;
   }
+  st.prepared = false;
   st.redo.clear();
   return reason;
 }
@@ -225,16 +186,15 @@ bool SnapshotIsolationEngine::SsiPivot(const TxnState& st) const {
 
 bool SnapshotIsolationEngine::CompletesCommittedPivot(
     TxnId self, const TxnState& st) const {
-  // self -rw-> P with P committed or prepared: P can no longer abort, so
+  // self -rw-> P with P committed or pinned: P can no longer abort, so
   // if some other W in P's out-edges commits before P (the dangerous
   // structure's "T3 commits first"), self completing the in-edge side must
-  // abort instead.  This is the edge the old validate-once engine never
-  // re-examined: it forms *after* the pivot committed or prepared.
+  // abort instead.  The edge forms *after* P's own validation.
   for (TxnId u : st.out_to) {
     auto it = txns_.find(u);
     if (it == txns_.end()) continue;  // retired or gone: dead edge
     const TxnState& p = it->second;
-    if (p.aborted || !(p.committed || p.prepared)) continue;
+    if (p.aborted || !(p.committed || p.pinned)) continue;
     // Only a Serializable-SI pivot's contract demands the refusal: a
     // plain-SI pivot is permitted its write skew (the structure is its
     // declared anomaly, not a broken guarantee).
@@ -245,9 +205,9 @@ bool SnapshotIsolationEngine::CompletesCommittedPivot(
       auto wt = txns_.find(w);
       if (wt == txns_.end() || wt->second.aborted) continue;
       const TxnState& ws = wt->second;
-      // A prepared P commits after every W already committed, and maybe
-      // after a prepared W: either may be the one that commits first.
-      if (p.prepared ? (ws.committed || ws.prepared)
+      // A pinned P commits after every W already committed, and maybe
+      // after a pinned W: either may be the one that commits first.
+      if (p.pinned ? (ws.committed || ws.pinned)
                      : (ws.committed && ws.commit_ts < p.commit_ts)) {
         return true;
       }
@@ -257,14 +217,14 @@ bool SnapshotIsolationEngine::CompletesCommittedPivot(
 }
 
 bool SnapshotIsolationEngine::FeedsPreparedPivot(const TxnState& st) const {
-  // P -rw-> self with P prepared: self commits before P, so a live in-edge
+  // P -rw-> self with P pinned: self commits before P, so a live in-edge
   // of P closes a dangerous structure whose pivot can no longer abort.
   // The in-edge may be self's own (write skew between self and P).
   for (TxnId u : st.in_from) {
     auto it = txns_.find(u);
     if (it == txns_.end()) continue;
     const TxnState& p = it->second;
-    if (!p.prepared || p.level != IsolationLevel::kSerializableSI) continue;
+    if (!p.pinned || p.level != IsolationLevel::kSerializableSI) continue;
     for (TxnId r : p.in_from) {
       auto rt = txns_.find(r);
       if (rt != txns_.end() && !rt->second.aborted) return true;
@@ -280,16 +240,16 @@ std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn) {
   // A transaction is refused as a pivot only under its own declared
   // Serializable-SI contract — a plain-SI neighbour keeps its write skew.
   // The pinned-pivot checks below run for *every* level, because there
-  // the broken contract would be the committed or prepared pivot's.
+  // the broken contract would be the committed or pinned pivot's.
   if (st.level == IsolationLevel::kSerializableSI && SsiPivot(st)) {
     return "ssi: pivot in an rw-antidependency dangerous structure";
   }
   if (CompletesCommittedPivot(txn, st)) {
     return "ssi: commit would complete a dangerous structure through an "
-           "already-committed or prepared pivot";
+           "already-committed or pinned pivot";
   }
   if (FeedsPreparedPivot(st)) {
-    return "ssi: commit would precede a prepared pivot that already has "
+    return "ssi: commit would precede a pinned pivot that already has "
            "an rw-antidependency in-edge";
   }
   return std::nullopt;
@@ -298,7 +258,7 @@ std::optional<std::string> SnapshotIsolationEngine::SsiRefusal(TxnId txn) {
 Result<std::optional<Row>> SnapshotIsolationEngine::DoRead(TxnId txn,
                                                            const ItemId& id,
                                                            Action::Type type) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   TxnState& st = txns_.find(txn)->second;
 
   // Recorded under the store latch: a read can never precede the record
@@ -350,7 +310,7 @@ Result<std::vector<std::pair<ItemId, Row>>>
 SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
                                        const Predicate& pred) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   TxnState& st = txns_.find(txn)->second;
 
   std::vector<std::pair<ItemId, Row>> rows;
@@ -399,7 +359,7 @@ SnapshotIsolationEngine::ReadPredicate(TxnId txn, const std::string& name,
 Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
                                         std::optional<Row> new_row,
                                         Action::Type type, bool is_insert) {
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   TxnState& st = txns_.find(txn)->second;
 
   bool eager_conflict = false;
@@ -438,7 +398,6 @@ Status SnapshotIsolationEngine::DoWrite(TxnId txn, const ItemId& id,
         txn,
         Status::SerializationFailure(
             "first-updater-wins: concurrent pending write on '" + id + "'"),
-        &EngineCounters::serialization_aborts,
         obs::AbortReason::kFirstCommitterWins);
   }
   {
@@ -458,7 +417,7 @@ Status SnapshotIsolationEngine::Write(TxnId txn, const ItemId& id, Row row) {
 
 Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
@@ -473,7 +432,7 @@ Status SnapshotIsolationEngine::Insert(TxnId txn, const ItemId& id, Row row) {
 
 Status SnapshotIsolationEngine::Delete(TxnId txn, const ItemId& id) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   const Timestamp read_ts = ReadTs(txns_.find(txn)->second);
   {
     std::shared_lock<std::shared_mutex> sl(store_mu_);
@@ -489,7 +448,7 @@ Result<size_t> SnapshotIsolationEngine::UpdateWhere(
     TxnId txn, const std::string& name, const Predicate& pred,
     const std::function<Row(const Row&)>& transform) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   TxnState& st = txns_.find(txn)->second;
   std::vector<std::pair<ItemId, Row>> rows;
   std::vector<Row> nexts;
@@ -526,7 +485,7 @@ Result<size_t> SnapshotIsolationEngine::DeleteWhere(TxnId txn,
                                                     const std::string& name,
                                                     const Predicate& pred) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
   TxnState& st = txns_.find(txn)->second;
   std::vector<std::pair<ItemId, Row>> rows;
   {
@@ -566,7 +525,7 @@ Status SnapshotIsolationEngine::WriteCursor(TxnId txn, const ItemId& id,
 
 Status SnapshotIsolationEngine::CloseCursor(TxnId txn) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  return CheckActive(txn);
+  return CheckActive(txns_, txn);
 }
 
 void SnapshotIsolationEngine::ReleaseReservations(TxnId txn) {
@@ -609,16 +568,15 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
         Status::SerializationFailure(
             "first-committer-wins: '" + *fcw_conflict +
             "' was committed during this transaction's interval"),
-        &EngineCounters::serialization_aborts,
         obs::AbortReason::kFirstCommitterWins);
   }
 
-  // Reservation overlap: a transaction between pipeline stage 1 and
-  // publication — an in-flight committer or a prepared (in-doubt)
-  // participant — has validated its write set but not yet published a
-  // commit timestamp.  A later committer overlapping that write set would
-  // slip past the timestamp probe above and both would install — a lost
-  // update First-Committer-Wins exists to prevent.  The reserving side
+  // Reservation overlap: a pinned transaction — a local committer in its
+  // commit window or a prepared (in-doubt) participant — has validated its
+  // write set but not yet published a commit timestamp.  A later
+  // committer overlapping that write set would slip past the timestamp
+  // probe above and both would install — a lost update
+  // First-Committer-Wins exists to prevent.  The reserving side
   // must stay committable (it already said yes), so the requester aborts.
   for (const ItemId& id : st.write_set) {
     auto it = reservations_.find(id);
@@ -628,109 +586,80 @@ Status SnapshotIsolationEngine::ValidateAndReserve(TxnId txn) {
           Status::SerializationFailure(
               "first-committer-wins: '" + id + "' is reserved by " +
               "in-flight/prepared txn " + std::to_string(it->second)),
-          &EngineCounters::serialization_aborts,
           obs::AbortReason::kFirstCommitterWins);
     }
   }
 
   if (auto refusal = SsiRefusal(txn)) {
     return AbortInternal(txn, Status::SerializationFailure(*refusal),
-                         &EngineCounters::serialization_aborts,
                          obs::AbortReason::kSsiDangerousStructure);
   }
 
+  // Validated means pinned: from here on the other sessions' SSI checks
+  // count this transaction as committed (see `CompletesCommittedPivot`).
+  {
+    auto el = SsiLock();
+    st.pinned = true;
+  }
   for (const ItemId& id : st.write_set) reservations_[id] = txn;
   return Status::OK();
 }
 
-Status SnapshotIsolationEngine::RevalidateAndPublish(
-    TxnId txn, bool decision, std::optional<uint64_t>* wal_lsn) {
-  TxnState& st = txns_.find(txn)->second;
-
-  // Re-validation: rw-antidependencies that formed during the commit
-  // window are examined here against the current edge state.  A prepared
-  // participant skips it: it is pinned, and whoever formed an edge to it
-  // while it was in doubt was checked against it instead.
-  // First-Committer-Wins needs no re-run: the write-set reservation taken
-  // at stage 1 kept every overlapping committer out.
-  if (!decision) {
-    if (auto refusal = SsiRefusal(txn)) {
-      ReleaseReservations(txn);
-      ++pipeline_stats_.revalidation_aborts;
-      return AbortInternal(txn, Status::SerializationFailure(*refusal),
-                           &EngineCounters::serialization_aborts,
-                           obs::AbortReason::kSsiDangerousStructure);
-    }
-  }
-
-  // Publish: the commit timestamp is drawn inside the store-exclusive
-  // section that stamps the versions, so any snapshot new enough to see
-  // the timestamp is guaranteed to find the versions already stamped —
-  // and the commit record is appended in the same section, so no read of
-  // a stamped version can precede it in the history.
-  {
-    auto el = SsiLock();
-    {
-      std::unique_lock<std::shared_mutex> sl(store_mu_);
-      st.commit_ts = clock_.Tick();
-      store_.CommitTxn(txn, st.commit_ts, st.write_set);
-      recorder_.Record([txn] { return Action::Commit(txn); },
-                       &EngineCounters::commits);
-      if (wal_ != nullptr && (decision || !st.write_set.empty())) {
-        // Inside the publication section, behind commit_mu_: log order is
-        // commit order, the property recovery's sequential replay relies
-        // on.  Prepared participants already logged their write set at
-        // Prepare (slim commit); read-only decisions still log the commit
-        // so replay can resolve the restored in-doubt participant.
-        if (!decision && !st.redo.empty()) {
-          wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
-        }
-        *wal_lsn = wal_->Append(WalRecord::Commit(txn, st.commit_ts));
-      }
-    }
-    st.active = false;
-    st.committed = true;
-    st.prepared = false;
-  }
-  st.redo.clear();
-  ReleaseReservations(txn);
-  Trace(txn, obs::TraceEventType::kCommit);
-  return Status::OK();
-}
-
-Status SnapshotIsolationEngine::Commit(TxnId txn) {
-  // Commit-pipeline stage 1: validate and reserve.
-  {
-    obs::ScopedTimer t(stage1_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-    std::lock_guard<std::mutex> cl(commit_mu_);
-    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
-  }
-
-  // The commit window: no engine latch held.  Other sessions run freely;
-  // any rw-antidependency they hang on this transaction is caught by the
-  // stage-2 re-validation.  The hook is the test failpoint that makes the
-  // window deterministic.
-  if (commit_window_hook_) commit_window_hook_(txn);
-
-  // Stage 2: re-validate and publish.
+Status SnapshotIsolationEngine::Publish(TxnId txn, bool decision) {
   bool gc_due = false;
   std::optional<uint64_t> wal_lsn;
   {
     obs::ScopedTimer t(stage2_hist_);
     std::shared_lock<std::shared_mutex> tl(table_mu_);
     std::lock_guard<std::mutex> cl(commit_mu_);
-    CRITIQUE_RETURN_NOT_OK(
-        RevalidateAndPublish(txn, /*decision=*/false, &wal_lsn));
+    CRITIQUE_RETURN_NOT_OK(CheckState(txns_, txn, /*prepared=*/decision));
+    TxnState& st = txns_.find(txn)->second;
+    // The commit timestamp is drawn inside the store-exclusive section
+    // that stamps the versions, so any snapshot new enough to see the
+    // timestamp is guaranteed to find the versions already stamped — and
+    // the commit record is appended in the same section, so no read of a
+    // stamped version can precede it in the history.
+    {
+      auto el = SsiLock();
+      {
+        std::unique_lock<std::shared_mutex> sl(store_mu_);
+        st.commit_ts = clock_.Tick();
+        store_.CommitTxn(txn, st.commit_ts, st.write_set);
+        recorder_.Record([txn] { return Action::Commit(txn); },
+                         &EngineCounters::commits);
+        // Behind commit_mu_: log order is commit order, the property
+        // recovery's sequential replay relies on.
+        wal_lsn = LogCommit(txn, st, st.commit_ts);
+      }
+      st.active = false;
+      st.committed = true;
+      st.pinned = false;
+    }
+    st.prepared = false;
+    ReleaseReservations(txn);
+    Trace(txn, obs::TraceEventType::kCommit);
     gc_due = GcTick();
   }
   if (gc_due) (void)RunGcPass();
   // The durability wait runs with no engine latch held: other sessions
   // keep validating and publishing while this one sits out the fsync (and,
   // in group mode, rides another leader's batch).
-  if (wal_lsn.has_value()) return wal_->WaitDurable(*wal_lsn);
-  return Status::OK();
+  return AwaitDurable(wal_lsn);
+}
+
+Status SnapshotIsolationEngine::Commit(TxnId txn) {
+  {
+    obs::ScopedTimer t(stage1_hist_);
+    std::shared_lock<std::shared_mutex> tl(table_mu_);
+    CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
+    std::lock_guard<std::mutex> cl(commit_mu_);
+    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
+  }
+  // The commit window: no engine latch held, so other sessions run
+  // freely, checked against this pinned transaction.  The hook is the
+  // test failpoint that makes the window deterministic.
+  if (commit_window_hook_) commit_window_hook_(txn);
+  return Publish(txn, /*decision=*/false);
 }
 
 bool SnapshotIsolationEngine::GcTick() {
@@ -743,87 +672,40 @@ bool SnapshotIsolationEngine::GcTick() {
 
 Result<std::optional<uint64_t>> SnapshotIsolationEngine::Prepare(
     TxnId txn) {
-  // Commit-pipeline stage 1 only: prepare is the participant's last
-  // *unprompted* chance to refuse; the write-set reservation then rides
-  // the whole in-doubt window, and stage 2 runs at the decision.
-  std::optional<uint64_t> wal_lsn;
-  {
-    obs::ScopedTimer t(stage1_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-    std::lock_guard<std::mutex> cl(commit_mu_);
-    CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
-    TxnState& st = txns_.find(txn)->second;
-    {
-      auto el = SsiLock();
-      st.prepared = true;
-    }
-    if (wal_ != nullptr) {
-      // The vote and its redo, appended behind commit_mu_ like a commit
-      // (the reservation ordering argument covers prepares too).
-      if (!st.redo.empty()) {
-        wal_->Append(WalRecord::WriteSet(txn, WalImagesFromMap(st.redo)));
-        st.redo.clear();
-      }
-      wal_lsn = wal_->Append(WalRecord::Prepare(txn));
-    }
-    Trace(txn, obs::TraceEventType::kPrepare);
-  }
+  // Validate and pin, then stay in doubt: the write-set reservation rides
+  // the whole in-doubt window, and publication runs at the decision.
+  obs::ScopedTimer t(stage1_hist_);
+  std::shared_lock<std::shared_mutex> tl(table_mu_);
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
+  std::lock_guard<std::mutex> cl(commit_mu_);
+  CRITIQUE_RETURN_NOT_OK(ValidateAndReserve(txn));
+  // The vote is appended behind commit_mu_ like a commit (the reservation
+  // ordering argument covers prepares too).
+  std::optional<uint64_t> wal_lsn = LogVote(txn, txns_.find(txn)->second);
+  Trace(txn, obs::TraceEventType::kPrepare);
   return wal_lsn;
-}
-
-Status SnapshotIsolationEngine::CommitPrepared(TxnId txn) {
-  bool gc_due = false;
-  std::optional<uint64_t> wal_lsn;  // appended, never awaited (below)
-  {
-    obs::ScopedTimer t(stage2_hist_);
-    std::shared_lock<std::shared_mutex> tl(table_mu_);
-    CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
-    std::lock_guard<std::mutex> cl(commit_mu_);
-    // Stage 2 at the decision phase: publication only, which cannot fail
-    // (prepared means pinned).
-    CRITIQUE_RETURN_NOT_OK(
-        RevalidateAndPublish(txn, /*decision=*/true, &wal_lsn));
-    gc_due = GcTick();
-  }
-  if (gc_due) (void)RunGcPass();
-  // The slim commit record is buffered, not awaited: the global commit
-  // point is already durable (every vote plus the coordinator's record),
-  // and the record reaches the device with this log's next sync (see
-  // WalSink).
-  return Status::OK();
 }
 
 Status SnapshotIsolationEngine::AbortPrepared(TxnId txn) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckPrepared(txn));
   {
     std::lock_guard<std::mutex> cl(commit_mu_);
-    // Appended before anything is released, never synced: any commit that
-    // depends on this abort logs after it, so log order makes the abort
-    // durable first.  A lost abort record re-restores the participant in
-    // doubt, and recovery decides it again from the logs.
-    if (wal_ != nullptr) wal_->Append(WalRecord::Abort(txn));
+    CRITIQUE_RETURN_NOT_OK(CheckState(txns_, txn, /*prepared=*/true));
+    LogAbort(txn, txns_.find(txn)->second);
     ReleaseReservations(txn);
   }
-  return AbortInternal(txn, Status::OK(), &EngineCounters::aborts,
-                       obs::AbortReason::kInDoubtDecision);
+  return AbortInternal(txn, Status::OK(), obs::AbortReason::kInDoubtDecision);
 }
 
 std::vector<TxnId> SnapshotIsolationEngine::InDoubtTransactions() const {
   std::unique_lock<std::shared_mutex> tl(table_mu_);
-  std::vector<TxnId> out;
-  for (const auto& [t, st] : txns_) {
-    if (st.active && st.prepared) out.push_back(t);
-  }
-  return out;
+  return InDoubt(txns_);
 }
 
 Status SnapshotIsolationEngine::Abort(TxnId txn) {
   std::shared_lock<std::shared_mutex> tl(table_mu_);
-  CRITIQUE_RETURN_NOT_OK(CheckActive(txn));
-  return AbortInternal(txn, Status::OK(), &EngineCounters::aborts,
-                       obs::AbortReason::kExplicit);
+  CRITIQUE_RETURN_NOT_OK(CheckActive(txns_, txn));
+  return AbortInternal(txn, Status::OK(), obs::AbortReason::kExplicit);
 }
 
 size_t SnapshotIsolationEngine::RunGcPass() {
@@ -931,9 +813,6 @@ void SnapshotIsolationEngine::RegisterMetrics(obs::MetricsRegistry& reg,
   Engine::RegisterMetrics(reg, prefix);
   reg.RegisterGauge(prefix + "pipeline.slots_issued", [this] {
     return commit_pipeline_stats().slots_issued;
-  });
-  reg.RegisterGauge(prefix + "pipeline.revalidation_aborts", [this] {
-    return commit_pipeline_stats().revalidation_aborts;
   });
   reg.RegisterHistogram(prefix + "pipeline.validate_us", &stage1_hist_);
   reg.RegisterHistogram(prefix + "pipeline.publish_us", &stage2_hist_);

@@ -37,10 +37,6 @@ struct SnapshotIsolationOptions {
 struct CommitPipelineStats {
   /// Commit-sequence slots issued (one per Commit/Prepare validation).
   uint64_t slots_issued = 0;
-  /// Transactions refused by the *re*-validation between slot acquisition
-  /// and version publication (a dangerous structure completed inside the
-  /// commit window).
-  uint64_t revalidation_aborts = 0;
 };
 
 /// \brief Snapshot Isolation (Section 4.2): every transaction reads from
@@ -76,28 +72,27 @@ struct CommitPipelineStats {
 /// Lock order: table_mu_ < commit_mu_ < ssi_mu_ < store_mu_ (never
 /// acquired against this order; non-nested sequential sections are free).
 ///
-/// Commit pipeline (the SSI commit-window fix; Cahill et al. 2008, and
-/// Ports & Grittner 2012 for the prepared flavor): ending a transaction is
-/// two pipeline stages rather than one latched block.
+/// Commit pipeline: ending a transaction is the `Engine` participant
+/// protocol's two steps, each a short section under `commit_mu_` rather
+/// than one latched block.
 ///
-///  1. *Validate + reserve*: under `commit_mu_` the transaction takes the
-///     next commit-sequence slot, runs First-Committer-Wins, the in-doubt
-///     write-set reservation check, and the SSI dangerous-structure checks
-///     (its own pivot status *and* whether its commit would complete a
-///     structure through an already-committed pivot).  On success its
-///     write set is reserved so no overlapping transaction can slip
-///     through validation while this one is between stages.
-///  2. *Re-validate + publish*: under `commit_mu_` again, the SSI checks
-///     re-run against every rw-edge that appeared since stage 1 — the
-///     window in which the old engine-wide latch silently admitted
-///     dangerous structures — and only then is the commit timestamp drawn
-///     and the versions published.
+///  1. *Validate and pin*: the transaction takes the next commit-sequence
+///     slot and runs First-Committer-Wins, the write-set reservation check
+///     and the SSI dangerous-structure checks (its own pivot status, and
+///     whether its commit would complete a structure through a committed
+///     or pinned pivot).  On success its write set is reserved, so no
+///     overlapping transaction can slip through validation, and it is
+///     *pinned*: everyone else's SSI checks count it as committed, so the
+///     transaction that would close a dangerous structure through it is
+///     the one refused (Cahill et al. 2008; Ports & Grittner, VLDB 2012).
+///  2. *Publish*: the commit timestamp is drawn, the versions published
+///     and the commit logged.  It cannot fail.
 ///
-/// `Prepare` is stage 1 with the transaction frozen in doubt (the
-/// reservation held until the coordinator decides); `CommitPrepared` is
-/// stage 2 without the re-validation: a prepared participant is *pinned*,
-/// and the transactions that would close a dangerous structure around it
-/// are refused instead (see the 2PC notes below).
+/// A local `Commit` runs both steps in one call, with a latch-free commit
+/// window between them; `Prepare` is step 1 with the transaction frozen in
+/// doubt (the reservation held until the coordinator decides), and
+/// `CommitPrepared` is step 2.  A local commit is a prepare without a
+/// vote.
 class SnapshotIsolationEngine : public Engine {
  public:
   explicit SnapshotIsolationEngine(SnapshotIsolationOptions options = {});
@@ -147,7 +142,7 @@ class SnapshotIsolationEngine : public Engine {
   Status Commit(TxnId txn) override;
   Status Abort(TxnId txn) override;
 
-  // 2PC participant protocol.  `Prepare` runs commit-pipeline stage 1 (the
+  // 2PC participant protocol.  `Prepare` runs commit-pipeline step 1 (the
   // First-Committer-Wins check, the reservation check, and the SSI
   // dangerous-structure checks) *now* and freezes the transaction in
   // doubt; its write-set reservation stays held, so any other transaction
@@ -158,20 +153,19 @@ class SnapshotIsolationEngine : public Engine {
   // untouched — pending versions stay invisible and "a transaction
   // running in Snapshot Isolation is never blocked attempting a read".
   //
-  // `CommitPrepared` is commit-pipeline stage 2 minus the re-validation,
-  // and it cannot fail: prepared means pinned.  As in PostgreSQL's SSI
-  // (Ports & Grittner, VLDB 2012), a prepared SSI participant counts as
-  // committed for everyone else's conflict checks, so the transaction
-  // whose new rw-antidependency would close a dangerous structure through
-  // it is the one refused: a reader U with U -rw-> P when an out-neighbour
-  // of P has already committed or prepared (`CompletesCommittedPivot`),
-  // or a writer W with P -rw-> W when P already has a live in-edge
-  // (`FeedsPreparedPivot`).  Every edge incident to a prepared P is formed
-  // by its *active* neighbour (P neither reads nor writes any more), and
-  // both checks run at that neighbour's Prepare and at both stages of its
-  // Commit, so the active side always absorbs the abort.
+  // `CommitPrepared` is commit-pipeline step 2, and it cannot fail:
+  // validated means pinned.  A pinned P — prepared, or a local committer
+  // in its commit window — counts as committed for everyone else's
+  // conflict checks, so the transaction whose new rw-antidependency would
+  // close a dangerous structure through it is the one refused: a reader U
+  // with U -rw-> P when an out-neighbour of P has already committed or
+  // been pinned (`CompletesCommittedPivot`), or a writer W with P -rw-> W
+  // when P already has a live in-edge (`FeedsPreparedPivot`).  Every edge
+  // incident to a pinned P is formed by its *active* neighbour (P neither
+  // reads nor writes any more), and both checks run at that neighbour's
+  // validation, so the active side always absorbs the abort.
   Result<std::optional<uint64_t>> Prepare(TxnId txn) override;
-  Status CommitPrepared(TxnId txn) override;
+  Status CommitPrepared(TxnId txn) override { return Publish(txn, true); }
   Status AbortPrepared(TxnId txn) override;
   std::vector<TxnId> InDoubtTransactions() const override;
 
@@ -231,7 +225,7 @@ class SnapshotIsolationEngine : public Engine {
     return gc_floor_.load(std::memory_order_acquire);
   }
 
-  /// Commit-pipeline counters (slots issued, window re-validation aborts).
+  /// Commit-pipeline counters (slots issued).
   CommitPipelineStats commit_pipeline_stats() const {
     std::lock_guard<std::mutex> lk(commit_mu_);
     return pipeline_stats_;
@@ -242,18 +236,18 @@ class SnapshotIsolationEngine : public Engine {
   void RegisterMetrics(obs::MetricsRegistry& reg,
                        const std::string& prefix) override;
 
-  /// Commit-pipeline stage-1 (validate + reserve) latency, microseconds.
+  /// Commit-pipeline step-1 (validate and pin) latency, microseconds.
   const obs::Histogram& validate_histogram() const { return stage1_hist_; }
 
-  /// Commit-pipeline stage-2 (re-validate + publish) latency, microseconds.
+  /// Commit-pipeline step-2 (publish) latency, microseconds.
   const obs::Histogram& publish_histogram() const { return stage2_hist_; }
 
-  /// Test-only failpoint: runs between commit-pipeline stages 1 and 2 of
+  /// Test-only failpoint: runs between commit-pipeline steps 1 and 2 of
   /// every `Commit`, with *no engine latch held*, on the committing
   /// thread.  The hook may drive other transactions on this engine to
-  /// force an rw-antidependency into the commit window — the deterministic
-  /// reproduction of the escape stage 2 exists to close.  Install before
-  /// any session starts; pass nullptr to clear.
+  /// force an rw-antidependency into the commit window, where they meet
+  /// the pinned committer.  Install before any session starts; pass
+  /// nullptr to clear.
   void SetCommitWindowHook(std::function<void(TxnId)> hook) {
     commit_window_hook_ = std::move(hook);
   }
@@ -261,32 +255,28 @@ class SnapshotIsolationEngine : public Engine {
   const SnapshotIsolationOptions& options() const { return options_; }
 
  private:
-  struct TxnState {
-    bool active = false;
+  struct TxnState : ParticipantState {
     bool committed = false;
     bool aborted = false;
-    /// Prepared (in doubt): validated, pending versions reserved, waiting
-    /// for the coordinator's decision.
-    bool prepared = false;
+    /// Validated and not yet published or rolled back: a prepared
+    /// participant, or a local committer in its commit window.  Counts as
+    /// committed in everyone else's SSI checks.
+    bool pinned = false;
+    /// Sticky GC summary: some committed rw-successor of this (committed)
+    /// transaction committed *before* it and was then retired by version
+    /// GC.  Keeps the dangerous-structure completion check sound after
+    /// the successor's state is gone.
+    bool committed_first_out = false;
     /// Declared isolation contract (BeginWithLevel); governs read
     /// timestamps (RC reads per-statement), the FCW probe (skipped at
     /// RC), and which transactions the SSI certifier refuses as pivots.
     IsolationLevel level = IsolationLevel::kSnapshotIsolation;
     Timestamp start_ts = kInvalidTimestamp;
     Timestamp commit_ts = kInvalidTimestamp;
-    /// Sticky GC summary: some committed rw-successor of this (committed)
-    /// transaction committed *before* it and was then retired by version
-    /// GC.  Keeps the dangerous-structure completion check sound after
-    /// the successor's state is gone.
-    bool committed_first_out = false;
     std::set<ItemId> write_set;
     /// Items read (SIREAD entries to drop at retirement): filled only in
     /// SSI mode, the one reader.
     std::set<ItemId> read_set;
-    /// Redo after-images (nullopt = tombstone), collected only while a WAL
-    /// sink is attached; drained into a kWriteSet record at Prepare or
-    /// immediately before the kCommit append.  Owner-thread-only.
-    std::map<ItemId, std::optional<Row>> redo;
     // SSI rw-antidependency neighbours: `in_from` holds U with U -rw-> this
     // (U read something this wrote over); `out_to` holds W with
     // this -rw-> W.  A transaction with live edges on both sides is a
@@ -307,39 +297,28 @@ class SnapshotIsolationEngine : public Engine {
     return st.level == IsolationLevel::kReadCommitted ? clock_.Now()
                                                       : st.start_ts;
   }
-  /// Require `table_mu_` shared (the entry is read by its own session).
-  Status CheckActive(TxnId txn) const;
-  Status CheckPrepared(TxnId txn) const;
+  /// Rolls `txn` back (store abort + state flags + `a<t>` record) and
+  /// counts it under `why`: First-Committer-Wins and SSI refusals in their
+  /// own counters, everything else as a plain abort; plus a tracer event
+  /// when a tracer is attached.  Requires `table_mu_` shared; takes
+  /// `ssi_mu_`/`store_mu_` internally, so the caller may hold `commit_mu_`
+  /// but neither of those.
+  Status AbortInternal(TxnId txn, Status reason, obs::AbortReason why);
 
-  /// Rolls `txn` back (store abort + state flags + `a<t>` record), charging
-  /// `counter`, and records the abort's paper-taxonomy tag: the matching
-  /// `EngineStats` breakdown counter (serialization aborts only) plus a
-  /// tracer event when a tracer is attached.  Requires `table_mu_` shared;
-  /// takes `ssi_mu_`/`store_mu_` internally, so the caller may hold
-  /// `commit_mu_` but neither of those.
-  Status AbortInternal(TxnId txn, Status reason,
-                       EngineRecorder::CounterField counter,
-                       obs::AbortReason why);
-
-  /// Commit-pipeline stage 1: First-Committer-Wins + reservation overlap +
-  /// SSI dangerous-structure checks; on success reserves the write set and
-  /// issues a commit slot.  Requires `table_mu_` shared + `commit_mu_`;
-  /// takes `ssi_mu_`/`store_mu_` internally.  On failure the transaction
-  /// is aborted and the refusal returned.
+  /// Commit-pipeline step 1: First-Committer-Wins + reservation overlap +
+  /// SSI dangerous-structure checks; on success pins the transaction,
+  /// reserves its write set and issues a commit slot.  Requires
+  /// `table_mu_` shared + `commit_mu_`; takes `ssi_mu_`/`store_mu_`
+  /// internally.  On failure the transaction is aborted and the refusal
+  /// returned.
   Status ValidateAndReserve(TxnId txn);
 
-  /// Commit-pipeline stage 2 for `txn` (already validated): re-runs the
-  /// SSI checks, then publishes versions at a fresh commit timestamp and
-  /// retires the reservation.  `decision` marks a CommitPrepared, which
-  /// skips the re-run (a prepared participant is pinned) and cannot fail.
-  /// Same latch contract as stage 1.
-  /// When a WAL is attached, the publication section appends the redo +
-  /// commit records and stores the commit LSN in `*wal_lsn` (untouched
-  /// when nothing was logged); a plain Commit waits on it *after*
-  /// releasing every latch, a CommitPrepared does not wait at all (the
-  /// durable 2PC decision is its commit point).
-  Status RevalidateAndPublish(TxnId txn, bool decision,
-                              std::optional<uint64_t>* wal_lsn);
+  /// Commit-pipeline step 2 for the pinned `txn`: publishes its versions
+  /// at a fresh commit timestamp, appends the commit records, retires the
+  /// reservation and awaits the records a local commit must wait for.
+  /// `decision` marks a `CommitPrepared`, whose `txn` must be prepared.
+  /// Takes every latch it needs; call with none held.
+  Status Publish(TxnId txn, bool decision);
 
   /// Drops `txn`'s write-set reservations.  Requires `commit_mu_`.
   void ReleaseReservations(TxnId txn);
@@ -372,13 +351,13 @@ class SnapshotIsolationEngine : public Engine {
   /// True when committing `st` (id `self`) would complete a dangerous
   /// structure whose pivot P can no longer abort: self -rw-> P and either
   /// P is *committed* and some other W in P's out-edges committed before P
-  /// did (Cahill's committed-pivot rule), or P is *prepared* and some
-  /// other W in P's out-edges committed or prepared (W then commits before
-  /// P may).  Requires `ssi_mu_`.
+  /// did (Cahill's committed-pivot rule), or P is *pinned* and some other
+  /// W in P's out-edges committed or is pinned (W then commits before P
+  /// may).  Requires `ssi_mu_`.
   bool CompletesCommittedPivot(TxnId self, const TxnState& st) const;
 
-  /// True when some prepared Serializable-SI P with P -rw-> `st` has a
-  /// live in-edge: committing `st` would be the out-neighbour that commits
+  /// True when some pinned Serializable-SI P with P -rw-> `st` has a live
+  /// in-edge: committing `st` would be the out-neighbour that commits
   /// first around a pivot that can no longer abort.  Requires `ssi_mu_`.
   bool FeedsPreparedPivot(const TxnState& st) const;
 
@@ -392,8 +371,8 @@ class SnapshotIsolationEngine : public Engine {
     return lk;
   }
 
-  /// The SSI refusals shared by stage 1 and the stage-2 re-validation.
-  /// Returns the refusal message, or nullopt to admit.  Requires
+  /// The SSI refusals of step 1.  Returns the refusal message, or nullopt
+  /// to admit.  Requires
   /// `table_mu_` shared; takes `ssi_mu_` internally.  No-op at plain SI.
   std::optional<std::string> SsiRefusal(TxnId txn);
 
@@ -423,13 +402,11 @@ class SnapshotIsolationEngine : public Engine {
   // SSI SIREAD bookkeeping: item readers and predicate readers (ssi_mu_).
   std::map<ItemId, std::set<TxnId>> readers_;
   std::vector<std::pair<Predicate, TxnId>> predicate_readers_;
-  // Write-set reservations of transactions between pipeline stage 1 and
-  // publication — in-flight committers and prepared (in-doubt)
-  // participants (commit_mu_).
+  // Write-set reservations of pinned transactions — local committers in
+  // their commit window and prepared (in-doubt) participants (commit_mu_).
   std::map<ItemId, TxnId> reservations_;
-  // `slots_issued` doubles as the commit-sequence counter: stage-1
-  // entries are serialized by commit_mu_, so each validation owns a
-  // distinct slot number.
+  // `slots_issued` doubles as the commit-sequence counter: validations
+  // are serialized by commit_mu_, so each owns a distinct slot number.
   CommitPipelineStats pipeline_stats_;      ///< commit_mu_
   // Per-stage commit-pipeline latency (internally synchronized).
   obs::Histogram stage1_hist_;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "critique/common/random.h"
@@ -22,7 +23,42 @@ struct Op {
   int64_t value = 0;
 };
 
-ItemId ItemName(uint64_t i) { return "x" + std::to_string(i); }
+// "x" plus the index in base 26 over a..z: no digit, so the version
+// subscript a printed history appends (`r5[xb3]`) parses back as one.
+ItemId ItemName(uint64_t i) {
+  std::string name;
+  do {
+    name.insert(name.begin(), static_cast<char>('a' + i % 26));
+    i /= 26;
+  } while (i != 0);
+  return "x" + name;
+}
+
+// How a session ends: one `Commit` step, or two steps — `Prepare`, then
+// the decision in a later step, so other sessions run while it is pinned.
+// A hash of the seed and the session index picks about one single-site
+// session in four for two steps, and one in four of those for the abort
+// decision.  `ShardedTransaction` has no split prepare.
+enum class End { kCommit, kPrepareCommit, kPrepareAbort };
+
+End SessionEnd(uint64_t seed, uint64_t k) {
+  const uint64_t r = Rng(seed * 0x9E3779B97F4A7C15ULL + k).Uniform(16);
+  if (r >= 4) return End::kCommit;
+  return r == 0 ? End::kPrepareAbort : End::kPrepareCommit;
+}
+
+// One end step (see `End`); sets `prepared` when it left `t` in doubt.
+Status EndStep(Transaction& t, End end, bool& prepared) {
+  if (end == End::kCommit) return t.Commit();
+  if (prepared) {
+    return end == End::kPrepareCommit ? t.CommitPrepared() : t.AbortPrepared();
+  }
+  Status s = t.Prepare();
+  prepared = s.ok();
+  return s;
+}
+
+Status EndStep(ShardedTransaction& t, End, bool&) { return t.Commit(); }
 
 // Deterministic program generation: kind weights favor the read/write mix
 // that actually produces conflicts, with a sprinkle of predicate scans and
@@ -93,6 +129,8 @@ struct Sess {
   std::vector<Op> prog;
   size_t pc = 0;
   int blocked = 0;  // consecutive kWouldBlock answers
+  End end = End::kCommit;
+  bool prepared = false;
 };
 
 // The cooperative stepper shared by the single-site and sharded paths.
@@ -126,6 +164,9 @@ bool RunLoop(const HistexConfig& cfg, Rng& rng, BeginFn begin, GcFn gc,
       s.txn.emplace(std::move(r).value());
       levels[s.txn->id()] = level;
       s.prog = MakeProgram(cfg, rng, value_counter);
+      if (std::is_same_v<TxnT, Transaction>) {
+        s.end = SessionEnd(cfg.seed, started);
+      }
       live.push_back(std::move(s));
       ++started;
     }
@@ -140,8 +181,12 @@ bool RunLoop(const HistexConfig& cfg, Rng& rng, BeginFn begin, GcFn gc,
     };
 
     if (s.pc >= s.prog.size()) {
-      Status cs = s.txn->Commit();
-      if (cs.ok()) {
+      const bool deciding = s.prepared;
+      Status cs = EndStep(*s.txn, s.end, s.prepared);
+      if (cs.ok() && !deciding && s.prepared) continue;  // in doubt
+      if (cs.ok() && s.end == End::kPrepareAbort) {
+        retire(true);
+      } else if (cs.ok()) {
         ++out.committed;
         retire(false);
         if (out.committed % 32 == 0) gc();
@@ -255,13 +300,13 @@ HistexResult RunSingle(const HistexConfig& cfg) {
       out);
   out.report = db.checker()->Report();
   out.stats = db.StatsSnapshot();
-  Finish(cfg, ran,
-         ran ? ReplayMismatch(db.HistorySnapshot(), levels, out.report) : "",
+  out.history = db.HistorySnapshot();
+  Finish(cfg, ran, ran ? ReplayMismatch(out.history, levels, out.report) : "",
          out);
   // HISTEX_DUMP=1 appends the full recorded history to the failure
   // account — the raw material for shrinking a failing seed by hand.
   if (!out.ok && std::getenv("HISTEX_DUMP") != nullptr) {
-    out.detail += "\nhistory:\n" + db.HistorySnapshot().ToString();
+    out.detail += "\nhistory:\n" + out.history.ToString();
   }
   return out;
 }

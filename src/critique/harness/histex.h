@@ -47,7 +47,7 @@ struct HistexConfig {
 
   int sessions = 4;    ///< concurrently open transactions
   int txns = 200;      ///< total transactions to drive
-  int items = 16;      ///< keyspace size ("x0".."x<items-1>")
+  int items = 16;      ///< keyspace size ("xa", "xb", ..., "xba", ...)
   int max_ops = 6;     ///< ops per transaction: 1..max_ops
 
   /// `DbOptions::online_check_prune_interval` for the run.
@@ -73,6 +73,9 @@ struct HistexResult {
   uint64_t torn_global_txns = 0;
   /// Sharded runs only: each shard's own online-checker violations.
   std::vector<uint64_t> shard_violations;
+  /// Single-site runs only: the recorded history (what `HISTEX_DUMP`
+  /// prints on failure).
+  History history;
   /// Ran to completion with zero violations, the replay oracle agreeing
   /// (every shard's, when sharded) and, sharded, no torn global
   /// transaction.

@@ -696,6 +696,20 @@ LockStats LockManager::stats() const {
   return s;
 }
 
+void LockManager::RegisterMetrics(obs::MetricsRegistry& reg,
+                                  const std::string& prefix) {
+  reg.RegisterGauge(prefix + "acquired", [this] { return stats().acquired; });
+  reg.RegisterGauge(prefix + "blocked", [this] { return stats().blocked; });
+  reg.RegisterGauge(prefix + "deadlocks",
+                    [this] { return stats().deadlocks; });
+  reg.RegisterGauge(prefix + "timeouts", [this] { return stats().timeouts; });
+  reg.RegisterGauge(prefix + "coop_parks",
+                    [this] { return stats().coop_parks; });
+  reg.RegisterGauge(prefix + "wakeups", [this] { return stats().wakeups; });
+  reg.RegisterHistogram(prefix + "wait_us", &wait_hist_);
+  reg.RegisterHistogram(prefix + "park_wakeup_us", &park_wakeup_hist_);
+}
+
 LockDebugSnapshot LockManager::DebugSnapshot() const {
   // The global view: holders, waiters, and edges are one atomic picture —
   // exactly what diagnosing a wedged session needs.

@@ -250,6 +250,13 @@ class LockManager {
     return park_wakeup_hist_;
   }
 
+  /// Registers the `LockStats` gauges (acquired, blocked, deadlocks,
+  /// timeouts, coop_parks, wakeups) and the wait and park-wakeup
+  /// histograms (wait_us, park_wakeup_us) with `reg` under `prefix`
+  /// ("engine.lock." by convention).  The manager must outlive the
+  /// registry entries.
+  void RegisterMetrics(obs::MetricsRegistry& reg, const std::string& prefix);
+
  private:
   /// Handles carry their bucket in the low byte (0 = the predicate side
   /// table, i+1 = bucket i), so `Release` goes straight to the right

@@ -170,7 +170,10 @@ struct StressOutcome {
   EngineStats stats;
 };
 
-StressOutcome StressMixed(Database& db, int threads, uint64_t per_thread) {
+// `two_step` ends every other transaction through the 2PC participant
+// path (`Prepare`, then `CommitPrepared`) instead of a local `Commit`.
+StressOutcome StressMixed(Database& db, int threads, uint64_t per_thread,
+                          bool two_step = false) {
   WorkloadOptions wopts;
   wopts.num_items = 16;
   wopts.zipf_theta = 0.8;
@@ -184,8 +187,12 @@ StressOutcome StressMixed(Database& db, int threads, uint64_t per_thread) {
   dopts.txns_per_thread = per_thread;
   ParallelDriver driver(db, dopts);
   StressOutcome out;
-  out.run = driver.Run([&gen](Transaction& txn, Rng& rng) {
-    return gen.ApplyMixedTxn(txn, rng);
+  std::atomic<uint64_t> bodies{0};
+  out.run = driver.Run([&](Transaction& txn, Rng& rng) {
+    Status s = gen.ApplyMixedTxn(txn, rng);
+    if (!s.ok() || !two_step || bodies.fetch_add(1) % 2 == 0) return s;
+    s = txn.Prepare();
+    return s.ok() ? txn.CommitPrepared() : s;
   });
   out.stats = db.StatsSnapshot();
   return out;
@@ -332,17 +339,26 @@ TEST(ConcurrencyTest, CommittedSerializableHistoriesStaySerializable) {
   //    forward edges and hide (tests/ssi_escape_test.cc pins that case
   //    deterministically).  `scripts/check.sh --stress` loops this test
   //    30x under TSan to keep it pinned.
+  //
+  // Each level runs twice: every transaction ending in a local `Commit`,
+  // and every other one ending through `Prepare`/`CommitPrepared` — the
+  // two endings pin a transaction the same way.
   for (IsolationLevel level : {IsolationLevel::kSerializable,
                                IsolationLevel::kSerializableSI}) {
-    Database db(RecordingBlockingOptions(level, /*seed=*/17));
-    StressOutcome out = StressMixed(db, /*threads=*/3, /*per_thread=*/12);
-    EXPECT_GT(out.run.committed, 0u) << db.name();
-    if (level == IsolationLevel::kSerializable) {
-      EXPECT_TRUE(IsSerializable(db.history())) << db.name();
-    } else {
-      EXPECT_TRUE(IsMVSerializable(db.history()))
-          << db.name() << "\n"
-          << check::ReplayHistory(db.history()).ToString();
+    for (bool two_step : {false, true}) {
+      SCOPED_TRACE(two_step ? "prepare/commit-prepared endings"
+                            : "commit endings");
+      Database db(RecordingBlockingOptions(level, /*seed=*/17));
+      StressOutcome out =
+          StressMixed(db, /*threads=*/3, /*per_thread=*/12, two_step);
+      EXPECT_GT(out.run.committed, 0u) << db.name();
+      if (level == IsolationLevel::kSerializable) {
+        EXPECT_TRUE(IsSerializable(db.history())) << db.name();
+      } else {
+        EXPECT_TRUE(IsMVSerializable(db.history()))
+            << db.name() << "\n"
+            << check::ReplayHistory(db.history()).ToString();
+      }
     }
   }
 }

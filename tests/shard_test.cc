@@ -458,9 +458,9 @@ TEST(InDoubtRecoveryTest, PrepareRefusalGloballyAbortsAndIsRetryable) {
 
 TEST(InDoubtRecoveryTest, HeterogeneousShardsSurviveACrashAfterDecision) {
   // Every stock engine implements a real prepared state — including
-  // Oracle Read Consistency, whose trivial-participant default would
-  // otherwise be rolled back by the dying session while its SI peer
-  // recovers forward (atomicity torn down the middle).
+  // Oracle Read Consistency: a participant without one would be rolled
+  // back by the dying session while its SI peer recovers forward
+  // (atomicity torn down the middle).
   ShardedDbOptions opts;
   opts.num_shards = 2;
   opts.per_shard = {DbOptions(IsolationLevel::kSnapshotIsolation),

@@ -1,22 +1,23 @@
 // Deterministic minimizations of the SSI commit-window escape this repo's
 // ROADMAP tracked as "SSI under true concurrency: rare non-serializable
-// escape", closed by the commit pipeline (validate + reserve → re-validate
-// → publish) in engine/si_engine.{h,cc}.
+// escape", closed by pinning every validated transaction in
+// engine/si_engine.{h,cc}: a transaction that passed validation counts as
+// committed in everyone else's SSI checks until it publishes.
 //
 // The escape, in one sentence: the pivot check used to run once, at
 // validation, so an rw-antidependency that reached the pivot *after* that
-// point — after its commit published, or between a 2PC prepare and the
-// decision — was never re-examined, and a dangerous structure
+// point — after its commit published, or between its validation and its
+// publication — was never examined, and a dangerous structure
 // (Cahill et al. 2008) slipped through fully committed.
 //
 // Three deterministic flavors, no threads required:
 //  (1) committed pivot: the in-edge forms after the pivot committed; the
 //      edge's source must now abort at its own commit (it would complete
 //      the structure; the pivot can no longer be aborted);
-//  (2) commit window: the in-edge forms between `Commit`'s first
-//      validation and version publication — forced by the engine's
-//      commit-window failpoint — and the stage-2 re-validation must abort
-//      the pivot;
+//  (2) commit window: the in-edge forms between `Commit`'s validation and
+//      version publication — forced by the engine's commit-window
+//      failpoint — and the pinned pivot commits while the edge's source
+//      is refused;
 //  (3) GC retirement: the structure's "committed first" witness is
 //      version-GC-retired before the completing commit; the sticky
 //      summary bit must keep the completion check sound.
@@ -107,15 +108,12 @@ TEST(SsiEscapeTest, ForwardWitnessOrderStillAdmits) {
 // (2) The commit window: edge forms between validation and publication
 // ---------------------------------------------------------------------------
 
-TEST(SsiEscapeTest, EdgeInCommitWindowAbortsPivotAtRevalidation) {
-  // T2 is the pivot with its out-edge (to the already-committed T3)
-  // formed before it commits.  The failpoint fires between `Commit(2)`'s
-  // first validation and its publication and lets T1 read the old y —
-  // the in-edge now exists, only the stage-2 re-validation can see it.
-  SnapshotIsolationEngine e = MakeSsi();
+// The window's dangerous structure T1 -rw-> T2 -rw-> T3: T3 committed
+// first, and T2 — the pivot, with its out-edge to T3 already formed — is
+// about to commit when T1 begins.
+void SetUpWindowPivot(SnapshotIsolationEngine& e) {
   ASSERT_TRUE(e.Load("x", Scalar(0)).ok());
   ASSERT_TRUE(e.Load("y", Scalar(0)).ok());
-
   ASSERT_TRUE(e.Begin(3).ok());
   ASSERT_TRUE(e.Begin(2).ok());
   ASSERT_TRUE(e.Read(2, "x").ok());
@@ -123,6 +121,15 @@ TEST(SsiEscapeTest, EdgeInCommitWindowAbortsPivotAtRevalidation) {
   ASSERT_TRUE(e.Commit(3).ok());                 // T3 commits first
   ASSERT_TRUE(e.Write(2, "y", Scalar(1)).ok());
   ASSERT_TRUE(e.Begin(1).ok());
+}
+
+TEST(SsiEscapeTest, EdgeInCommitWindowRefusesTheCompleter) {
+  // The failpoint fires between `Commit(2)`'s validation and its
+  // publication and lets T1 read the old y: the in-edge on the pivot
+  // forms only now.  T2 is pinned, so it publishes; T1, which would close
+  // the structure through it, is refused at its own commit.
+  SnapshotIsolationEngine e = MakeSsi();
+  SetUpWindowPivot(e);
 
   bool hook_ran = false;
   e.SetCommitWindowHook([&](TxnId committing) {
@@ -138,15 +145,56 @@ TEST(SsiEscapeTest, EdgeInCommitWindowAbortsPivotAtRevalidation) {
   Status c2 = e.Commit(2);
   e.SetCommitWindowHook(nullptr);
   ASSERT_TRUE(hook_ran);
-  EXPECT_TRUE(c2.IsSerializationFailure()) << c2.ToString();
-  EXPECT_EQ(e.commit_pipeline_stats().revalidation_aborts, 1u);
+  EXPECT_TRUE(c2.ok()) << c2.ToString();
 
-  // The pivot aborted, so T1 is free to commit; the committed projection
-  // stays one-copy serializable.
   ASSERT_TRUE(e.Read(1, "x").ok());
-  EXPECT_TRUE(e.Commit(1).ok());
+  Status c1 = e.Commit(1);
+  EXPECT_TRUE(c1.IsSerializationFailure()) << c1.ToString();
+  EXPECT_EQ(e.stats().ssi_aborts, 1u);
   EXPECT_TRUE(IsMVSerializable(e.history()))
       << check::ReplayHistory(e.history()).ToString();
+}
+
+TEST(SsiEscapeTest, CompleterCommittingInsideTheWindowIsRefused) {
+  // The completer reads y *and commits* inside the pivot's window.  The
+  // pivot already passed validation, so it is the completer that must be
+  // refused, and the pivot commits.
+  SnapshotIsolationEngine e = MakeSsi();
+  SetUpWindowPivot(e);
+
+  Status c1 = Status::OK();
+  e.SetCommitWindowHook([&](TxnId committing) {
+    if (committing != 2) return;
+    ASSERT_TRUE(e.Read(1, "y").ok());  // T1 -rw-> T2
+    c1 = e.Commit(1);
+  });
+  Status c2 = e.Commit(2);
+  e.SetCommitWindowHook(nullptr);
+
+  EXPECT_TRUE(c1.IsSerializationFailure()) << c1.ToString();
+  EXPECT_TRUE(c2.ok()) << c2.ToString();
+  EXPECT_TRUE(IsMVSerializable(e.history()))
+      << check::ReplayHistory(e.history()).ToString();
+}
+
+TEST(SsiEscapeTest, LocalCommitterInItsWindowIsNotInDoubt) {
+  // Pinned is not in doubt: a local committer in its window is invisible
+  // to the 2PC recovery surface, which would otherwise abort it.
+  SnapshotIsolationEngine e = MakeSsi();
+  SetUpWindowPivot(e);
+
+  bool hook_ran = false;
+  e.SetCommitWindowHook([&](TxnId committing) {
+    if (committing != 2) return;
+    hook_ran = true;
+    EXPECT_TRUE(e.InDoubtTransactions().empty());
+    EXPECT_TRUE(e.CommitPrepared(2).IsFailedPrecondition());
+    EXPECT_TRUE(e.AbortPrepared(2).IsFailedPrecondition());
+  });
+  Status c2 = e.Commit(2);
+  e.SetCommitWindowHook(nullptr);
+  ASSERT_TRUE(hook_ran);
+  EXPECT_TRUE(c2.ok()) << c2.ToString();
 }
 
 TEST(SsiEscapeTest, CommitWindowOverlapIsRefusedByReservation) {
